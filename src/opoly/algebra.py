@@ -37,6 +37,8 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"not an exact rational: {text!r}")
     if "/" in s:
         num, _, den = s.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator: {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -439,12 +441,13 @@ class Polynomial:
         """p(x + h), exactly, in the same basis."""
         if self.basis == FALLING:
             return self.to_basis(MONOMIAL).shift(h).to_basis(FALLING)
-        # Horner in (x + h).
-        acc = Polynomial.zero(MONOMIAL)
-        xh = Polynomial((h, 1), MONOMIAL)
-        for c in reversed(self.coeffs):
-            acc = acc * xh + Polynomial.const(c)
-        return acc
+        # Taylor shift in place: pass i is a synthetic division by (x - h)
+        # that leaves the i-th Taylor coefficient at h in cs[i].
+        cs = list(self.coeffs)
+        for i in range(len(cs) - 1):
+            for j in range(len(cs) - 2, i - 1, -1):
+                cs[j] += h * cs[j + 1]
+        return Polynomial(cs, MONOMIAL)
 
     def delta(self) -> "Polynomial":
         """Forward difference p(x+1) - p(x).

@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 usage error, 2 inadmissible family spec,
 3 verification failure (a nonzero residual or an oracle mismatch).
 
 Rationals on the command line are written ``p/q`` (never decimals).
-``OPOLY_THREADS`` caps the worker threads used for independent degrees.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 from .algebra import format_rational, parse_rational
 from .families import (
@@ -84,26 +81,6 @@ def parse_family(text: str) -> FamilySpec:
         raise UsageError(str(exc)) from exc
 
 
-def _threads() -> int:
-    raw = os.environ.get("OPOLY_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise UsageError(f"OPOLY_THREADS must be a positive integer, got {raw!r}") from exc
-    if value < 1:
-        raise UsageError(f"OPOLY_THREADS must be a positive integer, got {raw!r}")
-    return value
-
-
-def _map_ordered(fn: Callable, items: Sequence) -> list:
-    """Apply fn over items, optionally on worker threads, preserving order."""
-    cap = _threads()
-    if cap <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit(payload: dict, fmt: str, csv_rows: tuple[list[str], Iterable[list[str]]] | None):
     if fmt == "json":
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
@@ -144,7 +121,7 @@ def cmd_tabulate(args) -> tuple[str, int]:
     spec = parse_family(args.family)
     start = 0 if args.what in ("recurrence", "xpn") else 1
     ns = list(range(start, args.n_max + 1))
-    triples = _map_ordered(lambda n: _table_triple(spec, args.what, n), ns)
+    triples = [_table_triple(spec, args.what, n) for n in ns]
     payload = structure.table_to_json(args.what, list(zip(ns, triples)))
     payload["family"] = spec_to_json(spec)
     rows = ([ "n", "lo", "mid", "hi" ],
@@ -180,14 +157,14 @@ def cmd_verify(args) -> tuple[str, int]:
     if not args.skip_crosschecks:
         # series round-trip and coefficient-formula cross-checks
         polys = structure.generate(spec, args.n_max)
+        basis = structure.oracle_basis(spec, args.n_max + 1)
         for n in range(args.n_max + 1):
-            direct = structure.solve_equation(spec, n)
-            if direct != polys[n]:
+            if basis[n] != polys[n]:
                 mismatches.append({"check": "equation-solver", "n": n})
             recon = series.series_polynomial(spec, n)
             if recon != polys[n]:
                 mismatches.append({"check": "series-roundtrip", "n": n})
-            oracle = structure.oracle_triples(spec, n)
+            oracle = structure.oracle_triples(spec, basis, n)
             if tuple(structure.recurrence_coeffs(spec, n)) != tuple(oracle["recurrence"]):
                 mismatches.append({"check": "recurrence-vs-oracle", "n": n})
             if n >= 2:

@@ -32,7 +32,7 @@ from .algebra import (
     format_rational,
     pochhammer,
 )
-from .families import DISCRETE, AdmissibilityError, FamilySpec, catalog
+from .families import DISCRETE, AdmissibilityError, FamilySpec, catalog, catalog_params
 from .structure import (
     CoefficientTriple,
     delta_rule_coeffs,
@@ -796,6 +796,9 @@ def parameter_derivative(family: str, param: str, n: int,
     ``at`` holds the values of all family parameters; the formula catalog
     covers the printed cases (and monic variants).
     """
+    wanted = catalog_params(family)
+    if set(at) != set(wanted):
+        raise ValueError(f"family {family!r} takes parameters {wanted}, got {sorted(at)}")
     if n < 1:
         return ConnectionRow(n, (Fraction(0),) * (n + 1))
     key = (family, param)

@@ -42,9 +42,9 @@ from .structure import (
     delta_rule_coeffs,
     derivative_rule_coeffs,
     generate,
+    oracle_basis,
     oracle_triples,
     recurrence_coeffs,
-    solve_equation,
     theorem1_coeffs,
 )
 
@@ -88,8 +88,9 @@ def check_structure_formulas(n_max: int = 6) -> list[Mismatch]:
     out: list[Mismatch] = []
     for name, params in SAMPLE_SPECS:
         spec = catalog(name, params)
+        basis = oracle_basis(spec, n_max + 1)
         for n in range(n_max + 1):
-            oracle = oracle_triples(spec, n)
+            oracle = oracle_triples(spec, basis, n)
             got = recurrence_coeffs(spec, n)
             if tuple(got) != tuple(oracle["recurrence"]):
                 out.append(Mismatch("recurrence", f"{name} n={n}",
@@ -122,8 +123,8 @@ def check_series_formulas(n_max: int = 8) -> list[Mismatch]:
     out: list[Mismatch] = []
     for name, params in SAMPLE_SPECS:
         spec = catalog(name, params)
-        for n in range(n_max + 1):
-            direct = solve_equation(spec, n)
+        basis = oracle_basis(spec, n_max)
+        for n, direct in enumerate(basis):
             if spec.kind == CONTINUOUS:
                 series = power_coeffs(spec, n).polynomial()
             else:

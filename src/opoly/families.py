@@ -82,7 +82,13 @@ class FamilySpec:
         return Polynomial([self.e, self.d])
 
     def k(self, n: int) -> FieldElement:
-        value = self.leading(n)
+        """k_n; a zero value or a vanishing denominator of the rule is inadmissible."""
+        try:
+            value = self.leading(n)
+        except ZeroDivisionError:
+            raise AdmissibilityError(
+                f"k_{n} has a vanishing denominator for family {self.name or self.abcde()}"
+            ) from None
         if value == 0:
             raise AdmissibilityError(f"k_{n} = 0 for family {self.name or self.abcde()}")
         return value
@@ -263,16 +269,20 @@ _CATALOG: dict[str, tuple[tuple[str, ...], Callable[..., FamilySpec]]] = {
 CATALOG_NAMES = tuple(sorted(_CATALOG))
 
 
+def catalog_params(name: str) -> tuple[str, ...]:
+    """Parameter names of a catalog family (``<name>-monic`` included)."""
+    base = name.removesuffix("-monic")
+    if base not in _CATALOG:
+        raise KeyError(f"unknown family {name!r}")
+    return _CATALOG[base][0]
+
+
 def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
             **kwargs: FieldElement) -> FamilySpec:
     """Look up a named family; ``<name>-monic`` gives its monic variant."""
-    monic = False
-    base = name
-    if name.endswith("-monic"):
-        monic, base = True, name[: -len("-monic")]
-    if base not in _CATALOG:
-        raise KeyError(f"unknown family {name!r}")
-    wanted, builder = _CATALOG[base]
+    wanted = catalog_params(name)
+    base = name.removesuffix("-monic")
+    builder = _CATALOG[base][1]
     given = dict(params or {})
     given.update(kwargs)
     missing = [p for p in wanted if p not in given]
@@ -283,7 +293,7 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
     spec = builder(*args)
     spec = FamilySpec(spec.kind, spec.a, spec.b, spec.c, spec.d, spec.e,
                       spec.leading, base, tuple((p, as_field(given[p])) for p in wanted))
-    if monic:
+    if base != name:
         spec = spec.monic()
     spec.k(0)  # reject parameters that kill the standardization outright
     return spec
@@ -359,8 +369,10 @@ def admissibility(spec: FamilySpec, n_max: int,
                 if value == 0:
                     failures.append((formula, n, label))
     for n in range(n_max + 2):
-        if spec.leading(n) == 0:
-            failures.append(("leading", n, f"k_{n} = 0"))
+        try:
+            spec.k(n)
+        except AdmissibilityError:
+            failures.append(("leading", n, f"k_{n}"))
     return AdmissibilityReport(not failures, tuple(failures))
 
 

@@ -391,13 +391,15 @@ def power_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
     """Coefficients C_m with x^n = sum_m C_m(n) Q_m(x), Q the given family.
 
     Internally solved for the monic system and rescaled.  Routes: the
-    hypergeometric closed form when c = 0 and a*b != 0; the two-term index
-    recurrence when c = 0; the general three-term recurrence otherwise.
+    hypergeometric closed form when c = 0, a*b != 0 and none of its
+    denominators vanishes; the two-term index recurrence otherwise when
+    c = 0; the general three-term recurrence when c != 0.
     """
     if spec.kind != CONTINUOUS:
         raise ValueError("power_in_basis needs a continuous family")
     a, b, c, d, e = spec.abcde()
-    if c == 0 and a != 0 and b != 0:
+    if (c == 0 and a != 0 and b != 0 and pochhammer(d / a, n) != 0
+            and pochhammer(e / b, n) != 0 and pochhammer((a * n + d) / a, n) != 0):
         monic = _power_in_monic_closed(spec, n)
     elif c == 0:
         monic = _power_in_monic_two_term(spec, n)

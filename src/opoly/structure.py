@@ -300,11 +300,20 @@ def solve_three_term(lhs: Polynomial, hi: Polynomial, mid: Polynomial,
     return CoefficientTriple(*values)
 
 
-def oracle_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
-    """All structure triples for degree n solved from oracle polynomials."""
-    polys = [solve_equation(spec, m) for m in range(n + 2)]
+def oracle_basis(spec: FamilySpec, n_max: int) -> list[Polynomial]:
+    """Equation-solver polynomials p_0 .. p_{n_max}, each solved once."""
+    return [solve_equation(spec, m) for m in range(n_max + 1)]
+
+
+def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
+                   n: int) -> dict[str, CoefficientTriple]:
+    """All structure triples for degree n solved from oracle polynomials.
+
+    ``basis`` is ``oracle_basis(spec, m)`` for some m >= n + 1; only its
+    entries n - 1, n and n + 1 are read.
+    """
     x = Polynomial.x()
-    pn, pp, pm = polys[n], polys[n + 1], polys[n - 1] if n >= 1 else Polynomial.zero()
+    pn, pp, pm = basis[n], basis[n + 1], basis[n - 1] if n >= 1 else Polynomial.zero()
     sig = spec.sigma()
     out: dict[str, CoefficientTriple] = {}
     abc = solve_three_term(x * pn, pp, pn, pm)
@@ -313,15 +322,14 @@ def oracle_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     if n < 1:
         return out
     if spec.kind == CONTINUOUS:
-        diff = [p.derivative() for p in polys]
-        second = sig * pn.derivative().derivative()
-        out["derivative"] = solve_three_term(sig * pn.derivative(), pp, pn, pm)
+        dpp, dp, dpm = pp.derivative(), pn.derivative(), pm.derivative()
+        second = sig * dp.derivative()
+        out["derivative"] = solve_three_term(sig * dp, pp, pn, pm)
     else:
-        diff = [p.delta() for p in polys]
-        second = sig * pn.delta().nabla()
+        dpp, dp, dpm = pp.delta(), pn.delta(), pm.delta()
+        second = sig * dp.nabla()
         out["derivative"] = solve_three_term(sig * pn.nabla(), pp, pn, pm)
-        out["delta"] = solve_three_term((sig + spec.tau()) * pn.delta(), pp, pn, pm)
-    dp, dpp, dpm = diff[n], diff[n + 1], diff[n - 1]
+        out["delta"] = solve_three_term((sig + spec.tau()) * dp, pp, pn, pm)
     out["starred"] = solve_three_term(x * dp, dpp, dp, dpm)
     out["primed"] = solve_three_term(second, dpp, dp, dpm)
     out["hatted"] = solve_three_term(pn, dpp, dp, dpm)

@@ -100,6 +100,23 @@ class TestCalculusOperators:
             x0 = rand_fraction(rng)
             assert p.shift(h)(x0) == p(x0 + h)
 
+    def test_shift_matches_evaluation(self):
+        rng = random.Random(5)
+        for h in range(-3, 4):
+            for deg in range(13):
+                p = Polynomial([rand_fraction(rng) for _ in range(deg + 1)])
+                shifted = p.shift(h)
+                for x0 in (F(0), F(1), F(-2), rand_fraction(rng), rand_fraction(rng)):
+                    assert shifted(x0) == p(x0 + h), (h, deg, x0)
+
+    def test_shift_rational_function_coefficients(self):
+        t = RationalFunction.parameter()
+        p = Polynomial([1 / (t + 1), t, F(2, 3), t * t])  # t^2 x^3 + 2/3 x^2 + t x + 1/(t+1)
+        for h in range(-3, 4):
+            shifted = p.shift(h)
+            for x0 in (F(0), F(1, 2), F(-3)):
+                assert shifted(x0) == p(x0 + h), (h, x0)
+
     def test_delta_nabla_operator_identity(self):
         # Delta Nabla = Delta - Nabla, exactly, degree <= 20
         rng = random.Random(4)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction as F
@@ -131,6 +132,33 @@ class TestExitCodes:
         assert code == INADMISSIBLE
         assert "inadmissible" in err
 
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "--family", "laguerre:alpha=1/0",
+                                 "--n-max", "3")
+        assert code == USAGE_ERROR
+        assert not out
+        assert err.startswith("opoly: ") and "Traceback" not in err
+
+    def test_unknown_at_key_is_usage_error(self, capsys):
+        for at in ("beta=2", "alpha=2,beta=2"):
+            code, out, err = run_cli(capsys, "param-deriv", "--family", "laguerre",
+                                     "--param", "alpha", "--n", "3", "--at", at)
+            assert code == USAGE_ERROR, at
+            assert not out
+            assert err.startswith("opoly: ") and "Traceback" not in err
+
+    def test_hahn_q_beyond_lattice_is_inadmissible(self, capsys):
+        # k_n divides by (-N)_n, which vanishes for n > N
+        family = "hahn-q:alpha=1,beta=2,N=5"
+        for argv in (("tabulate", "--what", "recurrence"), ("generate",), ("verify",)):
+            code, out, err = run_cli(capsys, *argv, "--family", family, "--n-max", "8")
+            assert code == INADMISSIBLE, argv
+            assert not out
+            assert "inadmissible" in err
+        code, _, _ = run_cli(capsys, "tabulate", "--what", "recurrence",
+                             "--family", family, "--n-max", "4")
+        assert code == 0
+
     def test_verify_fails_iff_nonzero_residual(self, capsys, monkeypatch):
         # force a wrong coefficient; the residual must be flagged with exit 3
         original = structure.derivative_rule_coeffs
@@ -183,20 +211,21 @@ class TestDeterminism:
         _, second, _ = run_cli(capsys, *args)
         assert first == second
 
-    def test_threads_do_not_change_output(self, capsys, monkeypatch):
-        args = ("tabulate", "--family", "hahn:alpha=1/2,beta=1/3,N=12",
-                "--what", "hatted", "--n-max", "8")
-        monkeypatch.setenv("OPOLY_THREADS", "1")
-        _, serial, _ = run_cli(capsys, *args)
-        monkeypatch.setenv("OPOLY_THREADS", "4")
-        _, threaded, _ = run_cli(capsys, *args)
-        assert serial == threaded
-
-    def test_bad_thread_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("OPOLY_THREADS", "zero")
-        code, _, _ = run_cli(capsys, "tabulate", "--family", "hermite",
-                             "--what", "recurrence", "--n-max", "3")
-        assert code == USAGE_ERROR
+    def test_verify_output_is_pinned(self, capsys):
+        # sha256 of the verify stdout; the oracle and shift kernels behind the
+        # cross-checks may change, the bytes they print may not
+        pinned = {
+            "jacobi:alpha=1/2,beta=-1/3":
+                "6c52c555a4b129de250965b53d9c54dd4e25be4d285bb86368865d2850609ef1",
+            "hahn:alpha=1/2,beta=1/3,N=14":
+                "739f7d71ce545a834863189910ece83a452bd840d06e9b4e865120e9ebaaab48",
+            "raw:kind=continuous,a=-1,b=1/2,c=2,d=-3,e=1/3,k=monic":
+                "2d02c5f3f4053f5e752931b9f4353c5f38e4f00e913b59ea4a0e66f6904ef0b9",
+        }
+        for family, digest in pinned.items():
+            code, out, _ = run_cli(capsys, "verify", "--family", family, "--n-max", "8")
+            assert code == 0, family
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, family
 
 
 class TestReprCommand:

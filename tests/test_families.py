@@ -122,6 +122,16 @@ class TestAdmissibility:
         assert not report.ok
         assert any(formula == "leading" for (formula, _, _) in report.failures)
 
+    def test_standardization_pole_reported(self):
+        # Hahn-Q k_n divides by (-N)_n, which vanishes for n > N
+        spec = catalog("hahn-q", alpha=F(1), beta=F(2), N=F(5))
+        assert spec.k(5) != 0
+        with pytest.raises(AdmissibilityError):
+            spec.k(6)
+        report = admissibility(spec, 8)
+        assert [(formula, n) for (formula, n, _) in report.failures
+                if formula == "leading"] == [("leading", n) for n in range(6, 10)]
+
 
 class TestAffineTransform:
     def test_jacobi_shift_kills_constant_term(self):

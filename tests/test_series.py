@@ -247,6 +247,27 @@ class TestInverseSeries:
         for n in range(9):
             assert _power_in_monic_two_term(lag, n) == _power_in_monic_three_term(lag, n)
 
+    def test_removable_closed_form_uses_two_term_route(self):
+        # e = 0 makes (e/b)_m vanish: the closed route is 0/0, the two-term
+        # route still has the unique expansion
+        from opoly.families import FamilySpec, MONIC
+        spec = FamilySpec("continuous", 1, 1, 0, 3, 0, MONIC)
+        assert power_in_basis(spec, 3).coeffs == (0, F(1, 5), F(-6, 7), 1)
+        polys = generate(spec, 8)
+        for n in range(9):
+            row = power_in_basis(spec, n)
+            total = Polynomial.zero()
+            for m in range(n + 1):
+                total = total + polys[m].scale(row[m])
+            assert total == Polynomial.monomial(n), n
+
+    def test_closed_form_prefactor_pole_is_inadmissible(self):
+        # (d/a)_n = 0 for d = -a: no route divides by it unguarded
+        from opoly.families import AdmissibilityError, FamilySpec, MONIC
+        spec = FamilySpec("continuous", 1, 1, 0, -1, 2, MONIC)
+        with pytest.raises(AdmissibilityError):
+            power_in_basis(spec, 3)
+
     def test_matrix_inverse_round_trip(self):
         # the matrices of forward and inverse coefficients are exact inverses
         for name, spec in list(continuous_specs()) + list(discrete_specs()):

@@ -11,6 +11,7 @@ from opoly.structure import (
     delta_rule_coeffs,
     derivative_rule_coeffs,
     generate,
+    oracle_basis,
     oracle_triples,
     recurrence_coeffs,
     solve_equation,
@@ -49,9 +50,10 @@ class TestRecurrenceCoeffs:
         # formula triple == unique solution of the expanded linear system
         for name, params in iter_specs():
             spec = catalog(name, params)
+            basis = oracle_basis(spec, 11)
             for n in range(11):
                 assert tuple(recurrence_coeffs(spec, n)) == \
-                    tuple(oracle_triples(spec, n)["recurrence"]), (name, n)
+                    tuple(oracle_triples(spec, basis, n)["recurrence"]), (name, n)
 
 
 class TestDerivativeRule:
@@ -122,8 +124,9 @@ class TestTheorem1:
     def test_triples_match_oracle_solve(self):
         for name, params in iter_specs():
             spec = catalog(name, params)
+            basis = oracle_basis(spec, 9)
             for n in range(2, 9):
-                oracle = oracle_triples(spec, n)
+                oracle = oracle_triples(spec, basis, n)
                 got = theorem1_coeffs(spec, n)
                 for key in ("starred", "primed", "hatted"):
                     assert tuple(got[key]) == tuple(oracle[key]), (name, n, key)
