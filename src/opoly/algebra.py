@@ -9,7 +9,8 @@ point is used anywhere.
 Polynomials are dense and univariate, and carry a basis tag: ``MONOMIAL``
 (powers x^k) or ``FALLING`` (falling factorials x(x-1)...(x-k+1)).  The
 difference operators delta/nabla/shift and the formal derivative act on
-them exactly.
+them exactly, and ``expand_over`` is the one triangular solve that writes a
+polynomial over a basis of distinct degrees.
 """
 
 from __future__ import annotations
@@ -539,3 +540,28 @@ class Polynomial:
             else:
                 parts.append(f"{c}*{var}^{k}")
         return " + ".join(parts)
+
+
+def expand_over(target: Polynomial, parts: Sequence[Polynomial]) -> list[FieldElement]:
+    """Coefficients v_i with target = sum_i v_i parts[i], by back-substitution.
+
+    The nonzero parts, of distinct degree (which makes the v_i unique), are
+    eliminated from the highest degree down.  A zero part gets the
+    coefficient 0.  Raises ValueError when target is not in their span.
+    """
+    values: list[FieldElement] = [Fraction(0)] * len(parts)
+    order = sorted((i for i, part in enumerate(parts) if not part.is_zero()),
+                   key=lambda i: -parts[i].degree())
+    if any(parts[i].basis != target.basis for i in order):
+        raise BasisError("expand_over needs the parts in the basis of the target")
+    rem = list(target.coeffs)  # the residual, updated in place
+    rem += [Fraction(0)] * (len(parts[order[0]].coeffs) - len(rem) if order else 0)
+    for i in order:
+        part = parts[i]
+        values[i] = value = rem[part.degree()] / part.leading()
+        for j, c in enumerate(part.coeffs):
+            rem[j] -= value * c
+    if any(rem):
+        raise ValueError("target is not in the span of the parts; residual "
+                         f"{Polynomial(rem, target.basis)!r}")
+    return values

@@ -77,6 +77,8 @@ def parse_family(text: str) -> FamilySpec:
         return catalog(name, params)
     except KeyError as exc:
         raise UsageError(f"unknown family {name!r}; catalog: {CATALOG_NAMES}") from exc
+    except AdmissibilityError:
+        raise
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -155,23 +157,18 @@ def cmd_verify(args) -> tuple[str, int]:
         raise UsageError(str(exc)) from exc
     mismatches = []
     if not args.skip_crosschecks:
-        # series round-trip and coefficient-formula cross-checks
+        # equation solver and series round-trip against generate's p_n, then
+        # every explicit triple against the oracle (as opoly diagnostics does)
         polys = structure.generate(spec, args.n_max)
         basis = structure.oracle_basis(spec, args.n_max + 1)
         for n in range(args.n_max + 1):
             if basis[n] != polys[n]:
                 mismatches.append({"check": "equation-solver", "n": n})
-            recon = series.series_polynomial(spec, n)
-            if recon != polys[n]:
+            if series.series_polynomial(spec, n) != polys[n]:
                 mismatches.append({"check": "series-roundtrip", "n": n})
-            oracle = structure.oracle_triples(spec, basis, n)
-            if tuple(structure.recurrence_coeffs(spec, n)) != tuple(oracle["recurrence"]):
-                mismatches.append({"check": "recurrence-vs-oracle", "n": n})
-            if n >= 2:
-                got = structure.theorem1_coeffs(spec, n)
-                for key in ("starred", "primed", "hatted"):
-                    if tuple(got[key]) != tuple(oracle[key]):
-                        mismatches.append({"check": f"{key}-vs-oracle", "n": n})
+        mismatches += [{"check": f"{key}-vs-oracle", "n": n} for key, n, _, _
+                       in diagnostics.structure_mismatches(spec, basis, args.n_max)]
+        mismatches.sort(key=lambda m: m["n"])  # stable: by degree, checks in order
     payload = {
         "family": spec_to_json(spec),
         "n_max": args.n_max,
@@ -245,10 +242,12 @@ def cmd_connect(args) -> tuple[str, int]:
 
 def cmd_param_deriv(args) -> tuple[str, int]:
     try:
-        at = {key: parse_rational(value) for key, value in
-              (item.split("=", 1) for item in args.at.split(","))}
+        pairs = [item.split("=", 1) for item in args.at.split(",")]
+        at = {key: parse_rational(value) for key, value in pairs}
     except ValueError as exc:
         raise UsageError(f"bad --at value: {exc}") from exc
+    if len(at) != len(pairs):
+        raise UsageError(f"duplicate parameter in --at {args.at!r}")
     try:
         row = conn.parameter_derivative(args.family, args.param, args.n, at)
     except KeyError as exc:

@@ -28,6 +28,7 @@ from .algebra import (
     RationalFunction,
     as_field,
     binomial,
+    expand_over,
     factorial,
     format_rational,
     pochhammer,
@@ -91,17 +92,7 @@ def compat(p: FamilySpec, q: FamilySpec) -> str:
 
 def connect_oracle(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
     """Triangular solve of P_n over Q_0..Q_n in the monomial basis."""
-    p_n = generate(p, n)[n]
-    q_polys = generate(q, n)
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 1)
-    rem = p_n
-    for m in range(n, -1, -1):
-        value = rem.coeff(m) / q_polys[m].leading()
-        coeffs[m] = value
-        rem = rem - q_polys[m].scale(value)
-    if not rem.is_zero():
-        raise AssertionError("triangular connection solve left a residual")
-    return ConnectionRow(n, tuple(coeffs))
+    return ConnectionRow(n, tuple(expand_over(generate(p, n)[n], generate(q, n))))
 
 
 # ---------------------------------------------------------------------------
@@ -805,7 +796,11 @@ def parameter_derivative(family: str, param: str, n: int,
     if key not in _PDERIV:
         raise KeyError(f"no parameter-derivative formula for {key}; "
                        f"known: {PARAMETER_DERIVATIVE_PAIRS}")
-    values = _PDERIV[key](n, **{k: as_field(v) for k, v in at.items()})
+    try:
+        values = _PDERIV[key](n, **{k: as_field(v) for k, v in at.items()})
+    except ZeroDivisionError:
+        point = ",".join(f"{k}={format_rational(v)}" for k, v in at.items())
+        raise AdmissibilityError(f"{family}.{param} formula has a pole at {point}") from None
     return ConnectionRow(n, tuple(as_field(values.get(m, Fraction(0)))
                                   for m in range(n + 1)))
 
@@ -831,15 +826,5 @@ def exact_parameter_derivative(family: str, param: str, n: int,
             d_coeffs.append(coeff.derivative().evaluate(point))
         else:
             d_coeffs.append(Fraction(0))
-    derived = Polynomial(d_coeffs)
     numeric = catalog(family, {k: Fraction(v) for k, v in at.items()})
-    q_polys = generate(numeric, n)
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 1)
-    rem = derived
-    for m in range(n, -1, -1):
-        value = rem.coeff(m) / q_polys[m].leading()
-        coeffs[m] = value
-        rem = rem - q_polys[m].scale(value)
-    if not rem.is_zero():
-        raise AssertionError("derivative expansion left a residual")
-    return ConnectionRow(n, tuple(coeffs))
+    return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), generate(numeric, n))))

@@ -6,10 +6,15 @@ re-derived by an independent route and compared exactly:
 
 * structure triples            vs. linear solves over equation-solver polynomials
 * series index recurrences     vs. the equation-solver expansion
-* inverse-series recurrences   vs. unitriangular basis solves
+* inverse-series recurrences   vs. ``expand_over`` solves over the generated basis
 * connection m-recurrences     vs. the cross-rule elimination and the oracle
 * closed connection formulas   vs. the oracle rows
 * parameter-derivative tables  vs. the rational-function-field derivative
+
+``structure_mismatches`` compares every explicit structure triple of one
+spec (xpn, recurrence, derivative, delta, starred, primed, hatted) with the
+oracle; ``opoly verify`` runs it on its family, ``check_structure_formulas``
+over ``SAMPLE_SPECS``.
 
 ``transcription_report`` runs the whole battery and returns machine-readable
 results; the shipped catalog must produce zero unresolved mismatches.
@@ -24,8 +29,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-from .algebra import MONOMIAL, Polynomial
-from .families import CONTINUOUS, DISCRETE, FamilySpec, catalog
+from .algebra import MONOMIAL, Polynomial, expand_over
+from .families import CONTINUOUS, FamilySpec, catalog
 from .connection import (
     SAME_SIGMA,
     SAME_SIGMA_PLUS_TAU,
@@ -37,15 +42,13 @@ from .connection import (
     parameter_derivative,
     _PDERIV,
 )
-from .series import falling_coeffs, power_coeffs, falling_in_basis, power_in_basis
+from .series import falling_in_basis, power_in_basis, series_polynomial
 from .structure import (
-    delta_rule_coeffs,
-    derivative_rule_coeffs,
+    CoefficientTriple,
+    formula_triples,
     generate,
     oracle_basis,
     oracle_triples,
-    recurrence_coeffs,
-    theorem1_coeffs,
 )
 
 
@@ -79,8 +82,22 @@ SAMPLE_SPECS: tuple[tuple[str, dict], ...] = (
 )
 
 
-def _triple_str(t) -> str:
-    return "(" + ", ".join(str(v) for v in t) + ")"
+def structure_mismatches(spec: FamilySpec, basis: list[Polynomial], n_max: int
+                         ) -> list[tuple[str, int, CoefficientTriple, CoefficientTriple]]:
+    """(key, n, formula, oracle) for each triple of ``formula_triples`` that
+    differs from ``oracle_triples``, 0 <= n <= n_max; ``basis`` is
+    ``oracle_basis(spec, m)`` with m >= n_max + 1.  At n = 1 the lo parts of
+    the Theorem-1 triples multiply D p_0 = 0 and are not compared.
+    """
+    out = []
+    for n in range(n_max + 1):
+        oracle = oracle_triples(spec, basis, n)
+        for key, got in formula_triples(spec, n).items():
+            want = oracle[key]
+            width = 2 if n == 1 and key in ("starred", "primed", "hatted") else 3
+            if tuple(got)[:width] != tuple(want)[:width]:
+                out.append((key, n, got, want))
+    return out
 
 
 def check_structure_formulas(n_max: int = 6) -> list[Mismatch]:
@@ -88,33 +105,10 @@ def check_structure_formulas(n_max: int = 6) -> list[Mismatch]:
     out: list[Mismatch] = []
     for name, params in SAMPLE_SPECS:
         spec = catalog(name, params)
-        basis = oracle_basis(spec, n_max + 1)
-        for n in range(n_max + 1):
-            oracle = oracle_triples(spec, basis, n)
-            got = recurrence_coeffs(spec, n)
-            if tuple(got) != tuple(oracle["recurrence"]):
-                out.append(Mismatch("recurrence", f"{name} n={n}",
-                                    _triple_str(got), _triple_str(oracle["recurrence"])))
-            if n < 1:
-                continue
-            got = derivative_rule_coeffs(spec, n)
-            if tuple(got) != tuple(oracle["derivative"]):
-                out.append(Mismatch("derivative-rule", f"{name} n={n}",
-                                    _triple_str(got), _triple_str(oracle["derivative"])))
-            if spec.kind == DISCRETE:
-                got = delta_rule_coeffs(spec, n)
-                if tuple(got) != tuple(oracle["delta"]):
-                    out.append(Mismatch("delta-rule", f"{name} n={n}",
-                                        _triple_str(got), _triple_str(oracle["delta"])))
-            triples = theorem1_coeffs(spec, n)
-            for key in ("starred", "primed", "hatted"):
-                want = oracle[key]
-                got = triples[key]
-                parts = ("hi", "mid") if n == 1 else ("hi", "mid", "lo")
-                for part in parts:
-                    if getattr(got, part) != getattr(want, part):
-                        out.append(Mismatch(key, f"{name} n={n} [{part}]",
-                                            str(getattr(got, part)), str(getattr(want, part))))
+        for key, n, got, want in structure_mismatches(spec, oracle_basis(spec, n_max + 1),
+                                                      n_max):
+            out.append(Mismatch(key, f"{name} n={n}", ", ".join(map(str, got)),
+                                ", ".join(map(str, want))))
     return out
 
 
@@ -123,29 +117,19 @@ def check_series_formulas(n_max: int = 8) -> list[Mismatch]:
     out: list[Mismatch] = []
     for name, params in SAMPLE_SPECS:
         spec = catalog(name, params)
-        basis = oracle_basis(spec, n_max)
-        for n, direct in enumerate(basis):
-            if spec.kind == CONTINUOUS:
-                series = power_coeffs(spec, n).polynomial()
-            else:
-                series = falling_coeffs(spec, n).polynomial().to_basis(MONOMIAL)
+        for n, direct in enumerate(oracle_basis(spec, n_max)):
+            series = series_polynomial(spec, n)
             if series != direct:
                 out.append(Mismatch("series-recurrence", f"{name} n={n}",
                                     repr(series), repr(direct)))
         polys = generate(spec, n_max)
         for n in range(n_max + 1):
-            if spec.kind == CONTINUOUS:
-                row = power_in_basis(spec, n)
-                target = Polynomial.monomial(n)
-            else:
-                row = falling_in_basis(spec, n)
-                target = Polynomial.monomial(n, 1, "falling").to_basis(MONOMIAL)
-            total = Polynomial.zero()
-            for m in range(n + 1):
-                total = total + polys[m].scale(row[m])
-            if total != target:
+            row = (power_in_basis if spec.kind == CONTINUOUS else falling_in_basis)(spec, n)
+            target = Polynomial.monomial(n, 1, spec.basis()).to_basis(MONOMIAL)
+            want = tuple(expand_over(target, polys[: n + 1]))
+            if row.coeffs != want:
                 out.append(Mismatch("inverse-series", f"{name} n={n}",
-                                    repr(total), repr(target)))
+                                    ", ".join(map(str, row.coeffs)), ", ".join(map(str, want))))
     return out
 
 

@@ -290,7 +290,11 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
     if missing or extra:
         raise ValueError(f"family {base!r} takes parameters {wanted}, got {sorted(given)}")
     args = [as_field(given[p]) for p in wanted]
-    spec = builder(*args)
+    try:
+        spec = builder(*args)
+    except ZeroDivisionError:
+        point = ",".join(f"{k}={_field_to_str(v)}" for k, v in given.items())
+        raise AdmissibilityError(f"family {base!r} has a vanishing denominator at {point}") from None
     spec = FamilySpec(spec.kind, spec.a, spec.b, spec.c, spec.d, spec.e,
                       spec.leading, base, tuple((p, as_field(given[p])) for p in wanted))
     if base != name:
@@ -374,17 +378,6 @@ def admissibility(spec: FamilySpec, n_max: int,
         except AdmissibilityError:
             failures.append(("leading", n, f"k_{n}"))
     return AdmissibilityReport(not failures, tuple(failures))
-
-
-def require_admissible(spec: FamilySpec, n_max: int,
-                       formulas: tuple[str, ...] = ALL_FORMULAS) -> None:
-    report = admissibility(spec, n_max, formulas)
-    if not report.ok:
-        first = report.failures[0]
-        raise AdmissibilityError(
-            f"family {spec.name or spec.abcde()} inadmissible: "
-            f"{first[2]} vanishes at n={first[1]} ({first[0]}); "
-            f"{len(report.failures)} failure(s) total")
 
 
 # ---------------------------------------------------------------------------

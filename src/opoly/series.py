@@ -102,25 +102,21 @@ def falling_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
     if spec.kind != DISCRETE:
         raise ValueError("falling_coeffs needs a discrete family")
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
+    if c != 0:
+        return falling_coeffs_three_term(spec, n)
+    coeffs: list[FieldElement] = [Fraction(0)] * (n + 1)
     coeffs[n] = spec.k(n)
     for m in range(n - 1, -1, -1):
         lead = (a * (n + m - 1) + d) * (n - m)
         if lead == 0:
             raise AdmissibilityError(f"series multiplier vanishes at m={m}")
-        if c == 0:
-            rhs = -(m + 1) * (a * m * m + (b + d) * m + e) * coeffs[m + 1]
-        else:
-            rhs = ((m + 1) * (a * n * n - 2 * a * m * m - a * n - a * m + n * d
-                              - 2 * d * m - b * m - d - e) * coeffs[m + 1]
-                   - (m + 1) * (m + 2) * (a * m * m + 2 * a * m + d * m + b * m
-                                          + a + d + b + c + e) * coeffs[m + 2])
-        coeffs[m] = -rhs / lead
-    return SeriesCoefficients(n, FALLING, tuple(coeffs[: n + 1]))
+        coeffs[m] = (m + 1) * (a * m * m + (b + d) * m + e) * coeffs[m + 1] / lead
+    return SeriesCoefficients(n, FALLING, tuple(coeffs))
 
 
 def falling_coeffs_three_term(spec: FamilySpec, n: int) -> SeriesCoefficients:
-    """The general three-term route, run even when c = 0 (for cross-checking)."""
+    """The general three-term route of ``falling_coeffs``, also run when c = 0
+    (to cross-check the two-term route)."""
     a, b, c, d, e = spec.abcde()
     coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
     coeffs[n] = spec.k(n)

@@ -28,6 +28,7 @@ from .algebra import (
     FieldElement,
     Polynomial,
     as_field,
+    expand_over,
     factorial,
     format_rational,
     pochhammer,
@@ -40,7 +41,6 @@ from .families import (
     LeadingRule,
     catalog,
     lambda_n,
-    require_admissible,
 )
 
 
@@ -108,10 +108,14 @@ def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     return CoefficientTriple(A, B, C)
 
 
+def _flip(t: CoefficientTriple) -> CoefficientTriple:
+    """(A, B, C) <-> (a, b, c): the map between the two recurrence forms."""
+    return CoefficientTriple(1 / t.hi, -t.mid / t.hi, t.lo / t.hi)
+
+
 def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(a_n, b_n, c_n) with x p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}."""
-    A, B, C = recurrence_coeffs(spec, n)
-    return CoefficientTriple(1 / A, -B / A, C / A)
+    return _flip(recurrence_coeffs(spec, n))
 
 
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -148,8 +152,11 @@ def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(S_n, T_n, R_n) with (sigma + tau) Delta p_n = S p_{n+1} + T p_n + R p_{n-1}."""
     if spec.kind != DISCRETE:
         raise ValueError("delta rule applies to discrete families")
-    alpha, beta, gamma = derivative_rule_coeffs(spec, n)
-    return CoefficientTriple(alpha, beta - lambda_n(spec, n), gamma)
+    return _delta_rule(spec, n, derivative_rule_coeffs(spec, n))
+
+
+def _delta_rule(spec: FamilySpec, n: int, rule: CoefficientTriple) -> CoefficientTriple:
+    return CoefficientTriple(rule.hi, rule.mid - lambda_n(spec, n), rule.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +202,12 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
+    return _theorem1(spec, n, derivative_rule_coeffs(spec, n))
+
+
+def _theorem1(spec: FamilySpec, n: int,
+              rule: CoefficientTriple) -> dict[str, CoefficientTriple]:
+    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n)."""
     a, b, c, d, e = spec.abcde()
     derived = derived_system(spec)
     head = xpn_coeffs(derived, n - 1)
@@ -207,7 +220,7 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     star_lo = (-_sum_factor(derived, n - 1) * (a * n + derived.d - 3 * a) * n / den
                * (spec.k(n) / spec.k(n - 1)))
     starred = CoefficientTriple(head.hi, head.mid, star_lo)
-    alpha, beta, gamma = derivative_rule_coeffs(spec, n)
+    alpha, beta, gamma = rule
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(alpha - 2 * a * starred.hi,
                                beta - 2 * a * starred.mid - sig_delta,
@@ -239,13 +252,31 @@ def antidifference(spec: FamilySpec, n: int) -> CoefficientTriple:
     return theorem1_coeffs(spec, n)["hatted"]
 
 
+def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
+    """Every explicit triple for degree n, under the keys of ``oracle_triples``;
+    the derivative rule is evaluated once, for the delta and Theorem-1 triples.
+    """
+    recurrence = recurrence_coeffs(spec, n)
+    out = {"xpn": _flip(recurrence), "recurrence": recurrence}
+    if n < 1:
+        return out
+    rule = out["derivative"] = derivative_rule_coeffs(spec, n)
+    if spec.kind == DISCRETE:
+        out["delta"] = _delta_rule(spec, n, rule)
+    out.update(_theorem1(spec, n, rule))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Generation and the independent equation-solver oracle
 # ---------------------------------------------------------------------------
 
 def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
-    """p_0 .. p_{n_max} via the three-term recurrence, monomial basis."""
-    require_admissible(spec, max(n_max - 1, 0), ("recurrence",))
+    """p_0 .. p_{n_max} via the three-term recurrence, monomial basis.
+
+    Raises AdmissibilityError (from ``recurrence_coeffs``) exactly where
+    ``admissibility(spec, n_max - 1, ("recurrence",))`` reports a failure.
+    """
     polys = [Polynomial.const(spec.k(0))]
     if n_max == 0:
         return polys
@@ -269,35 +300,18 @@ def solve_equation(spec: FamilySpec, n: int) -> Polynomial:
     and back-substitutes, independently of every transcribed formula.
     """
     columns = [spec.apply_operator(Polynomial.monomial(j), n) for j in range(n + 1)]
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 1)
-    coeffs[n] = spec.k(n)
+    k_n = spec.k(n)
     for m in range(n - 1, -1, -1):
-        residual = sum((columns[j].coeff(m) * coeffs[j] for j in range(m + 1, n + 1)),
-                       start=as_field(0))
-        diag = columns[m].coeff(m)  # lambda_n - lambda_m
-        if diag == 0:
+        if columns[m].coeff(m) == 0:  # lambda_n - lambda_m
             raise AdmissibilityError(f"degenerate equation: lambda_{m} = lambda_{n}")
-        coeffs[m] = -residual / diag
-    return Polynomial(coeffs)
+    # sum_{j<n} c_j L x^j = -k_n L x^n, and L x^j has degree exactly j < n
+    return Polynomial(expand_over(columns[n].scale(-k_n), columns[:n]) + [k_n])
 
 
 def solve_three_term(lhs: Polynomial, hi: Polynomial, mid: Polynomial,
                      lo: Polynomial) -> CoefficientTriple:
-    """Solve lhs = x_hi*hi + x_mid*mid + x_lo*lo exactly (degrees must descend)."""
-    parts = [hi, mid, lo]
-    values: list[FieldElement] = []
-    rem = lhs
-    for part in parts:
-        if part.is_zero():
-            values.append(Fraction(0))
-            continue
-        deg = part.degree()
-        coeff = rem.coeff(deg) / part.leading()
-        values.append(coeff)
-        rem = rem - part.scale(coeff)
-    if not rem.is_zero():
-        raise ValueError("relation has no three-term solution; residual " + repr(rem))
-    return CoefficientTriple(*values)
+    """Solve lhs = x_hi*hi + x_mid*mid + x_lo*lo exactly (distinct degrees)."""
+    return CoefficientTriple(*expand_over(lhs, (hi, mid, lo)))
 
 
 def oracle_basis(spec: FamilySpec, n_max: int) -> list[Polynomial]:
@@ -316,9 +330,8 @@ def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
     pn, pp, pm = basis[n], basis[n + 1], basis[n - 1] if n >= 1 else Polynomial.zero()
     sig = spec.sigma()
     out: dict[str, CoefficientTriple] = {}
-    abc = solve_three_term(x * pn, pp, pn, pm)
-    out["xpn"] = abc
-    out["recurrence"] = CoefficientTriple(1 / abc.hi, -abc.mid / abc.hi, abc.lo / abc.hi)
+    out["xpn"] = solve_three_term(x * pn, pp, pn, pm)
+    out["recurrence"] = _flip(out["xpn"])
     if n < 1:
         return out
     if spec.kind == CONTINUOUS:
@@ -392,25 +405,27 @@ def verify_structure(spec: FamilySpec, n_max: int,
     for n in range(n_max + 1):
         if "equation" in relations:
             record("equation", n, spec.apply_operator(polys[n], n))
-        if "recurrence" in relations and n <= n_max - 1:
-            A, B, C = recurrence_coeffs(spec, n)
+        if n > n_max - 1:
+            continue
+        triples = formula_triples(spec, n)
+        if "recurrence" in relations:
+            A, B, C = triples["recurrence"]
             prev = polys[n - 1] if n >= 1 else Polynomial.zero()
             record("recurrence", n,
                    polys[n + 1] - (x.scale(A) + Polynomial.const(B)) * polys[n] + prev.scale(C))
-        if n < 1 or n > n_max - 1:
+        if n < 1:
             continue
         pp, pn, pm = polys[n + 1], polys[n], polys[n - 1]
         dpp, dpn, dpm = diff[n + 1], diff[n], diff[n - 1]
         if "derivative_rule" in relations:
-            alpha, beta, gamma = derivative_rule_coeffs(spec, n)
+            alpha, beta, gamma = triples["derivative"]
             lhs = sig * pn.derivative() if continuous else sig * pn.nabla()
             record("derivative_rule", n,
                    lhs - pp.scale(alpha) - pn.scale(beta) - pm.scale(gamma))
         if "delta_rule" in relations and not continuous:
-            S, T, R = delta_rule_coeffs(spec, n)
+            S, T, R = triples["delta"]
             record("delta_rule", n,
                    (sig + tau) * pn.delta() - pp.scale(S) - pn.scale(T) - pm.scale(R))
-        triples = theorem1_coeffs(spec, n)
         if "starred" in relations:
             t = triples["starred"]
             record("starred", n, x * dpn - dpp.scale(t.hi) - dpn.scale(t.mid) - dpm.scale(t.lo))

@@ -10,6 +10,7 @@ from opoly.algebra import (
     Polynomial,
     RationalFunction,
     binomial,
+    expand_over,
     format_rational,
     parse_rational,
     pochhammer,
@@ -151,6 +152,18 @@ class TestBasisConversion:
         for _ in range(10):
             p = rand_poly(rng, 20)
             assert p.to_basis(FALLING).delta() == p.delta().to_basis(FALLING)
+
+
+class TestExpandOver:
+    def test_parts_in_any_order_with_a_zero_part(self):
+        # -x^2 + 2x + 3 = -(x^2 + 1) + 0 * 0 + 2(x - 1) + 3 * 2
+        parts = [Polynomial([1, 0, 1]), Polynomial.zero(), Polynomial([-1, 1]),
+                 Polynomial.const(2)]
+        assert expand_over(Polynomial([3, 2, -1]), parts) == [-1, 0, 2, 3]
+
+    def test_target_outside_the_span(self):
+        with pytest.raises(ValueError):
+            expand_over(Polynomial([0, 0, 1]), [Polynomial.const(1), Polynomial.x()])
 
 
 class TestPochhammer:

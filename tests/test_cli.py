@@ -9,13 +9,25 @@ import pytest
 from opoly.cli import USAGE_ERROR, INADMISSIBLE, VERIFY_FAILED, parse_family, run
 from opoly.families import catalog
 from opoly.structure import CoefficientTriple, generate
-from opoly import structure
+from opoly import diagnostics, structure
 
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _break_derivative_rule_at_3(monkeypatch):
+    original = structure.derivative_rule_coeffs
+
+    def broken(spec, n):
+        t = original(spec, n)
+        if n == 3:
+            return CoefficientTriple(t.hi, t.mid + 1, t.lo)
+        return t
+
+    monkeypatch.setattr(structure, "derivative_rule_coeffs", broken)
 
 
 TABLE_SCHEMA = {
@@ -126,11 +138,35 @@ class TestExitCodes:
         assert code == USAGE_ERROR
 
     def test_inadmissible_spec(self, capsys):
-        code, _, err = run_cli(capsys, "tabulate", "--family",
-                               "gegenbauer:alpha=-3/2", "--what", "recurrence",
-                               "--n-max", "5")
+        cases = (
+            ("tabulate", "--family", "gegenbauer:alpha=-3/2", "--what", "recurrence",
+             "--n-max", "5"),
+            # the family builder itself divides by 1 - p
+            ("tabulate", "--family", "krawtchouk:p=1,N=3", "--what", "recurrence",
+             "--n-max", "3"),
+            ("repr", "--family", "krawtchouk:p=1,N=3", "--what", "series", "--n", "3"),
+            # k_0 = ((mu - 1)/mu)^0 has a vanishing denominator
+            ("generate", "--family", "meixner:gamma=1,mu=0", "--n-max", "2"),
+            # poles of the printed parameter-derivative formulas
+            ("param-deriv", "--family", "jacobi", "--param", "alpha", "--n", "3",
+             "--at", "alpha=-1,beta=0"),
+            ("param-deriv", "--family", "charlier", "--param", "mu", "--n", "3",
+             "--at", "mu=0"),
+        )
+        for argv in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == INADMISSIBLE, argv
+            assert not out
+            assert "inadmissible" in err and "Traceback" not in err
+
+    def test_degree_zero_needs_no_recurrence_step(self, capsys):
+        # k_1 = 0 for gegenbauer alpha=0, but p_0 = k_0 = 1 exists
+        family = "gegenbauer:alpha=0"
+        code, out, _ = run_cli(capsys, "generate", "--family", family, "--n-max", "0")
+        assert code == 0
+        assert json.loads(out)["polynomials"] == [{"n": 0, "coeffs": ["1"]}]
+        code, _, _ = run_cli(capsys, "generate", "--family", family, "--n-max", "1")
         assert code == INADMISSIBLE
-        assert "inadmissible" in err
 
     def test_zero_denominator_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "generate", "--family", "laguerre:alpha=1/0",
@@ -140,7 +176,7 @@ class TestExitCodes:
         assert err.startswith("opoly: ") and "Traceback" not in err
 
     def test_unknown_at_key_is_usage_error(self, capsys):
-        for at in ("beta=2", "alpha=2,beta=2"):
+        for at in ("beta=2", "alpha=2,beta=2", "alpha=2,alpha=3"):
             code, out, err = run_cli(capsys, "param-deriv", "--family", "laguerre",
                                      "--param", "alpha", "--n", "3", "--at", at)
             assert code == USAGE_ERROR, at
@@ -161,15 +197,7 @@ class TestExitCodes:
 
     def test_verify_fails_iff_nonzero_residual(self, capsys, monkeypatch):
         # force a wrong coefficient; the residual must be flagged with exit 3
-        original = structure.derivative_rule_coeffs
-
-        def broken(spec, n):
-            t = original(spec, n)
-            if n == 3:
-                return CoefficientTriple(t.hi, t.mid + 1, t.lo)
-            return t
-
-        monkeypatch.setattr(structure, "derivative_rule_coeffs", broken)
+        _break_derivative_rule_at_3(monkeypatch)
         code, out, _ = run_cli(capsys, "verify", "--family", "hermite",
                                "--n-max", "5", "--skip-crosschecks",
                                "--relations", "equation,recurrence,derivative_rule")
@@ -179,6 +207,37 @@ class TestExitCodes:
         assert bad and all(c["relation"] == "derivative_rule" and c["n"] == 3
                            for c in bad)
         assert all(c["residual"] for c in bad)
+
+    def test_crosscheck_flags_wrong_starred_triple(self, capsys, monkeypatch):
+        # no residual check runs on the starred relation here; only the
+        # formula-vs-oracle comparison can see the wrong triple
+        original = diagnostics.formula_triples
+
+        def broken(spec, n):
+            out = original(spec, n)
+            if n == 3:
+                t = out["starred"]
+                out = {**out, "starred": CoefficientTriple(t.hi, t.mid + 1, t.lo)}
+            return out
+
+        monkeypatch.setattr(diagnostics, "formula_triples", broken)
+        code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "5",
+                               "--relations", "equation,recurrence")
+        assert code == VERIFY_FAILED
+        data = json.loads(out)
+        assert all(c["ok"] for c in data["checks"])
+        assert {"check": "starred-vs-oracle", "n": 3} in data["oracle_mismatches"]
+        assert all(set(m) == {"check", "n"} for m in data["oracle_mismatches"])
+
+    def test_crosscheck_flags_wrong_derivative_rule(self, capsys, monkeypatch):
+        _break_derivative_rule_at_3(monkeypatch)
+        code, out, _ = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "5",
+                               "--relations", "equation")
+        assert code == VERIFY_FAILED
+        data = json.loads(out)
+        assert all(c["ok"] for c in data["checks"])
+        assert {"check": "derivative-vs-oracle", "n": 3} in data["oracle_mismatches"]
+        assert all(set(m) == {"check", "n"} for m in data["oracle_mismatches"])
 
 
 class TestConnectCommand:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from opoly.algebra import MONOMIAL, Polynomial, RationalFunction, pochhammer
+from opoly.algebra import MONOMIAL, Polynomial, RationalFunction, expand_over, pochhammer
 from opoly.families import affine_transform, catalog
 from opoly.series import (
     UnsupportedRepresentation,
@@ -177,15 +177,8 @@ class TestClosedForms:
 
 
 def _in_basis_oracle(spec, n):
-    polys = generate(spec, n)
     target = Polynomial.monomial(n, 1, spec.basis()).to_basis(MONOMIAL)
-    coeffs = [F(0)] * (n + 1)
-    rem = target
-    for m in range(n, -1, -1):
-        coeffs[m] = rem.coeff(m) / polys[m].leading()
-        rem = rem - polys[m].scale(coeffs[m])
-    assert rem.is_zero()
-    return tuple(coeffs)
+    return tuple(expand_over(target, generate(spec, n)))
 
 
 class TestInverseSeries:
