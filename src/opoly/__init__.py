@@ -27,11 +27,9 @@ from .families import (
     CONTINUOUS,
     DISCRETE,
     AdmissibilityError,
-    AdmissibilityReport,
     FamilySpec,
     LeadingRule,
     MONIC,
-    admissibility,
     affine_transform,
     catalog,
     lambda_n,
@@ -39,8 +37,10 @@ from .families import (
     spec_to_json,
 )
 from .structure import (
+    AdmissibilityReport,
     CoefficientTriple,
     StructureReport,
+    admissibility,
     antiderivative,
     antidifference,
     binomial_partial_sum,

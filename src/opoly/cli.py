@@ -159,7 +159,7 @@ def cmd_verify(args) -> tuple[str, int]:
     if not args.skip_crosschecks:
         # equation solver and series round-trip against generate's p_n, then
         # every explicit triple against the oracle (as opoly diagnostics does)
-        polys = structure.generate(spec, args.n_max)
+        polys = report.polys
         basis = structure.oracle_basis(spec, args.n_max + 1)
         for n in range(args.n_max + 1):
             if basis[n] != polys[n]:

@@ -135,89 +135,73 @@ def check_series_formulas(n_max: int = 8) -> list[Mismatch]:
 
 # --- printed Theorem 2 / Theorem 3 m-recurrences ---------------------------
 
-def _theorem2_residual(p: FamilySpec, q: FamilySpec, n: int) -> list[Mismatch]:
-    """Printed continuous m-recurrence (shared sigma, monic) on oracle rows."""
+def _theorem2_terms(p: FamilySpec, q: FamilySpec, n: int, m: int):
+    """Multipliers of C_m, C_{m+1}, C_{m+2} in the printed continuous
+    m-recurrence (shared sigma, monic systems)."""
     a, b, c, d, e = p.abcde()
     dq, eq = q.d, q.e
-    row = connect_oracle(p, q, n)
-    C = row.__getitem__
-    out = []
-    for m in range(n - 1):
-        t_m = -(m - n) * (a * m + d - a + a * n) * (dq + 2 * a * m) \
-            * (dq + a + 2 * a * m) * (dq + 3 * a + 2 * a * m) * (dq + 2 * a * m + 2 * a) ** 2
-        bracket1 = (-d * b * n * dq + 2 * d * a * m * m * b + d * b * dq + 2 * d * a * m * b
-                    + 2 * d * eq * n * a + d * dq * eq + 2 * d * dq * b * m - m * b * dq * dq
-                    - e * dq * dq - 4 * a * a * m * m * e - m * m * a * b * dq + b * n * dq * a
-                    - 2 * e * dq * a - 4 * a * a * m * e - 4 * e * dq * a * m
-                    + 2 * m * m * a * a * eq + 2 * eq * a * a * n * n - 2 * eq * a * a * n
-                    - m * a * b * dq + 2 * m * dq * eq * a + 2 * m * eq * a * a
-                    - b * n * n * dq * a)
-        t_m1 = bracket1 * (dq + 2 * a * m + 2 * a) * (m + 1) * (dq + a + 2 * a * m) \
-            * (dq + 3 * a + 2 * a * m)
-        bracket2 = (a * b * b * m * m - 4 * a * a * m * m * c - 8 * a * a * m * c
-                    + 2 * a * m * b * b - 4 * a * dq * m * c + m * b * b * dq
-                    - 4 * a * dq * c - a * eq * eq + a * b * b - c * dq * dq
-                    + b * eq * dq - 4 * a * a * c + b * b * dq)
-        t_m2 = -(dq + 2 * a * m) * (m + 1) * (-a * m - 2 * a + a * n - dq + d) \
-            * (a * m + a * n + a + dq) * bracket2 * (m + 2)
-        residual = t_m * C(m) + t_m1 * C(m + 1) + t_m2 * C(m + 2)
-        if residual != 0:
-            out.append(Mismatch("theorem2-m-recurrence",
-                                f"{p.name}->{q.name} n={n} m={m}",
-                                str(residual), "0"))
-    return out
+    t_m = -(m - n) * (a * m + d - a + a * n) * (dq + 2 * a * m) \
+        * (dq + a + 2 * a * m) * (dq + 3 * a + 2 * a * m) * (dq + 2 * a * m + 2 * a) ** 2
+    bracket1 = (-d * b * n * dq + 2 * d * a * m * m * b + d * b * dq + 2 * d * a * m * b
+                + 2 * d * eq * n * a + d * dq * eq + 2 * d * dq * b * m - m * b * dq * dq
+                - e * dq * dq - 4 * a * a * m * m * e - m * m * a * b * dq + b * n * dq * a
+                - 2 * e * dq * a - 4 * a * a * m * e - 4 * e * dq * a * m
+                + 2 * m * m * a * a * eq + 2 * eq * a * a * n * n - 2 * eq * a * a * n
+                - m * a * b * dq + 2 * m * dq * eq * a + 2 * m * eq * a * a
+                - b * n * n * dq * a)
+    t_m1 = bracket1 * (dq + 2 * a * m + 2 * a) * (m + 1) * (dq + a + 2 * a * m) \
+        * (dq + 3 * a + 2 * a * m)
+    bracket2 = (a * b * b * m * m - 4 * a * a * m * m * c - 8 * a * a * m * c
+                + 2 * a * m * b * b - 4 * a * dq * m * c + m * b * b * dq
+                - 4 * a * dq * c - a * eq * eq + a * b * b - c * dq * dq
+                + b * eq * dq - 4 * a * a * c + b * b * dq)
+    t_m2 = -(dq + 2 * a * m) * (m + 1) * (-a * m - 2 * a + a * n - dq + d) \
+        * (a * m + a * n + a + dq) * bracket2 * (m + 2)
+    return t_m, t_m1, t_m2
 
 
-def _theorem3_sigma_residual(p: FamilySpec, q: FamilySpec, n: int) -> list[Mismatch]:
-    """Printed discrete m-recurrence for shared sigma, monic systems."""
+def _theorem3_sigma_terms(p: FamilySpec, q: FamilySpec, n: int, m: int):
+    """Multipliers of C_m, C_{m+1}, C_{m+2} in the printed discrete
+    m-recurrence for shared sigma, monic systems."""
     a, b, c, d, e = p.abcde()
     dq, eq = q.d, q.e
-    row = connect_oracle(p, q, n)
-    C = row.__getitem__
-    out = []
-    for m in range(n - 1):
-        t_m = (dq + 2 * a * m + 2 * a) ** 2 * (dq + 3 * a + 2 * a * m) \
-            * (dq + a + 2 * a * m) * (dq + 2 * a * m) * (-m + n) * (a * n - a + d + a * m)
-        T3 = (-a * dq * d + a * n * n * dq * dq + 2 * e * a * dq - 2 * a * a * eq * m * m
-              + b * dq * dq * m - 2 * n * a ** 3 * m * m - 2 * a ** 3 * n * m
-              - a * a * n * dq + a * a * n * n * dq - a * n * dq * dq
-              - 2 * eq * a * dq * m + 4 * e * a * a * m + b * a * dq * m * m
-              + 2 * a ** 3 * m * m * n * n + a * dq * b * m + 2 * a * a * m * dq * n * n
-              - 4 * a ** 3 * m ** 3 - 2 * a * dq * dq * m * m - 4 * a * a * dq * m ** 3
-              + d * n * dq * dq - 2 * a * a * m * m * d - a * a * m * dq
-              - dq * dq * m * a - 2 * a * a * eq * m + 2 * a ** 3 * m * n * n
-              + a * n * dq * dq - 2 * a ** 3 * m * m - 2 * a * a * eq * n * n
-              - dq * dq * d - dq * b * d - 2 * a ** 3 * m ** 4 - 2 * a * a * m * d
-              + 2 * dq * m * a * n * d + 2 * a * a * m * m * n * d + 4 * a * a * e * m * m
-              + 4 * a * e * m * dq - 2 * a * eq * n * d + 2 * a * a * n * d * m
-              - 2 * a * a * m * dq * n - 3 * a * m * dq * d - dq * m * m * a * d
-              - 2 * dq * b * m * d - 2 * a * m * m * b * d - 2 * a * m * b * d
-              - 5 * dq * m * m * a * a + 2 * eq * a * a * n - dq * eq * d
-              - dq * dq * m * d + e * dq * dq + d * b * n * dq + a * n * n * b * dq
-              - a * n * b * dq)
-        # One source monomial renders as a n dq^2 (cancelling the -a n dq^2
-        # above); the oracle fixes it as the mixed product a n d dq.
-        T3 += a * n * d * dq - a * n * dq * dq
-        t_m1 = -(dq + 2 * a * m + 2 * a) * (dq + 3 * a + 2 * a * m) \
-            * (dq + a + 2 * a * m) * (m + 1) * T3
-        U3 = (4 * a * a * c * m * m + 2 * a * a * eq * m * m - b * dq * dq * m
-              - b * b * a * m * m + 2 * eq * a * dq * m - b * a * dq * m * m
-              + 4 * dq * c * a * m + 2 * a * a * dq + 4 * a ** 3 * m
-              - 2 * a * dq * b * m + 4 * a ** 3 * m ** 3 - dq * b * b * m
-              + a * dq * dq * m * m + 2 * a * a * dq * m ** 3 + 6 * a * a * m * dq
-              + 2 * dq * dq * m * a + 4 * a * a * eq * m + 6 * a ** 3 * m * m
-              + 4 * dq * c * a - 2 * b * b * a * m + 8 * a * a * c * m + 2 * a * a * eq
-              - b * b * a + a ** 3 * m ** 4 + a ** 3 + 4 * a * a * c - dq * b * b
-              - b * a * dq + dq * dq * c + a * dq * dq - b * dq * dq + a * eq * eq
-              - dq * b * eq + 2 * eq * a * dq + 6 * dq * m * m * a * a)
-        t_m2 = (m + 1) * (dq + 2 * a * m) * (dq + a * m + a + a * n) * (m + 2) * U3 \
-            * (-a * m - 2 * a - dq + a * n + d)
-        residual = t_m * C(m) + t_m1 * C(m + 1) + t_m2 * C(m + 2)
-        if residual != 0:
-            out.append(Mismatch("theorem3-sigma-m-recurrence",
-                                f"{p.name}->{q.name} n={n} m={m}",
-                                str(residual), "0"))
-    return out
+    t_m = (dq + 2 * a * m + 2 * a) ** 2 * (dq + 3 * a + 2 * a * m) \
+        * (dq + a + 2 * a * m) * (dq + 2 * a * m) * (-m + n) * (a * n - a + d + a * m)
+    T3 = (-a * dq * d + a * n * n * dq * dq + 2 * e * a * dq - 2 * a * a * eq * m * m
+          + b * dq * dq * m - 2 * n * a ** 3 * m * m - 2 * a ** 3 * n * m
+          - a * a * n * dq + a * a * n * n * dq - a * n * dq * dq
+          - 2 * eq * a * dq * m + 4 * e * a * a * m + b * a * dq * m * m
+          + 2 * a ** 3 * m * m * n * n + a * dq * b * m + 2 * a * a * m * dq * n * n
+          - 4 * a ** 3 * m ** 3 - 2 * a * dq * dq * m * m - 4 * a * a * dq * m ** 3
+          + d * n * dq * dq - 2 * a * a * m * m * d - a * a * m * dq
+          - dq * dq * m * a - 2 * a * a * eq * m + 2 * a ** 3 * m * n * n
+          + a * n * dq * dq - 2 * a ** 3 * m * m - 2 * a * a * eq * n * n
+          - dq * dq * d - dq * b * d - 2 * a ** 3 * m ** 4 - 2 * a * a * m * d
+          + 2 * dq * m * a * n * d + 2 * a * a * m * m * n * d + 4 * a * a * e * m * m
+          + 4 * a * e * m * dq - 2 * a * eq * n * d + 2 * a * a * n * d * m
+          - 2 * a * a * m * dq * n - 3 * a * m * dq * d - dq * m * m * a * d
+          - 2 * dq * b * m * d - 2 * a * m * m * b * d - 2 * a * m * b * d
+          - 5 * dq * m * m * a * a + 2 * eq * a * a * n - dq * eq * d
+          - dq * dq * m * d + e * dq * dq + d * b * n * dq + a * n * n * b * dq
+          - a * n * b * dq)
+    # One source monomial renders as a n dq^2 (cancelling the -a n dq^2
+    # above); the oracle fixes it as the mixed product a n d dq.
+    T3 += a * n * d * dq - a * n * dq * dq
+    t_m1 = -(dq + 2 * a * m + 2 * a) * (dq + 3 * a + 2 * a * m) \
+        * (dq + a + 2 * a * m) * (m + 1) * T3
+    U3 = (4 * a * a * c * m * m + 2 * a * a * eq * m * m - b * dq * dq * m
+          - b * b * a * m * m + 2 * eq * a * dq * m - b * a * dq * m * m
+          + 4 * dq * c * a * m + 2 * a * a * dq + 4 * a ** 3 * m
+          - 2 * a * dq * b * m + 4 * a ** 3 * m ** 3 - dq * b * b * m
+          + a * dq * dq * m * m + 2 * a * a * dq * m ** 3 + 6 * a * a * m * dq
+          + 2 * dq * dq * m * a + 4 * a * a * eq * m + 6 * a ** 3 * m * m
+          + 4 * dq * c * a - 2 * b * b * a * m + 8 * a * a * c * m + 2 * a * a * eq
+          - b * b * a + a ** 3 * m ** 4 + a ** 3 + 4 * a * a * c - dq * b * b
+          - b * a * dq + dq * dq * c + a * dq * dq - b * dq * dq + a * eq * eq
+          - dq * b * eq + 2 * eq * a * dq + 6 * dq * m * m * a * a)
+    t_m2 = (m + 1) * (dq + 2 * a * m) * (dq + a * m + a + a * n) * (m + 2) * U3 \
+        * (-a * m - 2 * a - dq + a * n + d)
+    return t_m, t_m1, t_m2
 
 
 def _sigmatau_bracket_correction(a, d, f, m, n):
@@ -243,74 +227,85 @@ def _sigmatau_bracket_correction(a, d, f, m, n):
                         + 4 * m * m * n * n - 8 * m ** 3 - 4 * m ** 4))
 
 
-def _theorem3_sigmatau_residual(p: FamilySpec, q: FamilySpec, n: int) -> list[Mismatch]:
-    """Printed discrete m-recurrence for shared sigma + tau, monic systems."""
+def _theorem3_sigmatau_terms(p: FamilySpec, q: FamilySpec, n: int, m: int):
+    """Multipliers of C_m, C_{m+1}, C_{m+2} in the printed discrete
+    m-recurrence for shared sigma + tau, monic systems."""
     a, b, c, d, e = p.abcde()
     f = q.b - p.b
     g = q.c - p.c
-    row = connect_oracle(p, q, n)
-    C = row.__getitem__
-    out = []
+    t_m = (-d + f - 2 * a * m) * (-d + f - 2 * a * m - 2 * a) ** 2 \
+        * (-d + f - a - 2 * a * m) * (-d + f - 3 * a - 2 * a * m) \
+        * (-m + n) * (a * n - a + d + a * m)
+    T3b = (2 * e * a * a * m - 2 * a ** 3 * m * m * n - d ** 3 + 2 * a * a * g * m
+           + 2 * e * a * d - a * d * d - b * d * d + d * d * b * n
+           + d * d * a * n * n + a * a * n * n * d - 2 * a * a * n * n * e
+           + 2 * a * a * n * e - a * a * n * d + d * a * n * n * b - a * n * d * b
+           - 2 * d * a * n * e - 2 * a * e * f - d * a * n * n * f
+           + 2 * a ** 3 * m * m * n * n + 2 * a * n * m * d * d - 2 * a ** 3 * m * m
+           - a * m * m * b * d - a * m * b * d - 7 * a * a * m * m * d
+           - 3 * a * a * m * d - 3 * a * m * m * d * d - 4 * a * m * d * d
+           + f ** 3 * m - 4 * a ** 3 * m ** 3 - 2 * a ** 3 * m ** 4
+           - a * m * f * b - 2 * a * a * m * f * n * n + 2 * a * a * n * n * d * m
+           + 2 * a * a * f * m * n - 2 * a ** 3 * m * n + 2 * a ** 3 * n * n * m
+           - m * d ** 3 + f * b * a * n + 2 * d * g * a * n
+           + 2 * a * a * m * m * n * d + d ** 3 * n + 2 * a * a * e * m * m
+           + a * a * n * f - d * b * n * f - d * d * n * f - a * a * n * n * f
+           - a * n * n * b * f - 2 * g * a * a * n + 2 * g * a * a * n * n
+           - 2 * m * f * a * n * d + m * f * d * d + 3 * f * a * d - 2 * f * f * a
+           - 2 * f * f * d + 2 * f * d * d + 4 * a * m * m * f * d
+           + 2 * d * e * a * m + d * d * g + 5 * a * a * m * f
+           + 9 * a * a * m * m * f - m * d * d * b - f * e * d - f * g * d
+           - m * f * f * d + 8 * a * m * f * d + f * f * e - 2 * a * e * m * f
+           + 2 * a * d * g * m - 2 * a * f * g * m - 4 * a * a * d * m ** 3
+           + 4 * a * a * f * m ** 3 + d * f * b + f * f * b * m
+           - 3 * a * m * m * f * f + 2 * a * a * m * m * g - a * m * m * f * b
+           - 6 * f * f * a * m + f ** 3)
+    T3b -= _sigmatau_bracket_correction(a, d, f, m, n)
+    t_m1 = -(-d + f - 2 * a * m - 2 * a) * (-d + f - a - 2 * a * m) \
+        * (-d + f - 3 * a - 2 * a * m) * (m + 1) * T3b
+    U3b = (4 * e * a * a * m + 8 * a * a * c * m - 2 * b * b * a * m
+           + 4 * a * a * g * m + 2 * e * a * d + 4 * d * c * a - d * b * b
+           + d * d * c + a * d * d - b * d * d - b * b * a + a * e * e
+           + 2 * a * a * e + 2 * a * a * d + 4 * a * a * c + a ** 3 - d * b * e
+           - b * a * d - 2 * a * e * f + 6 * a ** 3 * m * m + 4 * a ** 3 * m
+           - a * m * m * b * d - 2 * a * m * b * d + 6 * a * a * m * m * d
+           + 6 * a * a * m * d + a * m * m * d * d + 2 * a * m * d * d
+           + 4 * a ** 3 * m ** 3 + a ** 3 * m ** 4 - b * b * a * m * m
+           + 4 * a * a * c * m * m - 2 * a * m * f * b + 2 * a * a * e * m * m
+           - m * f * d * d - 3 * f * a * d + f * f * a + f * f * d - f * d * d
+           - 3 * a * m * m * f * d + 2 * d * e * a * m + d * d * g
+           - 6 * a * a * m * f - 6 * a * a * m * m * f - m * d * d * b
+           + 2 * d * g * a - f * e * d - 2 * f * g * a - f * g * d + m * f * f * d
+           - 6 * a * m * f * d + f * f * e - 2 * a * e * m * f + a * g * g
+           + 4 * a * d * c * m + 2 * a * d * g * m - 4 * a * f * c
+           - 2 * a * f * g * m + f * f * c - 2 * d * f * c - 2 * a * e * g
+           + d * b * g + f * b * e - f * b * g + 2 * a * a * d * m ** 3
+           - 2 * a * a * f * m ** 3 - d * b * b * m + f * b * b * m
+           + f * f * b * m + a * m * m * f * f + 2 * a * a * m * m * g
+           + f * f * b - a * m * m * f * b - a * f * b + 2 * f * f * a * m
+           # the source renders this last monomial without its factor m,
+           # duplicating the -4afc term above; the oracle restores it
+           - 2 * a * a * f + f * b * b + 2 * a * a * g - 4 * a * f * c * m)
+    t_m2 = -(-d + f - 2 * a * m) * (m + 1) * U3b * (m + 2) \
+        * (-d + f - a * m - a * n - a) * (-a * m - 2 * a + f + a * n)
+    return t_m, t_m1, t_m2
+
+
+_DISCRETE_M_RECURRENCES = {
+    SAME_SIGMA: ("theorem3-sigma-m-recurrence", _theorem3_sigma_terms),
+    SAME_SIGMA_PLUS_TAU: ("theorem3-sigmatau-m-recurrence", _theorem3_sigmatau_terms),
+}
+
+
+def _m_recurrence_mismatches(formula: str, terms, p: FamilySpec, q: FamilySpec,
+                             row) -> list[Mismatch]:
+    """The printed m-recurrence ``terms(p, q, n, m)`` on a connection row."""
+    n, out = row.n, []
     for m in range(n - 1):
-        t_m = (-d + f - 2 * a * m) * (-d + f - 2 * a * m - 2 * a) ** 2 \
-            * (-d + f - a - 2 * a * m) * (-d + f - 3 * a - 2 * a * m) \
-            * (-m + n) * (a * n - a + d + a * m)
-        T3b = (2 * e * a * a * m - 2 * a ** 3 * m * m * n - d ** 3 + 2 * a * a * g * m
-               + 2 * e * a * d - a * d * d - b * d * d + d * d * b * n
-               + d * d * a * n * n + a * a * n * n * d - 2 * a * a * n * n * e
-               + 2 * a * a * n * e - a * a * n * d + d * a * n * n * b - a * n * d * b
-               - 2 * d * a * n * e - 2 * a * e * f - d * a * n * n * f
-               + 2 * a ** 3 * m * m * n * n + 2 * a * n * m * d * d - 2 * a ** 3 * m * m
-               - a * m * m * b * d - a * m * b * d - 7 * a * a * m * m * d
-               - 3 * a * a * m * d - 3 * a * m * m * d * d - 4 * a * m * d * d
-               + f ** 3 * m - 4 * a ** 3 * m ** 3 - 2 * a ** 3 * m ** 4
-               - a * m * f * b - 2 * a * a * m * f * n * n + 2 * a * a * n * n * d * m
-               + 2 * a * a * f * m * n - 2 * a ** 3 * m * n + 2 * a ** 3 * n * n * m
-               - m * d ** 3 + f * b * a * n + 2 * d * g * a * n
-               + 2 * a * a * m * m * n * d + d ** 3 * n + 2 * a * a * e * m * m
-               + a * a * n * f - d * b * n * f - d * d * n * f - a * a * n * n * f
-               - a * n * n * b * f - 2 * g * a * a * n + 2 * g * a * a * n * n
-               - 2 * m * f * a * n * d + m * f * d * d + 3 * f * a * d - 2 * f * f * a
-               - 2 * f * f * d + 2 * f * d * d + 4 * a * m * m * f * d
-               + 2 * d * e * a * m + d * d * g + 5 * a * a * m * f
-               + 9 * a * a * m * m * f - m * d * d * b - f * e * d - f * g * d
-               - m * f * f * d + 8 * a * m * f * d + f * f * e - 2 * a * e * m * f
-               + 2 * a * d * g * m - 2 * a * f * g * m - 4 * a * a * d * m ** 3
-               + 4 * a * a * f * m ** 3 + d * f * b + f * f * b * m
-               - 3 * a * m * m * f * f + 2 * a * a * m * m * g - a * m * m * f * b
-               - 6 * f * f * a * m + f ** 3)
-        T3b -= _sigmatau_bracket_correction(a, d, f, m, n)
-        t_m1 = -(-d + f - 2 * a * m - 2 * a) * (-d + f - a - 2 * a * m) \
-            * (-d + f - 3 * a - 2 * a * m) * (m + 1) * T3b
-        U3b = (4 * e * a * a * m + 8 * a * a * c * m - 2 * b * b * a * m
-               + 4 * a * a * g * m + 2 * e * a * d + 4 * d * c * a - d * b * b
-               + d * d * c + a * d * d - b * d * d - b * b * a + a * e * e
-               + 2 * a * a * e + 2 * a * a * d + 4 * a * a * c + a ** 3 - d * b * e
-               - b * a * d - 2 * a * e * f + 6 * a ** 3 * m * m + 4 * a ** 3 * m
-               - a * m * m * b * d - 2 * a * m * b * d + 6 * a * a * m * m * d
-               + 6 * a * a * m * d + a * m * m * d * d + 2 * a * m * d * d
-               + 4 * a ** 3 * m ** 3 + a ** 3 * m ** 4 - b * b * a * m * m
-               + 4 * a * a * c * m * m - 2 * a * m * f * b + 2 * a * a * e * m * m
-               - m * f * d * d - 3 * f * a * d + f * f * a + f * f * d - f * d * d
-               - 3 * a * m * m * f * d + 2 * d * e * a * m + d * d * g
-               - 6 * a * a * m * f - 6 * a * a * m * m * f - m * d * d * b
-               + 2 * d * g * a - f * e * d - 2 * f * g * a - f * g * d + m * f * f * d
-               - 6 * a * m * f * d + f * f * e - 2 * a * e * m * f + a * g * g
-               + 4 * a * d * c * m + 2 * a * d * g * m - 4 * a * f * c
-               - 2 * a * f * g * m + f * f * c - 2 * d * f * c - 2 * a * e * g
-               + d * b * g + f * b * e - f * b * g + 2 * a * a * d * m ** 3
-               - 2 * a * a * f * m ** 3 - d * b * b * m + f * b * b * m
-               + f * f * b * m + a * m * m * f * f + 2 * a * a * m * m * g
-               + f * f * b - a * m * m * f * b - a * f * b + 2 * f * f * a * m
-               # the source renders this last monomial without its factor m,
-               # duplicating the -4afc term above; the oracle restores it
-               - 2 * a * a * f + f * b * b + 2 * a * a * g - 4 * a * f * c * m)
-        t_m2 = -(-d + f - 2 * a * m) * (m + 1) * U3b * (m + 2) \
-            * (-d + f - a * m - a * n - a) * (-a * m - 2 * a + f + a * n)
-        residual = t_m * C(m) + t_m1 * C(m + 1) + t_m2 * C(m + 2)
+        t_m, t_m1, t_m2 = terms(p, q, n, m)
+        residual = t_m * row[m] + t_m1 * row[m + 1] + t_m2 * row[m + 2]
         if residual != 0:
-            out.append(Mismatch("theorem3-sigmatau-m-recurrence",
-                                f"{p.name}->{q.name} n={n} m={m}",
+            out.append(Mismatch(formula, f"{p.name}->{q.name} n={n} m={m}",
                                 str(residual), "0"))
     return out
 
@@ -347,13 +342,11 @@ def check_connection_recurrences(n_max: int = 6) -> list[Mismatch]:
             if got.coeffs != want.coeffs:
                 out.append(Mismatch("connect-recurrence", f"{pname}->{qname} n={n}",
                                     str(got.coeffs), str(want.coeffs)))
-        n = n_max
-        if p.kind == CONTINUOUS:
-            out.extend(_theorem2_residual(p, q, n))
-        elif mode == SAME_SIGMA:
-            out.extend(_theorem3_sigma_residual(p, q, n))
-        elif mode == SAME_SIGMA_PLUS_TAU:
-            out.extend(_theorem3_sigmatau_residual(p, q, n))
+        # the oracle row at n = n_max against the printed m-recurrence, if any
+        printed = (("theorem2-m-recurrence", _theorem2_terms) if p.kind == CONTINUOUS
+                   else _DISCRETE_M_RECURRENCES.get(mode))
+        if printed:
+            out.extend(_m_recurrence_mismatches(*printed, p, q, want))
     return out
 
 

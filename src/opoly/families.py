@@ -61,7 +61,7 @@ class FamilySpec:
     c: FieldElement
     d: FieldElement
     e: FieldElement
-    leading: LeadingRule = field(default=MONIC, compare=False)
+    leading: LeadingRule = MONIC
     name: str = ""
     params: tuple[tuple[str, FieldElement], ...] = ()
 
@@ -153,7 +153,7 @@ def affine_transform(spec: FamilySpec, scale: FieldElement, offset: FieldElement
     def k(n: int, base=base, s=s):
         return base(n) / s ** n
 
-    label = f"({base.label})/scale^n"
+    label = f"({base.label})/scale^n, scale={_field_to_str(s)}, offset={_field_to_str(t)}"
     return FamilySpec(CONTINUOUS, a, new_b, new_c, d, new_e,
                       LeadingRule(k, label), f"{spec.name}@affine", spec.params)
 
@@ -301,83 +301,6 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
         spec = spec.monic()
     spec.k(0)  # reject parameters that kill the standardization outright
     return spec
-
-
-# ---------------------------------------------------------------------------
-# Admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    ok: bool
-    failures: tuple[tuple[str, int, str], ...]  # (formula, n, vanishing factor)
-
-
-def _recurrence_denominators(spec: FamilySpec, n: int):
-    # At n = 0 the B_n formula reduces to (e/d) A_0 (a removable factor
-    # d - 2a cancels), so only n >= 1 contributes denominators.
-    if n < 1:
-        return
-    a, d = spec.a, spec.d
-    if spec.kind == CONTINUOUS:
-        yield "d+2an", d + 2 * a * n
-        yield "d-2a+2an", d - 2 * a + 2 * a * n
-        yield "2an-3a+d", 2 * a * n - 3 * a + d
-        yield "2an-a+d", 2 * a * n - a + d
-    else:
-        yield "2an-2a+d", 2 * a * n - 2 * a + d
-        yield "d+2an", d + 2 * a * n
-        yield "d-a+2an", d - a + 2 * a * n
-        yield "d+2an-3a", d + 2 * a * n - 3 * a
-
-
-def _theorem1_denominators(spec: FamilySpec, n: int):
-    # The starred triple is the monic recurrence triple of the derivative
-    # system (d -> d + 2a, degree index n - 1), so its denominators are the
-    # recurrence ones shifted accordingly; hatted additionally divides by
-    # lambda_n.
-    if n < 1:
-        return
-    # At degree index n - 1 with d -> d + 2a, the factors coincide with the
-    # original recurrence denominators at n.
-    yield "d'=d+2a", spec.d + 2 * spec.a
-    yield from _recurrence_denominators(spec, n)
-    yield "lambda_n", lambda_n(spec, n)
-
-
-def _series_denominators(spec: FamilySpec, n: int):
-    a, d = spec.a, spec.d
-    for m in range(n):
-        yield f"a(n+m-1)+d at m={m}", a * (n + m - 1) + d
-
-
-_FORMULA_DENOMS = {
-    "recurrence": _recurrence_denominators,
-    "derivative": _recurrence_denominators,  # same denominator factors
-    "theorem1": _theorem1_denominators,
-    "series": _series_denominators,
-}
-
-ALL_FORMULAS = tuple(sorted(_FORMULA_DENOMS))
-
-
-def admissibility(spec: FamilySpec, n_max: int,
-                  formulas: tuple[str, ...] = ALL_FORMULAS) -> AdmissibilityReport:
-    """Evaluate every denominator of the requested formulas for 0 <= n <= n_max."""
-    failures: list[tuple[str, int, str]] = []
-    for formula in formulas:
-        if formula not in _FORMULA_DENOMS:
-            raise KeyError(f"unknown formula group {formula!r}")
-        for n in range(n_max + 1):
-            for label, value in _FORMULA_DENOMS[formula](spec, n):
-                if value == 0:
-                    failures.append((formula, n, label))
-    for n in range(n_max + 2):
-        try:
-            spec.k(n)
-        except AdmissibilityError:
-            failures.append(("leading", n, f"k_{n}"))
-    return AdmissibilityReport(not failures, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

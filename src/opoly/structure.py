@@ -13,7 +13,9 @@ evaluates, per degree n:
   (equivalently the antiderivative / antidifference of p_n).
 
 Every triple is an exact rational expression in (a, b, c, d, e, n) and the
-standardization k_n.  Two independent routes exist throughout: the explicit
+standardization k_n; a formula raises AdmissibilityError where one of its
+denominators vanishes, and ``admissibility`` evaluates the formulas to
+report those degrees.  Two independent routes exist throughout: the explicit
 formulas, and a brute-force oracle that solves the defining second-order
 equation coefficient-wise and extracts triples by exact linear solves.  The
 shipped formulas are required to match the oracle (see ``diagnostics``).
@@ -21,7 +23,7 @@ shipped formulas are required to match the oracle (see ``diagnostics``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
@@ -42,6 +44,7 @@ from .families import (
     catalog,
     lambda_n,
 )
+from .series import series_polynomial
 
 
 @dataclass(frozen=True)
@@ -268,14 +271,66 @@ def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 
 
 # ---------------------------------------------------------------------------
+# Admissibility: where the formulas above are defined
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class AdmissibilityReport:
+    ok: bool
+    failures: tuple[tuple[str, int, str], ...]  # (formula group, n, message)
+
+
+# formula group -> (first degree, the group's formula at one degree)
+_FORMULA_GROUPS = {
+    "recurrence": (0, recurrence_coeffs),
+    "derivative": (1, derivative_rule_coeffs),
+    "theorem1": (1, theorem1_coeffs),
+    "series": (0, series_polynomial),
+}
+
+ALL_FORMULAS = tuple(sorted(_FORMULA_GROUPS))
+
+
+def admissibility(spec: FamilySpec, n_max: int,
+                  formulas: tuple[str, ...] = ALL_FORMULAS) -> AdmissibilityReport:
+    """Where the requested formula groups are defined, for n <= n_max.
+
+    Each group's formula is evaluated at every degree from its first one
+    (recurrence and the forward series from n = 0, the derivative rule and
+    the Theorem-1 triples from n = 1); every AdmissibilityError it raises
+    is recorded as (group, n, message).  The standardization is checked for
+    n <= n_max + 1 and a failing k_n recorded as ("leading", n, "k_n").
+    """
+    failures: list[tuple[str, int, str]] = []
+    for formula in formulas:
+        if formula not in _FORMULA_GROUPS:
+            raise KeyError(f"unknown formula group {formula!r}")
+        start, evaluate = _FORMULA_GROUPS[formula]
+        for n in range(start, n_max + 1):
+            try:
+                evaluate(spec, n)
+            except AdmissibilityError as exc:
+                failures.append((formula, n, str(exc)))
+    for n in range(n_max + 2):
+        try:
+            spec.k(n)
+        except AdmissibilityError:
+            failures.append(("leading", n, f"k_{n}"))
+    return AdmissibilityReport(not failures, tuple(failures))
+
+
+# ---------------------------------------------------------------------------
 # Generation and the independent equation-solver oracle
 # ---------------------------------------------------------------------------
 
 def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     """p_0 .. p_{n_max} via the three-term recurrence, monomial basis.
 
-    Raises AdmissibilityError (from ``recurrence_coeffs``) exactly where
-    ``admissibility(spec, n_max - 1, ("recurrence",))`` reports a failure.
+    Each step multiplies the leading coefficient k_n by A_n = k_{n+1}/k_n,
+    and ``spec.k`` raises on a zero k_n, so p_n has degree n and leading
+    coefficient k_n exactly.  Raises the AdmissibilityError of k_0 or of the
+    first ``recurrence_coeffs`` step that fails; those steps are the ones
+    ``admissibility(spec, n_max - 1, ("recurrence",))`` evaluates.
     """
     polys = [Polynomial.const(spec.k(0))]
     if n_max == 0:
@@ -287,9 +342,6 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
         nxt = (x.scale(A) + Polynomial.const(B)) * polys[-1] - prev.scale(C)
         prev = polys[-1]
         polys.append(nxt)
-    for n, p in enumerate(polys):
-        if p.degree() != n or p.leading() != spec.k(n):
-            raise AdmissibilityError(f"generated p_{n} has wrong degree or leading coefficient")
     return polys
 
 
@@ -308,15 +360,41 @@ def solve_equation(spec: FamilySpec, n: int) -> Polynomial:
     return Polynomial(expand_over(columns[n].scale(-k_n), columns[:n]) + [k_n])
 
 
-def solve_three_term(lhs: Polynomial, hi: Polynomial, mid: Polynomial,
-                     lo: Polynomial) -> CoefficientTriple:
-    """Solve lhs = x_hi*hi + x_mid*mid + x_lo*lo exactly (distinct degrees)."""
-    return CoefficientTriple(*expand_over(lhs, (hi, mid, lo)))
-
-
 def oracle_basis(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     """Equation-solver polynomials p_0 .. p_{n_max}, each solved once."""
     return [solve_equation(spec, m) for m in range(n_max + 1)]
+
+
+def _relation_sides(spec: FamilySpec, polys: list[Polynomial], n: int
+                    ) -> dict[str, tuple[Polynomial, tuple[Polynomial, Polynomial, Polynomial]]]:
+    """Each structure relation at degree n as lhs = t.hi*hi + t.mid*mid + t.lo*lo.
+
+    Returns ``{key: (lhs, (hi, mid, lo))}`` under the keys of
+    ``formula_triples`` (xpn, the flipped recurrence, excepted), built from
+    ``polys[n - 1]``, ``polys[n]`` and ``polys[n + 1]``.  The recurrence is
+    p_{n+1} over (x p_n, p_n, -p_{n-1}), so its triple is (A_n, B_n, C_n).
+    D is d/dx (continuous) or the forward difference (discrete).
+    """
+    x = Polynomial.x()
+    pp, pn = polys[n + 1], polys[n]
+    pm = polys[n - 1] if n >= 1 else Polynomial.zero()
+    sides = {"recurrence": (pp, (x * pn, pn, -pm))}
+    if n < 1:
+        return sides
+    sig, near = spec.sigma(), (pp, pn, pm)
+    if spec.kind == CONTINUOUS:
+        diff = tuple(p.derivative() for p in near)
+        sides["derivative"] = (sig * diff[1], near)
+        second = diff[1].derivative()
+    else:
+        diff = tuple(p.delta() for p in near)
+        sides["derivative"] = (sig * pn.nabla(), near)
+        sides["delta"] = ((sig + spec.tau()) * diff[1], near)
+        second = diff[1].nabla()
+    sides["starred"] = (x * diff[1], diff)
+    sides["primed"] = (sig * second, diff)
+    sides["hatted"] = (pn, diff)
+    return sides
 
 
 def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
@@ -326,27 +404,9 @@ def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
     ``basis`` is ``oracle_basis(spec, m)`` for some m >= n + 1; only its
     entries n - 1, n and n + 1 are read.
     """
-    x = Polynomial.x()
-    pn, pp, pm = basis[n], basis[n + 1], basis[n - 1] if n >= 1 else Polynomial.zero()
-    sig = spec.sigma()
-    out: dict[str, CoefficientTriple] = {}
-    out["xpn"] = solve_three_term(x * pn, pp, pn, pm)
-    out["recurrence"] = _flip(out["xpn"])
-    if n < 1:
-        return out
-    if spec.kind == CONTINUOUS:
-        dpp, dp, dpm = pp.derivative(), pn.derivative(), pm.derivative()
-        second = sig * dp.derivative()
-        out["derivative"] = solve_three_term(sig * dp, pp, pn, pm)
-    else:
-        dpp, dp, dpm = pp.delta(), pn.delta(), pm.delta()
-        second = sig * dp.nabla()
-        out["derivative"] = solve_three_term(sig * pn.nabla(), pp, pn, pm)
-        out["delta"] = solve_three_term((sig + spec.tau()) * dp, pp, pn, pm)
-    out["starred"] = solve_three_term(x * dp, dpp, dp, dpm)
-    out["primed"] = solve_three_term(second, dpp, dp, dpm)
-    out["hatted"] = solve_three_term(pn, dpp, dp, dpm)
-    return out
+    out = {key: CoefficientTriple(*expand_over(lhs, parts))
+           for key, (lhs, parts) in _relation_sides(spec, basis, n).items()}
+    return {"xpn": _flip(out["recurrence"]), **out}
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +426,7 @@ class StructureReport:
     spec_name: str
     n_max: int
     checks: tuple[RelationCheck, ...]
+    polys: tuple[Polynomial, ...] = field(repr=False)  # generate's p_0 .. p_{n_max+1}
 
     @property
     def ok(self) -> bool:
@@ -384,7 +445,8 @@ def verify_structure(spec: FamilySpec, n_max: int,
     """Exact residuals of every structure relation for 1 <= n <= n_max - 1.
 
     The equation and recurrence residuals are checked from n = 0.  A zero
-    residual polynomial means the relation holds identically.
+    residual polynomial means the relation holds identically.  The report
+    keeps the generated p_0 .. p_{n_max+1} the residuals were computed from.
     """
     if n_max < 2:
         raise ValueError("verify_structure needs n_max >= 2")
@@ -392,10 +454,6 @@ def verify_structure(spec: FamilySpec, n_max: int,
     if unknown:
         raise KeyError(f"unknown relations: {sorted(unknown)}")
     polys = generate(spec, n_max + 1)
-    x = Polynomial.x()
-    sig, tau = spec.sigma(), spec.tau()
-    continuous = spec.kind == CONTINUOUS
-    diff = [p.derivative() if continuous else p.delta() for p in polys]
     checks: list[RelationCheck] = []
 
     def record(relation: str, n: int, residual: Polynomial):
@@ -408,35 +466,17 @@ def verify_structure(spec: FamilySpec, n_max: int,
         if n > n_max - 1:
             continue
         triples = formula_triples(spec, n)
-        if "recurrence" in relations:
-            A, B, C = triples["recurrence"]
-            prev = polys[n - 1] if n >= 1 else Polynomial.zero()
-            record("recurrence", n,
-                   polys[n + 1] - (x.scale(A) + Polynomial.const(B)) * polys[n] + prev.scale(C))
-        if n < 1:
-            continue
-        pp, pn, pm = polys[n + 1], polys[n], polys[n - 1]
-        dpp, dpn, dpm = diff[n + 1], diff[n], diff[n - 1]
-        if "derivative_rule" in relations:
-            alpha, beta, gamma = triples["derivative"]
-            lhs = sig * pn.derivative() if continuous else sig * pn.nabla()
-            record("derivative_rule", n,
-                   lhs - pp.scale(alpha) - pn.scale(beta) - pm.scale(gamma))
-        if "delta_rule" in relations and not continuous:
-            S, T, R = triples["delta"]
-            record("delta_rule", n,
-                   (sig + tau) * pn.delta() - pp.scale(S) - pn.scale(T) - pm.scale(R))
-        if "starred" in relations:
-            t = triples["starred"]
-            record("starred", n, x * dpn - dpp.scale(t.hi) - dpn.scale(t.mid) - dpm.scale(t.lo))
-        if "primed" in relations:
-            t = triples["primed"]
-            lhs = sig * pn.derivative().derivative() if continuous else sig * pn.delta().nabla()
-            record("primed", n, lhs - dpp.scale(t.hi) - dpn.scale(t.mid) - dpm.scale(t.lo))
-        if "hatted" in relations:
-            t = triples["hatted"]
-            record("hatted", n, pn - dpp.scale(t.hi) - dpn.scale(t.mid) - dpm.scale(t.lo))
-    return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks))
+        sides = _relation_sides(spec, polys, n)
+        for relation in RELATION_NAMES[1:]:
+            key = relation.removesuffix("_rule")  # derivative_rule -> derivative
+            if relation not in relations or key not in sides:
+                continue
+            residual, parts = sides[key]
+            for t, part in zip(triples[key], parts):
+                residual = residual - part.scale(t)
+            record(relation, n, residual)
+    return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks),
+                           tuple(polys))
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,16 @@ from opoly.algebra import Polynomial
 from opoly.families import (
     AdmissibilityError,
     FamilySpec,
+    LeadingRule,
     MONIC,
-    admissibility,
     affine_transform,
     catalog,
     lambda_n,
     spec_from_json,
     spec_to_json,
 )
-from opoly.structure import generate
+from opoly.cli import run
+from opoly.structure import admissibility, generate
 
 from conftest import iter_specs
 
@@ -74,6 +75,16 @@ class TestCatalog:
             for n in range(11):
                 assert polys[n].scale(1 / spec.k(n)) == monic_polys[n], (name, n)
 
+    def test_equality_includes_the_leading_rule(self):
+        hermite = catalog("hermite")
+        scaled = FamilySpec("continuous", 0, 0, 1, -2, 0, hermite.leading, "x")
+        unit = FamilySpec("continuous", 0, 0, 1, -2, 0, MONIC, "x")
+        assert (scaled.k(3), unit.k(3)) == (8, 1)
+        assert scaled != unit
+        assert len({scaled, unit}) == 2
+        assert scaled == FamilySpec("continuous", 0, 0, 1, -2, 0,
+                                    LeadingRule(lambda n: F(2) ** n, "2^n"), "x")
+
     def test_tau_degree_enforced(self):
         with pytest.raises(ValueError):
             FamilySpec("continuous", 0, 1, 0, 0, F(3, 2), MONIC)
@@ -122,6 +133,16 @@ class TestAdmissibility:
         assert not report.ok
         assert any(formula == "leading" for (formula, _, _) in report.failures)
 
+    def test_failures_carry_the_formula_message(self, capsys):
+        # Chebyshev T: C_1 of the recurrence is a 0/0 on the alpha + beta = -1 line
+        spec = catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2))
+        failures = admissibility(spec, 4, ("recurrence",)).failures
+        assert failures[0][:2] == ("recurrence", 1)
+        message = failures[0][2]
+        assert message.startswith("C_1 denominator vanishes")
+        assert run(["generate", "--family", "jacobi:alpha=-1/2,beta=-1/2", "--n-max", "4"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_standardization_pole_reported(self):
         # Hahn-Q k_n divides by (-N)_n, which vanishes for n > N
         spec = catalog("hahn-q", alpha=F(1), beta=F(2), N=F(5))
@@ -148,6 +169,14 @@ class TestAffineTransform:
     def test_discrete_rejected(self):
         with pytest.raises(ValueError):
             affine_transform(catalog("charlier", mu=F(1)), F(1), F(1))
+
+    def test_scale_and_offset_distinguish_specs(self):
+        monomial = catalog("monomial")
+        by_two = affine_transform(monomial, F(2), F(0))
+        by_three = affine_transform(monomial, F(3), F(0))
+        assert (by_two.k(2), by_three.k(2)) == (F(1, 4), F(1, 9))
+        assert by_two != by_three
+        assert by_two == affine_transform(monomial, F(2), F(0))
 
 
 class TestSpecJson:
