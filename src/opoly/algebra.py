@@ -283,12 +283,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at t = {point}")
         return horner(self.num) / den
 
-    def as_fraction(self) -> Fraction:
-        """Return the value when constant; error otherwise."""
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return (self.num[0] / self.den[0]) if self.num else Fraction(0)
-        raise ValueError("rational function is not constant")
-
     def __repr__(self) -> str:
         def side(coeffs):
             if not coeffs:

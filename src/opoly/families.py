@@ -41,13 +41,27 @@ class AdmissibilityError(ValueError):
 
 @dataclass(frozen=True)
 class LeadingRule:
-    """Closed-form standardization n -> k_n, with a display label."""
+    """Closed-form standardization n -> k_n, with a display label.
+
+    k_n is computed once per rule instance: ``__call__`` keeps every value
+    it returns in a memo on the instance, so the Pochhammer products of a
+    closed form are evaluated once per degree however often the formulas
+    read k_n.  A rule that raises (a vanishing denominator) is not
+    memoized and raises again on the next call.  The label is required:
+    equal labels make equal specs, so two rules with different k_n must
+    not share one.
+    """
 
     fn: Callable[[int], FieldElement] = field(compare=False)
-    label: str = "custom"
+    label: str
+    _memo: dict[int, FieldElement] = field(default_factory=dict, init=False,
+                                           compare=False, repr=False)
 
     def __call__(self, n: int) -> FieldElement:
-        return as_field(self.fn(n))
+        value = self._memo.get(n)
+        if value is None:
+            value = self._memo[n] = as_field(self.fn(n))
+        return value
 
 
 MONIC = LeadingRule(lambda n: Fraction(1), "monic")

@@ -84,17 +84,12 @@ def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
             * (2 * a * n - 2 * a + d) ** 2)
 
 
-def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
-    """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
-
-    C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0 as the reduced
-    value (e/d) A_0 (at n = 0 the general expression carries a removable
-    common factor d - 2a).
-    """
+def _recurrence_ab(spec: FamilySpec, n: int) -> tuple[FieldElement, FieldElement]:
+    """(A_n, B_n) of ``recurrence_coeffs``, without C_n."""
     a, b, c, d, e = spec.abcde()
     A = spec.k(n + 1) / spec.k(n)
     if n == 0:
-        return CoefficientTriple(A, e / d * A, Fraction(0))
+        return A, e / d * A
     if spec.kind == CONTINUOUS:
         b_num = 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
     else:
@@ -103,7 +98,20 @@ def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
         else (2 * a * n - 2 * a + d) * (d + 2 * a * n)
     if b_den == 0:
         raise AdmissibilityError(f"B_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    B = b_num / b_den * A
+    return A, b_num / b_den * A
+
+
+def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
+    """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
+
+    C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0 as the reduced
+    value (e/d) A_0 (at n = 0 the general expression carries a removable
+    common factor d - 2a).
+    """
+    A, B = _recurrence_ab(spec, n)
+    if n == 0:
+        return CoefficientTriple(A, B, Fraction(0))
+    a, d = spec.a, spec.d
     den = _cn_denominator(spec, n)
     if den == 0:
         raise AdmissibilityError(f"C_{n} denominator vanishes for {spec.name or spec.abcde()}")
@@ -210,10 +218,17 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 
 def _theorem1(spec: FamilySpec, n: int,
               rule: CoefficientTriple) -> dict[str, CoefficientTriple]:
-    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n)."""
+    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n).
+
+    The starred triple is the x p_n relation of the derived system at degree
+    n - 1, so its hi and mid are 1/A and -B/A of the derived recurrence.  Its
+    lo, C/A of that recurrence, is evaluated below in a form where the factor
+    n - 1 cancels, so that it is defined at n = 1 too.  Only A and B of the
+    derived system are needed; its C_{n-1} is never computed.
+    """
     a, b, c, d, e = spec.abcde()
     derived = derived_system(spec)
-    head = xpn_coeffs(derived, n - 1)
+    head_A, head_B = _recurrence_ab(derived, n - 1)
     # gamma*_n = -S'(n-1) (an + d' - 3a) n / D'(n-1) * k_n/k_{n-1}: the
     # degree-index (n-1) pole of the raw quotient route cancels, leaving a
     # form that is regular at n = 1.
@@ -222,7 +237,7 @@ def _theorem1(spec: FamilySpec, n: int,
         raise AdmissibilityError(f"starred gamma*_{n} denominator vanishes")
     star_lo = (-_sum_factor(derived, n - 1) * (a * n + derived.d - 3 * a) * n / den
                * (spec.k(n) / spec.k(n - 1)))
-    starred = CoefficientTriple(head.hi, head.mid, star_lo)
+    starred = CoefficientTriple(1 / head_A, -head_B / head_A, star_lo)
     alpha, beta, gamma = rule
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(alpha - 2 * a * starred.hi,

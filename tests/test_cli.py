@@ -286,6 +286,42 @@ class TestDeterminism:
             assert code == 0, family
             assert hashlib.sha256(out.encode()).hexdigest() == digest, family
 
+    def test_formula_output_is_pinned(self, capsys):
+        # sha256 of the tabulate and generate stdout; how k_n and the
+        # formulas are evaluated may change, the bytes they print may not
+        pinned = {
+            "jacobi:alpha=1/2,beta=-1/3": {
+                "recurrence": "83b94cb513f5e94096d99d15418a716e11690781514deffdf6fc83a2beed5592",
+                "xpn": "f4ce319375fba6438525ac38b465a1c467f5127bbb947235c8dd2261aeca52f0",
+                "derivative": "f81bf0c564cd8d6437763206ae49e760f4ac96c61c1868af1095adb4c284b6aa",
+                "delta": None,  # a usage error: the delta rule is discrete only
+                "starred": "392c7a589f0423b7784d94d3145516d45b6d4936bae2697078694901ee5c2b74",
+                "primed": "625be367494b09dccdcdf660001964bdef200a0c977331e1cd1879de3398a1e9",
+                "hatted": "48317b42e5bca17755b0052fcb11f915a2d4df07e6bc888472e1c9d0ec023fb6",
+                "generate": "cb1953c8378fe3df0a476ae2c9a1e00077e3e16295b3773576e295cf9ff7e648",
+            },
+            "hahn:alpha=1/2,beta=1/3,N=50": {
+                "recurrence": "f83918f4ad64987d51ad80188db1a98085f575495691b4886170d37c8d148b69",
+                "xpn": "cd2384a7dbe5934be8eee53275597dffe9633448e3f36a822a21d7c0a2bf6d9d",
+                "derivative": "0819883a1560a9bade17c94cdd85c7dae8f67c317373ed839d48a6b5aff48ce0",
+                "delta": "0ea1ee0d4efe4783a1c6e4c9827719a5bb47c09bd33623ace6c66b598c1ada2f",
+                "starred": "bcf187d5674812c894bbe7712a23946babfc1f5448c7b7e8e523093460491d4b",
+                "primed": "d116729c502e03a34f779f2bdd54f887d6630a71b020a4c8682cf8bf736801eb",
+                "hatted": "b6d3011b0779a47cac2d9b67ba235d50230ab97a38a24dc6df78e69b2390606c",
+                "generate": "a0f2b58d36aaf94a7d98fc8b698f95aa9a853a791a987aacc909fcc1a01f7620",
+            },
+        }
+        for family, digests in pinned.items():
+            for what, digest in digests.items():
+                argv = (["generate", "--family", family, "--n-max", "30"] if what == "generate"
+                        else ["tabulate", "--family", family, "--what", what, "--n-max", "40"])
+                code, out, _ = run_cli(capsys, *argv)
+                if digest is None:
+                    assert (code, out) == (USAGE_ERROR, ""), (family, what)
+                    continue
+                assert code == 0, (family, what)
+                assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, what)
+
 
 class TestReprCommand:
     def test_series_round_trip(self, capsys):

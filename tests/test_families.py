@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from opoly.algebra import Polynomial
+from opoly.algebra import Polynomial, factorial, pochhammer
 from opoly.families import (
     AdmissibilityError,
     FamilySpec,
@@ -15,9 +15,9 @@ from opoly.families import (
     spec_to_json,
 )
 from opoly.cli import run
-from opoly.structure import admissibility, generate
+from opoly.structure import admissibility, derived_system, generate
 
-from conftest import iter_specs
+from conftest import FAMILY_POINTS, iter_specs
 
 
 class TestLambdaN:
@@ -85,9 +85,65 @@ class TestCatalog:
         assert scaled == FamilySpec("continuous", 0, 0, 1, -2, 0,
                                     LeadingRule(lambda n: F(2) ** n, "2^n"), "x")
 
+    def test_leading_rule_needs_a_label(self):
+        with pytest.raises(TypeError):
+            LeadingRule(lambda n: F(2) ** n)
+
     def test_tau_degree_enforced(self):
         with pytest.raises(ValueError):
             FamilySpec("continuous", 0, 1, 0, 0, F(3, 2), MONIC)
+
+
+def _k_or_error(spec, n):
+    try:
+        return spec.k(n)
+    except AdmissibilityError as exc:
+        return ("inadmissible", str(exc))
+
+
+def _jacobi_k(alpha, beta, n):
+    return pochhammer(alpha + beta + n + 1, n) / (F(2) ** n * factorial(n))
+
+
+class TestLeadingMemo:
+    """k_n is memoized on the rule instance; every read gives the closed form."""
+
+    def test_repeated_reads_match_a_fresh_spec(self):
+        for name, points in FAMILY_POINTS.items():
+            spec = catalog(name, points[0])
+            first = [_k_or_error(spec, n) for n in range(41)]
+            again = [_k_or_error(spec, n) for n in range(41)]
+            fresh = catalog(name, points[0])
+            assert first == again == [_k_or_error(fresh, n) for n in range(41)], name
+
+    def test_specs_of_one_family_do_not_share_values(self):
+        half = catalog("jacobi", alpha=F(1, 2), beta=F(-1, 3))
+        whole = catalog("jacobi", alpha=F(2), beta=F(3))
+        for n in range(1, 21):
+            assert half.k(n) == _jacobi_k(F(1, 2), F(-1, 3), n)
+            assert whole.k(n) == _jacobi_k(F(2), F(3), n)
+            assert half.k(n) != whole.k(n)
+
+    def test_a_failing_rule_raises_on_every_call(self):
+        spec = catalog("hahn-q", alpha=F(1), beta=F(2), N=F(5))
+        for n in (6, 7):
+            messages = set()
+            for _ in range(3):
+                with pytest.raises(AdmissibilityError) as exc:
+                    spec.k(n)
+                messages.add(str(exc.value))
+            assert messages == {f"k_{n} has a vanishing denominator for family hahn-q"}
+        assert spec.k(5) == F(9 * 10 * 11 * 12 * 13) / (F(-120) * 720)  # (9)_5/((-5)_5 (2)_5)
+
+    def test_wrapped_rules_read_the_base_values(self):
+        alpha, beta = F(1, 2), F(-1, 3)
+        spec = catalog("jacobi", alpha=alpha, beta=beta)
+        derived = derived_system(spec)
+        shifted = affine_transform(spec, F(-1, 2), F(1, 2))
+        for _ in range(2):
+            for n in range(30):
+                assert derived.k(n) == (n + 1) * _jacobi_k(alpha, beta, n + 1)
+                assert shifted.k(n) == _jacobi_k(alpha, beta, n) * F(-2) ** n
 
 
 class TestEquation:
