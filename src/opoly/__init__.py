@@ -4,15 +4,17 @@ Recurrence, derivative/difference and antiderivative/antidifference
 coefficients, hypergeometric power and falling-factorial representations,
 connection coefficients, and parameter derivatives for the classical
 continuous and discrete families defined by sigma = a x^2 + b x + c and
-tau = d x + e.  All arithmetic is exact (rationals, or rational functions
-in one formal parameter); every formula family is cross-checked against an
-independent brute-force oracle.
+tau = d x + e.  All arithmetic is exact (rationals, dual numbers over them
+for parameter derivatives, or rational functions in one formal parameter);
+every formula family is cross-checked against an independent brute-force
+oracle.
 """
 
 from .algebra import (
     FALLING,
     MONOMIAL,
     BasisError,
+    Dual,
     Polynomial,
     Rational,
     RationalFunction,

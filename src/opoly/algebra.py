@@ -1,10 +1,11 @@
 """Exact scalar and polynomial arithmetic.
 
-Everything in this package is computed over an exact coefficient field:
-either plain rationals (``fractions.Fraction``) or univariate rational
-functions over the rationals in one formal parameter (``RationalFunction``,
-used to differentiate with respect to a family parameter).  No floating
-point is used anywhere.
+Everything in this package is computed over exact rationals
+(``fractions.Fraction``).  Two exact scalar types extend them: dual numbers
+v + d*eps with eps^2 = 0 (``Dual``, which differentiates with respect to a
+family parameter in forward mode), and univariate rational functions in one
+formal parameter (``RationalFunction``).  No floating point is used
+anywhere.
 
 Polynomials are dense and univariate, and carry a basis tag: ``MONOMIAL``
 (powers x^k) or ``FALLING`` (falling factorials x(x-1)...(x-k+1)).  The
@@ -20,8 +21,9 @@ from typing import Iterable, Sequence, Union
 
 Rational = Fraction
 
-#: Field elements are rationals or rational functions in one parameter.
-FieldElement = Union[int, Fraction, "RationalFunction"]
+#: Field elements are rationals, dual numbers over the rationals, or rational
+#: functions in one parameter.
+FieldElement = Union[int, Fraction, "Dual", "RationalFunction"]
 
 MONOMIAL = "monomial"
 FALLING = "falling"
@@ -146,7 +148,11 @@ class RationalFunction:
 
     Normalized so that gcd(num, den) = 1 and den is monic; this makes
     equality a plain tuple comparison.  Forms a field: any nonzero element
-    has an inverse.
+    has an inverse.  The parameter-derivative oracle uses ``Dual`` instead,
+    which needs no gcd.  This field stays for what a dual number cannot do:
+    carry a formal parameter through a removable 0/0, which the planned
+    limit route for removable singularities needs (ROADMAP.md), and the
+    formal-x check of the series tests.
     """
 
     __slots__ = ("num", "den")
@@ -304,8 +310,107 @@ class RationalFunction:
         return f"({side(self.num)})/({side(self.den)})"
 
 
+def _dual(v: Fraction, d: Fraction) -> "Dual":
+    """A Dual from two Fractions, without re-validating them."""
+    out = object.__new__(Dual)
+    out.v, out.d = v, d
+    return out
+
+
+class Dual:
+    """Dual number v + d*eps over Fraction, with eps^2 = 0.
+
+    Evaluating an expression at Dual(x, 1) gives its value at x in ``v`` and
+    its exact first derivative there in ``d`` (forward-mode differentiation).
+    Equality compares both parts, so a value-zero element with a nonzero
+    derivative is not zero and ``Polynomial`` never trims it.  Dividing by an
+    element whose value is 0 raises ZeroDivisionError, even when its
+    derivative is not 0: the quotient has no dual-number value there.
+    """
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v: Fraction | int = 0, d: Fraction | int = 0):
+        self.v = Fraction(v)
+        self.d = Fraction(d)
+
+    def __bool__(self) -> bool:
+        return bool(self.v) or bool(self.d)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Dual):
+            return self.v == other.v and self.d == other.d
+        if isinstance(other, (int, Fraction)):
+            return not self.d and self.v == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.v) if not self.d else hash((self.v, self.d))
+
+    def __neg__(self):
+        return _dual(-self.v, -self.d)
+
+    def __add__(self, other):
+        if isinstance(other, Dual):
+            return _dual(self.v + other.v, self.d + other.d)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self.v + other, self.d)
+        return NotImplemented
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Dual):
+            return _dual(self.v - other.v, self.d - other.d)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self.v - other, self.d)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _dual(other - self.v, -self.d)
+        return NotImplemented
+
+    def __mul__(self, other):
+        if isinstance(other, Dual):
+            return _dual(self.v * other.v, self.v * other.d + self.d * other.v)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self.v * other, self.d * other)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Dual):
+            if not other.v:
+                raise ZeroDivisionError("division by a dual number of value 0")
+            v = self.v / other.v
+            return _dual(v, (self.d - v * other.d) / other.v)
+        if isinstance(other, (int, Fraction)):
+            return _dual(self.v / other, self.d / other)
+        return NotImplemented
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return _dual(Fraction(other), Fraction(0)) / self
+        return NotImplemented
+
+    def __pow__(self, exponent: int):
+        if not isinstance(exponent, int):
+            return NotImplemented
+        if exponent < 0:
+            return (1 / self) ** -exponent
+        if exponent == 0:
+            return _dual(Fraction(1), Fraction(0))
+        head = self.v ** (exponent - 1)
+        return _dual(head * self.v, exponent * head * self.d)
+
+    def __repr__(self) -> str:
+        return f"Dual({format_rational(self.v)}, {format_rational(self.d)})"
+
+
 def as_field(value: FieldElement) -> FieldElement:
-    """Promote plain ints to Fraction; pass Fraction/RationalFunction through."""
+    """Promote plain ints to Fraction; pass Fraction, Dual and RationalFunction through."""
     if isinstance(value, int):
         return Fraction(value)
     return value

@@ -12,20 +12,21 @@ Three independent routes produce the row C_m(n) with P_n = sum_m C_m(n) Q_m:
 
 Parameter derivatives expand d p_n / d theta over the same family.  Each
 printed formula is verified against a fully exact oracle: the family is
-instantiated over the rational-function field in the parameter, generated,
-and differentiated coefficient-wise.
+instantiated with dual numbers in the parameter, generated, and the
+derivative of each coefficient read off its dual part.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .algebra import (
+    Dual,
     FieldElement,
     Polynomial,
-    RationalFunction,
     as_field,
     binomial,
     expand_over,
@@ -139,7 +140,8 @@ def _connection_rules(p: FamilySpec, q: FamilySpec, n: int) -> list[CrossRule]:
             "use connect_oracle")
     a_n = xpn_coeffs(p, n)
     star_p = xpn_coeffs(derived_system(p), n - 1) if n >= 1 else None
-    q_star = _zero_at_origin(lambda j: xpn_coeffs(derived_system(q), j - 1))
+    q_derived = cache(lambda: derived_system(q))  # built on first use, then reused
+    q_star = _zero_at_origin(lambda j: xpn_coeffs(q_derived(), j - 1))
     rules = [CrossRule(a_n.hi, a_n.mid, a_n.lo, _q_xpn(q))]
     if n >= 1:
         assert star_p is not None
@@ -166,19 +168,24 @@ def _eliminate(rules: list[CrossRule]) -> tuple[FieldElement, ...]:
 
 
 def recurrence_row(rules: list[CrossRule], n: int) -> ConnectionRow:
-    """Iterate the eliminated three-term m-recurrence downward from C_n(n) = 1."""
+    """Iterate the eliminated three-term m-recurrence downward from C_n(n) = 1.
+
+    Each rule's Q-side triple at index j is computed once, where it is first
+    read, so the first one that raises is the same as without the cache.
+    """
     coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
     coeffs[n] = Fraction(1)
     if n == 0:
         return ConnectionRow(0, (Fraction(1),))
     mu = _eliminate(rules)
     y_total = sum((m_i * r.y for m_i, r in zip(mu, rules)), start=as_field(0))
+    q_triples = [cache(r.q_triple) for r in rules]
     for m in range(n - 1, -1, -1):
         # the eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}
         j = m + 1
-        u = sum((m_i * r.q_triple(j - 1).hi for m_i, r in zip(mu, rules)), start=as_field(0))
-        v = sum((m_i * r.q_triple(j).mid for m_i, r in zip(mu, rules)), start=as_field(0))
-        w = sum((m_i * r.q_triple(j + 1).lo for m_i, r in zip(mu, rules)), start=as_field(0))
+        u = sum((m_i * g(j - 1).hi for m_i, g in zip(mu, q_triples)), start=as_field(0))
+        v = sum((m_i * g(j).mid for m_i, g in zip(mu, q_triples)), start=as_field(0))
+        w = sum((m_i * g(j + 1).lo for m_i, g in zip(mu, q_triples)), start=as_field(0))
         if u == 0:
             raise AdmissibilityError(f"vanishing leading multiplier at m={m}")
         coeffs[m] = ((y_total - v) * coeffs[m + 1] - w * coeffs[m + 2]) / u
@@ -807,24 +814,23 @@ def parameter_derivative(family: str, param: str, n: int,
 
 def exact_parameter_derivative(family: str, param: str, n: int,
                                at: Mapping[str, Fraction]) -> ConnectionRow:
-    """Oracle: differentiate p_n exactly in the rational-function field.
+    """Oracle: differentiate p_n exactly with dual numbers.
 
-    The family is instantiated with the chosen parameter formal, generated,
-    each monomial coefficient differentiated as a rational function and
-    evaluated back at the parameter point; the result is expanded over the
-    family's own polynomials at that point.
+    The family is generated at the rational point first, so an inadmissible
+    point fails with the message of the numeric route.  It is then generated
+    again with the chosen parameter as Dual(v, 1) and the others as
+    Dual(v, 0): the dual part of each monomial coefficient of p_n is its
+    derivative in the parameter at the point (forward mode).  The result is
+    expanded over the family's own polynomials at that point.
     """
-    point = Fraction(at[param])
-    formal_params: dict[str, FieldElement] = {
-        k: (RationalFunction.parameter() if k == param else RationalFunction.const(Fraction(v)))
-        for k, v in at.items()}
-    formal = catalog(family, formal_params)
-    p_n = generate(formal, n)[n]
-    d_coeffs = []
-    for coeff in p_n.coeffs:
-        if isinstance(coeff, RationalFunction):
-            d_coeffs.append(coeff.derivative().evaluate(point))
-        else:
-            d_coeffs.append(Fraction(0))
-    numeric = catalog(family, {k: Fraction(v) for k, v in at.items()})
-    return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), generate(numeric, n))))
+    if param not in at:
+        raise KeyError(f"{param!r} is not among the parameters {sorted(at)}")
+    basis = generate(catalog(family, {k: Fraction(v) for k, v in at.items()}), n)
+    seeded = {k: Dual(v, 1 if k == param else 0) for k, v in at.items()}
+    try:
+        p_n = generate(catalog(family, seeded), n)[n]
+    except ZeroDivisionError:
+        point = ",".join(f"{k}={format_rational(v)}" for k, v in at.items())
+        raise AdmissibilityError(f"{family}.{param} derivative has a pole at {point}") from None
+    d_coeffs = [c.d if isinstance(c, Dual) else Fraction(0) for c in p_n.coeffs]
+    return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), basis)))

@@ -9,7 +9,7 @@ re-derived by an independent route and compared exactly:
 * inverse-series recurrences   vs. ``expand_over`` solves over the generated basis
 * connection m-recurrences     vs. the cross-rule elimination and the oracle
 * closed connection formulas   vs. the oracle rows
-* parameter-derivative tables  vs. the rational-function-field derivative
+* parameter-derivative tables  vs. the dual-number derivative
 
 ``structure_mismatches`` compares every explicit structure triple of one
 spec (xpn, recurrence, derivative, delta, starred, primed, hatted) with the
@@ -403,31 +403,34 @@ def check_closed_connections(n_max: int = 5) -> list[Mismatch]:
     return out
 
 
+# One parameter point per family of a parameter-derivative formula.
+PARAMETER_DERIVATIVE_POINTS: dict[str, dict[str, Fraction]] = {
+    "jacobi": {"alpha": Fraction(1, 2), "beta": Fraction(1, 3)},
+    "jacobi-monic": {"alpha": Fraction(2), "beta": Fraction(3)},
+    "gegenbauer": {"alpha": Fraction(3, 4)},
+    "gegenbauer-monic": {"alpha": Fraction(5, 2)},
+    "laguerre": {"alpha": Fraction(2)},
+    "laguerre-monic": {"alpha": Fraction(1, 2)},
+    "bessel": {"alpha": Fraction(1)},
+    "bessel-monic": {"alpha": Fraction(2)},
+    "hahn": {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "N": Fraction(14)},
+    "hahn-monic": {"alpha": Fraction(1), "beta": Fraction(2), "N": Fraction(14)},
+    "hahn-q": {"alpha": Fraction(1), "beta": Fraction(2), "N": Fraction(14)},
+    "meixner": {"gamma": Fraction(2), "mu": Fraction(1, 3)},
+    "meixner-monic": {"gamma": Fraction(5, 2), "mu": Fraction(1, 4)},
+    "krawtchouk": {"p": Fraction(1, 2), "N": Fraction(14)},
+    "krawtchouk-monic": {"p": Fraction(1, 3), "N": Fraction(14)},
+    "charlier": {"mu": Fraction(2)},
+    "charlier-monic": {"mu": Fraction(3)},
+    "k-family": {"alpha": Fraction(3), "beta": Fraction(1, 2)},
+    "k-family-monic": {"alpha": Fraction(3), "beta": Fraction(1, 2)},
+}
+
+
 def check_parameter_derivatives(n_max: int = 5) -> list[Mismatch]:
-    points = {
-        "jacobi": {"alpha": Fraction(1, 2), "beta": Fraction(1, 3)},
-        "jacobi-monic": {"alpha": Fraction(2), "beta": Fraction(3)},
-        "gegenbauer": {"alpha": Fraction(3, 4)},
-        "gegenbauer-monic": {"alpha": Fraction(5, 2)},
-        "laguerre": {"alpha": Fraction(2)},
-        "laguerre-monic": {"alpha": Fraction(1, 2)},
-        "bessel": {"alpha": Fraction(1)},
-        "bessel-monic": {"alpha": Fraction(2)},
-        "hahn": {"alpha": Fraction(1, 2), "beta": Fraction(1, 3), "N": Fraction(14)},
-        "hahn-monic": {"alpha": Fraction(1), "beta": Fraction(2), "N": Fraction(14)},
-        "hahn-q": {"alpha": Fraction(1), "beta": Fraction(2), "N": Fraction(14)},
-        "meixner": {"gamma": Fraction(2), "mu": Fraction(1, 3)},
-        "meixner-monic": {"gamma": Fraction(5, 2), "mu": Fraction(1, 4)},
-        "krawtchouk": {"p": Fraction(1, 2), "N": Fraction(14)},
-        "krawtchouk-monic": {"p": Fraction(1, 3), "N": Fraction(14)},
-        "charlier": {"mu": Fraction(2)},
-        "charlier-monic": {"mu": Fraction(3)},
-        "k-family": {"alpha": Fraction(3), "beta": Fraction(1, 2)},
-        "k-family-monic": {"alpha": Fraction(3), "beta": Fraction(1, 2)},
-    }
     out: list[Mismatch] = []
     for family, param in sorted(_PDERIV):
-        at = points[family]
+        at = PARAMETER_DERIVATIVE_POINTS[family]
         for n in range(1, n_max + 1):
             got = parameter_derivative(family, param, n, at)
             want = exact_parameter_derivative(family, param, n, at)

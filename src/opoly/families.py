@@ -8,8 +8,8 @@ A family is the data (a, b, c, d, e) of the second-order equation
 together with a standardization rule k_n (the leading coefficient of the
 degree-n member) and the kind flag.  The catalog carries the named classical
 families; raw specs cover everything else.  Parameters may be exact
-rationals or formal (a RationalFunction in one parameter), which is how
-parameter derivatives are verified.
+rationals or dual numbers (a ``Dual`` carrying the derivative in one
+parameter), which is how parameter derivatives are verified.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .algebra import (
     MONOMIAL,
     FieldElement,
     Polynomial,
-    RationalFunction,
     as_field,
     factorial,
     format_rational,
@@ -304,11 +303,13 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
     if missing or extra:
         raise ValueError(f"family {base!r} takes parameters {wanted}, got {sorted(given)}")
     args = [as_field(given[p]) for p in wanted]
+    point = ",".join(f"{k}={_field_to_str(v)}" for k, v in given.items())
     try:
         spec = builder(*args)
     except ZeroDivisionError:
-        point = ",".join(f"{k}={_field_to_str(v)}" for k, v in given.items())
         raise AdmissibilityError(f"family {base!r} has a vanishing denominator at {point}") from None
+    except ValueError as exc:  # the parameters parse, but tau degenerates there
+        raise AdmissibilityError(f"family {base!r} degenerates at {point}: {exc}") from None
     spec = FamilySpec(spec.kind, spec.a, spec.b, spec.c, spec.d, spec.e,
                       spec.leading, base, tuple((p, as_field(given[p])) for p in wanted))
     if base != name:
@@ -322,9 +323,9 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
 # ---------------------------------------------------------------------------
 
 def _field_to_str(value: FieldElement) -> str:
-    if isinstance(value, RationalFunction):
-        return repr(value)
-    return format_rational(value)
+    if isinstance(value, (int, Fraction)):
+        return format_rational(value)
+    return repr(value)
 
 
 def spec_to_json(spec: FamilySpec) -> dict:

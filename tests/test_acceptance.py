@@ -3,7 +3,7 @@
 Every expected value below is either printed in the antiderivative /
 representation / connection / derivative tables being reproduced, or is
 computed by an independent oracle (equation solver, triangular basis solve,
-rational-function-field derivative).  All comparisons are exact equality of
+dual-number derivative).  All comparisons are exact equality of
 rationals; there are no float tolerances anywhere.
 """
 
@@ -36,7 +36,7 @@ from opoly.connection import (
 )
 from opoly.diagnostics import transcription_report
 
-from conftest import FAMILY_POINTS, iter_specs
+from conftest import FAMILY_POINTS, PD_POINTS, iter_specs
 
 
 def _report(criterion: str, detail: str):
@@ -660,31 +660,9 @@ def test_criterion_5_connection_suite():
 # 6. Parameter-derivative suite
 # -----------------------------------------------------------------------------
 
-PD_POINTS = {
-    "jacobi": [{"alpha": F(1, 2), "beta": F(1, 3)}, {"alpha": F(2), "beta": F(3)},
-               {"alpha": F(5, 2), "beta": F(1, 4)}],
-    "gegenbauer": [{"alpha": F(3, 4)}, {"alpha": F(5, 2)}, {"alpha": F(1, 5)}],
-    "laguerre": [{"alpha": F(1, 2)}, {"alpha": F(3)}, {"alpha": F(-1, 4)}],
-    "bessel": [{"alpha": F(0)}, {"alpha": F(1)}, {"alpha": F(3, 2)}],
-    "hahn": [{"alpha": F(1, 2), "beta": F(1, 3), "N": F(12)},
-             {"alpha": F(2), "beta": F(1), "N": F(13)},
-             {"alpha": F(1, 4), "beta": F(3, 2), "N": F(14)}],
-    "hahn-q": [{"alpha": F(1), "beta": F(2), "N": F(12)},
-               {"alpha": F(1, 2), "beta": F(1, 3), "N": F(13)},
-               {"alpha": F(3), "beta": F(1), "N": F(14)}],
-    "meixner": [{"gamma": F(2), "mu": F(1, 3)}, {"gamma": F(1, 2), "mu": F(2)},
-                {"gamma": F(3), "mu": F(1, 4)}],
-    "krawtchouk": [{"p": F(1, 2), "N": F(12)}, {"p": F(1, 3), "N": F(13)},
-                   {"p": F(3, 4), "N": F(15)}],
-    "charlier": [{"mu": F(1)}, {"mu": F(2)}, {"mu": F(1, 3)}],
-    "k-family": [{"alpha": F(3), "beta": F(1, 2)}, {"alpha": F(1, 2), "beta": F(2)},
-                 {"alpha": F(-2), "beta": F(1)}],
-}
-
-
 def test_criterion_6_parameter_derivatives():
     """Every parameter-derivative formula equals the exact derivative computed
-    in the rational-function field, coefficient-wise, n <= 6, three points."""
+    with dual numbers, coefficient-wise, n <= 6, three points."""
     checked = 0
     for family, param in PARAMETER_DERIVATIVE_PAIRS:
         base = family[:-len("-monic")] if family.endswith("-monic") else family
@@ -695,7 +673,7 @@ def test_criterion_6_parameter_derivatives():
                 assert got.coeffs == want.coeffs, (family, param, at, n)
                 checked += 1
     _report("6 parameter-derivatives",
-            f"{checked} rows equal the field derivative "
+            f"{checked} rows equal the dual-number derivative "
             f"({len(PARAMETER_DERIVATIVE_PAIRS)} formula pairs)")
 
 

@@ -7,6 +7,7 @@ from opoly.algebra import (
     FALLING,
     MONOMIAL,
     BasisError,
+    Dual,
     Polynomial,
     RationalFunction,
     binomial,
@@ -239,6 +240,58 @@ class TestRationalFunction:
         t = RationalFunction.parameter()
         with pytest.raises(ZeroDivisionError):
             (1 / (t - 2)).evaluate(F(2))
+
+
+def rand_dual(rng):
+    return Dual(rand_fraction(rng), rand_fraction(rng))
+
+
+class TestDual:
+    def test_field_identities(self):
+        rng = random.Random(10)
+        for _ in range(50):
+            x, y, z = rand_dual(rng), rand_dual(rng), rand_dual(rng)
+            c = rng.choice([rng.randint(-9, 9), rand_fraction(rng)])
+            assert (x + y) * z == x * z + y * z
+            assert x - y == -(y - x)
+            assert (x + c) - c == x and c + x == x + c and c - x == -(x - c)
+            assert c * x == x * c and x * c == x * Dual(c)
+            if x.v:
+                assert (y / x) * x == y
+                assert (c / x) * x == c
+                assert x ** -2 * x ** 3 == x
+                assert x ** -3 == 1 / (x * x * x)
+            if c:
+                assert (x / c) * c == x
+            assert x ** 0 == 1 and x ** 1 == x
+            assert x ** 4 == x * x * x * x
+
+    def test_product_rule(self):
+        # d/dt (t^2 + 1)^3 at t = 2 is 3 (t^2 + 1)^2 2t = 300
+        t = Dual(2, 1)
+        assert (t * t + 1) ** 3 == Dual(125, 300)
+
+    def test_equality_compares_both_parts(self):
+        eps = Dual(0, 1)
+        assert eps != 0 and eps
+        assert Dual(3, 0) == 3 == Dual(F(3)) and hash(Dual(3, 0)) == hash(F(3))
+        assert Dual(3, 1) != 3 and not Dual(0, 0)
+        assert Polynomial([1, Dual(0, 1)]).coeffs == (F(1), Dual(0, 1))
+        assert Polynomial([Dual(0, 1)]).degree() == 0
+        assert Polynomial([1, Dual(0, 0)]).degree() == 0
+
+    def test_division_by_zero_value(self):
+        for divide in (lambda: Dual(1, 1) / Dual(0, 3), lambda: 1 / Dual(0, 3),
+                       lambda: Dual(0, 3) ** -1, lambda: Dual(1, 2) / 0):
+            with pytest.raises(ZeroDivisionError):
+                divide()
+
+    def test_matches_rational_function_derivative(self):
+        r = RationalFunction([1, 0, 1], [-2, 1])  # (t^2 + 1)/(t - 2)
+        t = Dual(5, 1)
+        q = (t * t + 1) / (t - 2)
+        assert q == Dual(r.evaluate(5), r.derivative().evaluate(5))
+        assert q.d == r.derivative().evaluate(5) == F(4, 9)
 
 
 class TestSerialization:

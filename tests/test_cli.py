@@ -6,7 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from opoly.algebra import format_rational
 from opoly.cli import USAGE_ERROR, INADMISSIBLE, VERIFY_FAILED, parse_family, run
+from opoly.connection import PARAMETER_DERIVATIVE_PAIRS
 from opoly.families import catalog
 from opoly.structure import CoefficientTriple, generate
 from opoly import diagnostics, structure
@@ -168,6 +170,30 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "generate", "--family", family, "--n-max", "1")
         assert code == INADMISSIBLE
 
+    def test_degenerate_tau_at_catalog_point_is_inadmissible(self, capsys):
+        # the parameters parse, but tau = d x + e loses its degree there (d = 0)
+        cases = (
+            ("generate", "--family", "gegenbauer:alpha=-1/2", "--n-max", "3"),
+            ("connect", "--from", "jacobi:alpha=1,beta=1", "--to", "jacobi:alpha=-1,beta=-1",
+             "--n", "3"),
+            # the formula has no pole here; only building the family fails
+            ("param-deriv", "--family", "gegenbauer-monic", "--param", "alpha", "--n", "3",
+             "--at", "alpha=-1/2"),
+        )
+        for argv in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == INADMISSIBLE, argv
+            assert not out
+            assert "inadmissible" in err and "degenerates at" in err, argv
+            assert "Traceback" not in err
+        # a raw spec states d itself: d = 0 stays a usage error
+        code, out, err = run_cli(capsys, "generate", "--family",
+                                 "raw:kind=continuous,a=0,b=1,c=0,d=0,e=1,k=monic",
+                                 "--n-max", "3")
+        assert code == USAGE_ERROR
+        assert not out
+        assert err.startswith("opoly: ") and "tau must have degree exactly 1" in err
+
     def test_zero_denominator_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "generate", "--family", "laguerre:alpha=1/0",
                                  "--n-max", "3")
@@ -321,6 +347,38 @@ class TestDeterminism:
                     continue
                 assert code == 0, (family, what)
                 assert hashlib.sha256(out.encode()).hexdigest() == digest, (family, what)
+
+    def test_connection_output_is_pinned(self, capsys):
+        # sha256 of the param-deriv and connect stdout; how the derivative
+        # oracle and the recurrence route compute may change, the bytes they
+        # print may not
+        digest = hashlib.sha256()
+        for family, param in PARAMETER_DERIVATIVE_PAIRS:
+            at = ",".join(f"{k}={format_rational(v)}" for k, v
+                          in diagnostics.PARAMETER_DERIVATIVE_POINTS[family].items())
+            code, out, _ = run_cli(capsys, "param-deriv", "--family", family,
+                                   "--param", param, "--n", "6", "--at", at)
+            assert code == 0, (family, param)
+            digest.update(out.encode())
+        assert digest.hexdigest() == \
+            "696443b908fb420172da665d02c2dbc06cf2b012d9fd6e7f660c1a4f8770a9a4"
+        pinned = {
+            ("jacobi-monic:alpha=1/2,beta=1/3", "jacobi-monic:alpha=2,beta=1/3", "auto"):
+                "c7773186daf04b3b26de3800181e628f99db8c8bf9d32b5eae3ecc6c78f09113",
+            ("hahn-monic:alpha=1/2,beta=1/3,N=30", "hahn-monic:alpha=1/2,beta=3,N=30", "auto"):
+                "a023a973941b576f461beb515856156583db7407c483c2c163a4d87afce13bd4",
+            ("charlier-monic:mu=2", "meixner-monic:gamma=2,mu=1/3", "auto"):
+                "b8d0481e522d94530070f5d478a6e2ba95743c55125bbe5a8f2042ded115a631",
+            ("jacobi:alpha=1/2,beta=-1/3", "hermite", "oracle"):
+                "32921b0ebc0fde39e14ea94c08571a1ca6c3d7af9276c1b7e20dd699f40254b7",
+        }
+        for (src, dst, method), want in pinned.items():
+            code, out, _ = run_cli(capsys, "connect", "--from", src, "--to", dst,
+                                   "--n", "16", "--method", method)
+            assert code == 0, (src, dst)
+            assert json.loads(out)["method"] == ("recurrence" if method == "auto"
+                                                 else method), (src, dst)
+            assert hashlib.sha256(out.encode()).hexdigest() == want, (src, dst)
 
 
 class TestReprCommand:

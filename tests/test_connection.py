@@ -2,10 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from opoly.algebra import Polynomial, RationalFunction, expand_over
 from opoly.families import catalog
 from opoly.structure import generate, theorem1_coeffs, xpn_coeffs
 from opoly.connection import (
     GENERAL,
+    PARAMETER_DERIVATIVE_PAIRS,
     SAME_SIGMA,
     SAME_SIGMA_PLUS_TAU,
     UnsupportedConnection,
@@ -17,6 +19,8 @@ from opoly.connection import (
     parameter_derivative,
     row_to_json,
 )
+
+from conftest import PD_POINTS
 
 MONIC_PAIRS = [
     ("laguerre-monic", {"alpha": F(2)}, "laguerre-monic", {"alpha": F(0)}),
@@ -204,7 +208,28 @@ class TestClosedFormDegeneracies:
             closed_form_connection("hermite-shift", 3)
 
 
+def _field_derivative_oracle(family, param, n, at):
+    """d p_n / d param in the rational-function field: the family built with
+    the parameter formal, each monomial coefficient of p_n differentiated as
+    a rational function and evaluated at the point, then expanded over the
+    family's own polynomials there.  An independent route to the dual-number
+    oracle ``exact_parameter_derivative``."""
+    formal = catalog(family, {k: RationalFunction.parameter() if k == param
+                              else RationalFunction.const(v) for k, v in at.items()})
+    d_coeffs = [c.derivative().evaluate(at[param]) if isinstance(c, RationalFunction)
+                else F(0) for c in generate(formal, n)[n].coeffs]
+    return tuple(expand_over(Polynomial(d_coeffs), generate(catalog(family, at), n)))
+
+
 class TestParameterDerivatives:
+    def test_dual_oracle_matches_field_route(self):
+        for family, param in PARAMETER_DERIVATIVE_PAIRS:
+            at = PD_POINTS[family.removesuffix("-monic")][0]
+            for n in range(1, 5):
+                got = exact_parameter_derivative(family, param, n, at)
+                assert got.coeffs == _field_derivative_oracle(family, param, n, at), \
+                    (family, param, n)
+
     def test_laguerre_dalpha_n3(self):
         row = parameter_derivative("laguerre", "alpha", 3, {"alpha": F(2)})
         assert row.coeffs == (F(1, 3), F(1, 2), 1, 0)
