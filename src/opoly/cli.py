@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 from typing import Iterable
 
 from .algebra import format_rational, parse_rational
@@ -326,6 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# parse_args keeps no state on the parser, so one parser serves every run
+_parser = cache(build_parser)
+
 _COMMANDS = {
     "tabulate": cmd_tabulate,
     "generate": cmd_generate,
@@ -338,7 +342,7 @@ _COMMANDS = {
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         for attr in ("n", "n_max"):

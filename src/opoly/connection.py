@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -39,8 +39,8 @@ from .structure import (
     CoefficientTriple,
     delta_rule_coeffs,
     derivative_rule_coeffs,
-    derived_system,
     generate,
+    starred_coeffs,
     xpn_coeffs,
 )
 
@@ -123,37 +123,17 @@ def _zero_at_origin(fn: Callable[[int], CoefficientTriple]) -> Callable[[int], C
     return wrapped
 
 
-def _q_xpn(q: FamilySpec) -> Callable[[int], CoefficientTriple]:
-    def g(j: int) -> CoefficientTriple:
-        if j < 0:
-            return CoefficientTriple(Fraction(0), Fraction(0), Fraction(0))
-        return xpn_coeffs(q, j)
-
-    return g
-
-
 def _connection_rules(p: FamilySpec, q: FamilySpec, n: int) -> list[CrossRule]:
     mode = compat(p, q)
     if mode == GENERAL:
         raise UnsupportedConnection(
             "recurrence route needs shared sigma (or shared sigma+tau, discrete); "
             "use connect_oracle")
-    a_n = xpn_coeffs(p, n)
-    star_p = xpn_coeffs(derived_system(p), n - 1) if n >= 1 else None
-    q_derived = cache(lambda: derived_system(q))  # built on first use, then reused
-    q_star = _zero_at_origin(lambda j: xpn_coeffs(q_derived(), j - 1))
-    rules = [CrossRule(a_n.hi, a_n.mid, a_n.lo, _q_xpn(q))]
+    rules = [CrossRule(*xpn_coeffs(p, n), partial(xpn_coeffs, q))]
     if n >= 1:
-        assert star_p is not None
-        rules.append(CrossRule(star_p.hi, star_p.mid, star_p.lo, q_star))
-        if mode == SAME_SIGMA:
-            rule_p = derivative_rule_coeffs(p, n)
-            rules.append(CrossRule(rule_p.hi, rule_p.mid, rule_p.lo,
-                                   _zero_at_origin(lambda j: derivative_rule_coeffs(q, j))))
-        else:
-            rule_p = delta_rule_coeffs(p, n)
-            rules.append(CrossRule(rule_p.hi, rule_p.mid, rule_p.lo,
-                                   _zero_at_origin(lambda j: delta_rule_coeffs(q, j))))
+        d_rule = derivative_rule_coeffs if mode == SAME_SIGMA else delta_rule_coeffs
+        for rule in (starred_coeffs, d_rule):
+            rules.append(CrossRule(*rule(p, n), _zero_at_origin(partial(rule, q))))
     return rules
 
 

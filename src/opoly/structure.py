@@ -13,12 +13,17 @@ evaluates, per degree n:
   (equivalently the antiderivative / antidifference of p_n).
 
 Every triple is an exact rational expression in (a, b, c, d, e, n) and the
-standardization k_n; a formula raises AdmissibilityError where one of its
-denominators vanishes, and ``admissibility`` evaluates the formulas to
-report those degrees.  Two independent routes exist throughout: the explicit
-formulas, and a brute-force oracle that solves the defining second-order
-equation coefficient-wise and extracts triples by exact linear solves.  The
-shipped formulas are required to match the oracle (see ``diagnostics``).
+standardization k_n.  Two brackets are written once and shared: the B
+bracket of the recurrence, which also gives the starred mid (evaluated on
+the derivatives' data (a, b, d + 2a, e') at degree n - 1), and the lower
+bracket Q_n behind C_n, gamma_n and the starred lo.  A formula raises
+AdmissibilityError where one of its denominators vanishes, and
+``admissibility`` evaluates the formulas to report those degrees.
+
+Two independent routes exist throughout: the explicit formulas, and a
+brute-force oracle that solves the defining second-order equation
+coefficient-wise and extracts triples by exact linear solves.  The shipped
+formulas are required to match the oracle (see ``diagnostics``).
 """
 
 from __future__ import annotations
@@ -40,7 +45,6 @@ from .families import (
     DISCRETE,
     AdmissibilityError,
     FamilySpec,
-    LeadingRule,
     catalog,
     lambda_n,
 )
@@ -84,39 +88,55 @@ def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
             * (2 * a * n - 2 * a + d) ** 2)
 
 
-def _recurrence_ab(spec: FamilySpec, n: int) -> tuple[FieldElement, FieldElement]:
-    """(A_n, B_n) of ``recurrence_coeffs``, without C_n."""
-    a, b, c, d, e = spec.abcde()
-    A = spec.k(n + 1) / spec.k(n)
+def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
+    """Q_n = n S(n) / D(n) * k_n / k_{n-1}, with S = ``_sum_factor`` and
+    D = ``_cn_denominator``: the bracket every lower entry is written with,
+
+        C_n     = -(an + d - 2a) Q_n A_n        (recurrence)
+        gamma_n = (an + d - a)(an + d - 2a) Q_n  (derivative rule)
+        lo*_n   = -(an + d - a) Q_n              (starred triple).
+
+    Raises AdmissibilityError(failure), formatted with n and the spec's
+    name, where D(n) vanishes.
+    """
+    den = _cn_denominator(spec, n)
+    if den == 0:
+        raise AdmissibilityError(failure.format(n=n, name=spec.name or spec.abcde()))
+    return n * _sum_factor(spec, n) / den * (spec.k(n) / spec.k(n - 1))
+
+
+def _b_ratio(spec: FamilySpec, n: int, d: FieldElement, e: FieldElement) -> FieldElement:
+    """B_n / A_n of the recurrence for the data (spec.a, spec.b, d, e).
+
+    At n = 0 it is the reduced value e/d (the general bracket carries a
+    removable common factor d - 2a there).
+    """
     if n == 0:
-        return A, e / d * A
+        return e / d
+    a, b = spec.a, spec.b
     if spec.kind == CONTINUOUS:
-        b_num = 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
+        num = 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
+        den = (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
     else:
-        b_num = n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
-    b_den = (d + 2 * a * n) * (d - 2 * a + 2 * a * n) if spec.kind == CONTINUOUS \
-        else (2 * a * n - 2 * a + d) * (d + 2 * a * n)
-    if b_den == 0:
+        num = n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
+        den = (2 * a * n - 2 * a + d) * (d + 2 * a * n)
+    if den == 0:
         raise AdmissibilityError(f"B_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    return A, b_num / b_den * A
+    return num / den
 
 
 def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
 
     C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0 as the reduced
-    value (e/d) A_0 (at n = 0 the general expression carries a removable
-    common factor d - 2a).
+    value (e/d) A_0.
     """
-    A, B = _recurrence_ab(spec, n)
+    A = spec.k(n + 1) / spec.k(n)
+    B = _b_ratio(spec, n, spec.d, spec.e) * A
     if n == 0:
         return CoefficientTriple(A, B, Fraction(0))
-    a, d = spec.a, spec.d
-    den = _cn_denominator(spec, n)
-    if den == 0:
-        raise AdmissibilityError(f"C_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    C = -_sum_factor(spec, n) * (a * n + d - 2 * a) * n / den * (spec.k(n + 1) / spec.k(n - 1))
-    return CoefficientTriple(A, B, C)
+    lower = _lower_factor(spec, n, "C_{n} denominator vanishes for {name}")
+    return CoefficientTriple(A, B, -(spec.a * n + spec.d - 2 * spec.a) * lower * A)
 
 
 def _flip(t: CoefficientTriple) -> CoefficientTriple:
@@ -142,21 +162,16 @@ def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     if spec.kind == CONTINUOUS:
         beta_num = -(n * (a * n + d - a) * (2 * e * a - d * b))
         beta_den = (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
-        gamma_extra = (a * n + d - a) * (a * n + d - 2 * a) * n
     else:
         beta_num = -(n * (d + a * n - a)
                      * (2 * a * n * d - a * d - d * b + 2 * e * a
                         - 2 * a * a * n + 2 * a * a * n * n))
         beta_den = (2 * a * n - 2 * a + d) * (d + 2 * a * n)
-        gamma_extra = (d + a * n - a) * (a * n + d - 2 * a) * n
     if beta_den == 0:
         raise AdmissibilityError(f"beta_{n} denominator vanishes")
     beta = beta_num / beta_den
-    den = _cn_denominator(spec, n)
-    if den == 0:
-        raise AdmissibilityError(f"gamma_{n} denominator vanishes")
-    gamma = _sum_factor(spec, n) * gamma_extra / den * (spec.k(n) / spec.k(n - 1))
-    return CoefficientTriple(alpha, beta, gamma)
+    lower = _lower_factor(spec, n, "gamma_{n} denominator vanishes")
+    return CoefficientTriple(alpha, beta, (a * n + d - a) * (a * n + d - 2 * a) * lower)
 
 
 def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -174,26 +189,30 @@ def _delta_rule(spec: FamilySpec, n: int, rule: CoefficientTriple) -> Coefficien
 # Theorem-1 triples (starred / primed / hatted)
 # ---------------------------------------------------------------------------
 
-def derived_system(spec: FamilySpec) -> FamilySpec:
-    """The family satisfied by the derivatives q_m = p'_{m+1} (or Delta p_{m+1}).
+def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
+    """(hi, mid, lo) with x D p_n = hi D p_{n+1} + mid D p_n + lo D p_{n-1}, n >= 1.
 
-    Its equation data is (a, b, c, d + 2a, e + b) in the continuous case and
-    (a, b, c, d + 2a, d + e + a + b) in the discrete case; its leading
-    coefficients are (m+1) k_{m+1}.
+    The derivatives q_m = D p_{m+1} solve the equation with data
+    (a, b, c, d + 2a, e'), e' = e + b (continuous) or d + e + a + b
+    (discrete), and have leading coefficients (m+1) k_{m+1}; this is their
+    x q_{n-1} relation.  So hi = 1/A and mid = -B/A of that recurrence at
+    degree n - 1.  Its C/A is -(an + d - a) Q_n, since that recurrence's
+    ``_sum_factor`` and ``_cn_denominator`` at n - 1 are S(n) and D(n);
+    the factor n - 1 cancels, so lo stays defined at n = 1 (where it
+    multiplies D p_0 = 0).  Raises AdmissibilityError where d + 2a = 0 (the
+    derivatives' tau is constant).  Its two brackets have the denominators
+    of B_n and C_n of ``recurrence_coeffs`` at the same n.
     """
-    a, b, c, d, e = spec.abcde()
-    new_e = e + b if spec.kind == CONTINUOUS else d + e + a + b
-    base = spec.leading
-
-    def k(m: int, base=base) -> FieldElement:
-        return (m + 1) * base(m + 1)
-
-    try:
-        return FamilySpec(spec.kind, a, b, c, d + 2 * a, new_e,
-                          LeadingRule(k, f"(n+1)k(n+1) of {base.label}"),
-                          f"{spec.name}'" if spec.name else "", spec.params)
-    except ValueError as exc:  # d + 2a = 0: the derivative system degenerates
-        raise AdmissibilityError(str(exc)) from exc
+    if n < 1:
+        raise ValueError("starred triple needs n >= 1")
+    a, b, d, e = spec.a, spec.b, spec.d, spec.e
+    if d + 2 * a == 0:
+        raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
+    e_star = e + b if spec.kind == CONTINUOUS else d + e + a + b
+    hi = n * spec.k(n) / ((n + 1) * spec.k(n + 1))
+    mid = -_b_ratio(spec, n - 1, d + 2 * a, e_star)
+    lo = -(a * n + d - a) * _lower_factor(spec, n, "gamma_{n} denominator vanishes")
+    return CoefficientTriple(hi, mid, lo)
 
 
 def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
@@ -204,12 +223,12 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     hatted:  p_n       = a^ D p_{n+1} + b^ D p_n + c^ D p_{n-1}
 
     where D is d/dx (continuous) or the forward difference (discrete), and
-    D' p_n means p_n'' resp. Delta nabla p_n.  The values are obtained from
-    the recurrence/derivative-rule formulas through the substitution
-    d -> d + 2a (with the matching e) and exact elimination.  At n = 1 the
-    lo components multiply D p_0 = 0; the values reported there are the
-    closed forms in n (the ones the antiderivative tables print), not the
-    arbitrary convention 0.
+    D' p_n means p_n'' resp. Delta nabla p_n.  The starred triple is
+    ``starred_coeffs``; the primed and hatted ones follow from it and the
+    derivative rule by exact elimination.  At n = 1 the lo components
+    multiply D p_0 = 0; the values reported there are the closed forms in n
+    (the ones the antiderivative tables print), not the arbitrary
+    convention 0.
     """
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
@@ -218,26 +237,9 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 
 def _theorem1(spec: FamilySpec, n: int,
               rule: CoefficientTriple) -> dict[str, CoefficientTriple]:
-    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n).
-
-    The starred triple is the x p_n relation of the derived system at degree
-    n - 1, so its hi and mid are 1/A and -B/A of the derived recurrence.  Its
-    lo, C/A of that recurrence, is evaluated below in a form where the factor
-    n - 1 cancels, so that it is defined at n = 1 too.  Only A and B of the
-    derived system are needed; its C_{n-1} is never computed.
-    """
+    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n)."""
     a, b, c, d, e = spec.abcde()
-    derived = derived_system(spec)
-    head_A, head_B = _recurrence_ab(derived, n - 1)
-    # gamma*_n = -S'(n-1) (an + d' - 3a) n / D'(n-1) * k_n/k_{n-1}: the
-    # degree-index (n-1) pole of the raw quotient route cancels, leaving a
-    # form that is regular at n = 1.
-    den = _cn_denominator(derived, n - 1)
-    if den == 0:
-        raise AdmissibilityError(f"starred gamma*_{n} denominator vanishes")
-    star_lo = (-_sum_factor(derived, n - 1) * (a * n + derived.d - 3 * a) * n / den
-               * (spec.k(n) / spec.k(n - 1)))
-    starred = CoefficientTriple(1 / head_A, -head_B / head_A, star_lo)
+    starred = starred_coeffs(spec, n)
     alpha, beta, gamma = rule
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(alpha - 2 * a * starred.hi,

@@ -11,7 +11,7 @@ from opoly.cli import USAGE_ERROR, INADMISSIBLE, VERIFY_FAILED, parse_family, ru
 from opoly.connection import PARAMETER_DERIVATIVE_PAIRS
 from opoly.families import catalog
 from opoly.structure import CoefficientTriple, generate
-from opoly import diagnostics, structure
+from opoly import cli, diagnostics, structure
 
 
 def run_cli(capsys, *argv):
@@ -194,6 +194,18 @@ class TestExitCodes:
         assert not out
         assert err.startswith("opoly: ") and "tau must have degree exactly 1" in err
 
+    def test_connect_with_degenerate_derivative_system(self, capsys):
+        # d + 2a = 0: the derivatives' tau loses its degree, on either side of the pair
+        for kind in ("continuous", "discrete"):
+            sigma = f"raw:kind={kind},a=1,b=1/2,c=1/3"
+            degenerate, other = f"{sigma},d=-2,e=1/5,k=monic", f"{sigma},d=3,e=1,k=monic"
+            for src, dst in ((degenerate, other), (other, degenerate)):
+                code, out, err = run_cli(capsys, "connect", "--from", src, "--to", dst,
+                                         "--n", "4", "--method", "recurrence")
+                assert (code, out) == (INADMISSIBLE, ""), (src, dst)
+                assert err == ("opoly: inadmissible spec: "
+                               "tau must have degree exactly 1 (d != 0)\n")
+
     def test_zero_denominator_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "generate", "--family", "laguerre:alpha=1/0",
                                  "--n-max", "3")
@@ -264,6 +276,19 @@ class TestExitCodes:
         assert all(c["ok"] for c in data["checks"])
         assert {"check": "derivative-vs-oracle", "n": 3} in data["oracle_mismatches"]
         assert all(set(m) == {"check", "n"} for m in data["oracle_mismatches"])
+
+
+class TestParser:
+    def test_one_parser_serves_every_run(self, capsys, monkeypatch):
+        argvs = (("tabulate", "--family", "hermite", "--what", "bogus", "--n-max", "3"),
+                 ("verify", "--family", "laguerre:alpha=1/2", "--n-max", "4",
+                  "--skip-crosschecks"),
+                 ("tabulate", "--family", "hermite", "--what", "recurrence", "--n-max", "3"))
+        shared = [run_cli(capsys, *argv) for argv in argvs]
+        assert [code for code, _, _ in shared] == [USAGE_ERROR, 0, 0]
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)  # a fresh parser per run
+        assert [run_cli(capsys, *argv) for argv in argvs] == shared
 
 
 class TestConnectCommand:

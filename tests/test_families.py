@@ -15,7 +15,7 @@ from opoly.families import (
     spec_to_json,
 )
 from opoly.cli import run
-from opoly.structure import admissibility, derived_system, generate
+from opoly.structure import admissibility, generate
 
 from conftest import FAMILY_POINTS, iter_specs
 
@@ -138,11 +138,9 @@ class TestLeadingMemo:
     def test_wrapped_rules_read_the_base_values(self):
         alpha, beta = F(1, 2), F(-1, 3)
         spec = catalog("jacobi", alpha=alpha, beta=beta)
-        derived = derived_system(spec)
         shifted = affine_transform(spec, F(-1, 2), F(1, 2))
         for _ in range(2):
             for n in range(30):
-                assert derived.k(n) == (n + 1) * _jacobi_k(alpha, beta, n + 1)
                 assert shifted.k(n) == _jacobi_k(alpha, beta, n) * F(-2) ** n
 
 
@@ -198,6 +196,19 @@ class TestAdmissibility:
         assert message.startswith("C_1 denominator vanishes")
         assert run(["generate", "--family", "jacobi:alpha=-1/2,beta=-1/2", "--n-max", "4"]) == 2
         assert message in capsys.readouterr().err
+
+    def test_derivative_system_degenerates_where_d_plus_2a_vanishes(self):
+        # the derivatives satisfy an equation with tau = (d + 2a) x + e', which
+        # loses its degree here; the derivative rule fails first at n = 1, 2
+        for kind in ("continuous", "discrete"):
+            spec = FamilySpec(kind, 1, F(1, 2), F(1, 3), -2, F(1, 5), MONIC, "raw")
+            failures = admissibility(spec, 5, ("theorem1",)).failures
+            assert failures == (
+                ("theorem1", 1, "beta_1 denominator vanishes"),
+                ("theorem1", 2, "beta_2 denominator vanishes"),
+                *(("theorem1", n, "tau must have degree exactly 1 (d != 0)")
+                  for n in (3, 4, 5)),
+            ), kind
 
     def test_standardization_pole_reported(self):
         # Hahn-Q k_n divides by (-N)_n, which vanishes for n > N

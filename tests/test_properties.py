@@ -9,21 +9,39 @@ from hypothesis import given, settings, strategies as st
 
 from opoly.algebra import expand_over
 from opoly.cli import TABLE_KINDS, run
-from opoly.connection import PARAMETER_DERIVATIVE_PAIRS
+from opoly.connection import (
+    PARAMETER_DERIVATIVE_PAIRS,
+    ConnectionRow,
+    UnsupportedConnection,
+    connect_oracle,
+    connect_recurrence,
+)
 from opoly.diagnostics import structure_mismatches
 from opoly.families import CATALOG_NAMES, MONIC, AdmissibilityError, FamilySpec, catalog_params
-from opoly.structure import admissibility, generate, oracle_basis
+from opoly.structure import admissibility, generate, oracle_basis, solve_equation
 
 small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
 
-raw_specs = st.builds(FamilySpec, st.sampled_from(("continuous", "discrete")),
-                      small_rationals, small_rationals, small_rationals,
-                      nonzero_rationals, small_rationals, st.just(MONIC), st.just("raw"))
+
+@st.composite
+def tau_slope(draw, a):
+    """d != 0; for a != 0, about a third of the draws put d on -4a..3a, where
+    the removable 0/0s of the formulas and the degenerate d + 2a = 0 lie."""
+    if a != 0 and draw(st.integers(0, 2)) == 0:
+        return a * draw(st.sampled_from((-4, -3, -2, -1, 1, 2, 3)))
+    return draw(nonzero_rationals)
+
+
+@st.composite
+def raw_specs(draw):
+    a, b, c, e = (draw(small_rationals) for _ in range(4))
+    kind = draw(st.sampled_from(("continuous", "discrete")))
+    return FamilySpec(kind, a, b, c, draw(tau_slope(a)), e, MONIC, "raw")
 
 
 @settings(derandomize=True, database=None, deadline=None)
-@given(spec=raw_specs, n_max=st.integers(0, 6), data=st.data())
+@given(spec=raw_specs(), n_max=st.integers(0, 6), data=st.data())
 def test_raw_spec_formulas_and_oracles_agree(spec, n_max, data):
     # generate fails exactly where admissibility's recurrence group does
     expected_ok = admissibility(spec, max(n_max - 1, 0), ("recurrence",)).ok
@@ -44,6 +62,32 @@ def test_raw_spec_formulas_and_oracles_agree(spec, n_max, data):
     # where every formula is defined, each explicit triple equals the oracle's
     if admissibility(spec, n_max + 1).ok:
         assert structure_mismatches(spec, oracle_basis(spec, n_max + 1), n_max) == []
+
+
+@st.composite
+def raw_pairs(draw):
+    """Monic raw pairs for the recurrence route: a shared sigma (both kinds)
+    or, discrete only, a shared sigma + tau."""
+    p = draw(raw_specs())
+    d, e = draw(tau_slope(p.a)), draw(small_rationals)
+    if p.kind == "discrete" and draw(st.booleans()):  # q.b + q.d = p.b + p.d, same for c, e
+        return p, FamilySpec(p.kind, p.a, p.b + p.d - d, p.c + p.e - e, d, e, MONIC, "raw")
+    return p, FamilySpec(p.kind, p.a, p.b, p.c, d, e, MONIC, "raw")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=raw_pairs(), n=st.integers(1, 5))
+def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
+    p, q = pair
+    try:
+        row = connect_recurrence(p, q, n)
+    except (AdmissibilityError, UnsupportedConnection):
+        return
+    try:
+        want = connect_oracle(p, q, n)
+    except AdmissibilityError:  # generate(p) meets a removable 0/0 below degree n
+        want = ConnectionRow(n, tuple(expand_over(solve_equation(p, n), generate(q, n))))
+    assert row == want
 
 
 # --- CLI contract: exit codes 0-3 and a message, never a traceback -----------
