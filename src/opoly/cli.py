@@ -45,18 +45,24 @@ class UsageError(ValueError):
     pass
 
 
+def _key_values(items: str, text: str) -> dict[str, str]:
+    """``key=value,...`` as a dict; a malformed or repeated item is named
+    in a usage error that quotes ``text``."""
+    pairs: dict[str, str] = {}
+    for item in items.split(","):
+        key, sep, value = item.partition("=")
+        if not sep or not key or not value:
+            raise UsageError(f"malformed parameter {item!r} in {text!r}")
+        if key in pairs:
+            raise UsageError(f"duplicate parameter {key!r} in {text!r}")
+        pairs[key] = value
+    return pairs
+
+
 def parse_family(text: str) -> FamilySpec:
     """Parse ``name[:key=p/q,...]`` or ``raw:kind=...,a=...,...,k=monic``."""
     name, _, rest = text.partition(":")
-    pairs: dict[str, str] = {}
-    if rest:
-        for item in rest.split(","):
-            key, sep, value = item.partition("=")
-            if not sep or not key or not value:
-                raise UsageError(f"malformed parameter {item!r} in {text!r}")
-            if key in pairs:
-                raise UsageError(f"duplicate parameter {key!r} in {text!r}")
-            pairs[key] = value
+    pairs = _key_values(rest, text) if rest else {}
     if name == "raw":
         wanted = {"kind", "a", "b", "c", "d", "e", "k"}
         if set(pairs) != wanted:
@@ -242,13 +248,11 @@ def cmd_connect(args) -> tuple[str, int]:
 
 
 def cmd_param_deriv(args) -> tuple[str, int]:
+    pairs = _key_values(args.at, args.at)
     try:
-        pairs = [item.split("=", 1) for item in args.at.split(",")]
-        at = {key: parse_rational(value) for key, value in pairs}
+        at = {key: parse_rational(value) for key, value in pairs.items()}
     except ValueError as exc:
         raise UsageError(f"bad --at value: {exc}") from exc
-    if len(at) != len(pairs):
-        raise UsageError(f"duplicate parameter in --at {args.at!r}")
     try:
         row = conn.parameter_derivative(args.family, args.param, args.n, at)
     except KeyError as exc:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -36,7 +35,6 @@ from .algebra import (
 )
 from .families import DISCRETE, AdmissibilityError, FamilySpec, catalog, catalog_params
 from .structure import (
-    CoefficientTriple,
     delta_rule_coeffs,
     derivative_rule_coeffs,
     generate,
@@ -100,78 +98,6 @@ def connect_oracle(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
 # Cross-rule recurrence route
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CrossRule:
-    """X C_m(n+1) + Y C_m(n) + Z C_m(n-1) = U C_{m-1}(n) + V C_m(n) + W C_{m+1}(n)
-
-    with (U, V, W) = (g(m-1).hi, g(m).mid, g(m+1).lo) for a Q-side triple
-    provider g; X, Y, Z depend on n only.
-    """
-
-    x: FieldElement
-    y: FieldElement
-    z: FieldElement
-    q_triple: Callable[[int], CoefficientTriple]
-
-
-def _zero_at_origin(fn: Callable[[int], CoefficientTriple]) -> Callable[[int], CoefficientTriple]:
-    zero = CoefficientTriple(Fraction(0), Fraction(0), Fraction(0))
-
-    def wrapped(j: int) -> CoefficientTriple:
-        return zero if j < 1 else fn(j)
-
-    return wrapped
-
-
-def _connection_rules(p: FamilySpec, q: FamilySpec, n: int) -> list[CrossRule]:
-    mode = compat(p, q)
-    if mode == GENERAL:
-        raise UnsupportedConnection(
-            "recurrence route needs shared sigma (or shared sigma+tau, discrete); "
-            "use connect_oracle")
-    rules = [CrossRule(*xpn_coeffs(p, n), partial(xpn_coeffs, q))]
-    if n >= 1:
-        d_rule = derivative_rule_coeffs if mode == SAME_SIGMA else delta_rule_coeffs
-        for rule in (starred_coeffs, d_rule):
-            rules.append(CrossRule(*rule(p, n), _zero_at_origin(partial(rule, q))))
-    return rules
-
-
-def _eliminate(rules: list[CrossRule]) -> tuple[FieldElement, ...]:
-    """Kernel weights killing the C_m(n+1) and C_m(n-1) columns."""
-    (x1, x2, x3) = (rules[0].x, rules[1].x, rules[2].x)
-    (z1, z2, z3) = (rules[0].z, rules[1].z, rules[2].z)
-    mu = (x2 * z3 - x3 * z2, x3 * z1 - x1 * z3, x1 * z2 - x2 * z1)
-    if all(v == 0 for v in mu):
-        raise UnsupportedConnection("cross rules are degenerate for this pair")
-    return mu
-
-
-def recurrence_row(rules: list[CrossRule], n: int) -> ConnectionRow:
-    """Iterate the eliminated three-term m-recurrence downward from C_n(n) = 1.
-
-    Each rule's Q-side triple at index j is computed once, where it is first
-    read, so the first one that raises is the same as without the cache.
-    """
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    if n == 0:
-        return ConnectionRow(0, (Fraction(1),))
-    mu = _eliminate(rules)
-    y_total = sum((m_i * r.y for m_i, r in zip(mu, rules)), start=as_field(0))
-    q_triples = [cache(r.q_triple) for r in rules]
-    for m in range(n - 1, -1, -1):
-        # the eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}
-        j = m + 1
-        u = sum((m_i * g(j - 1).hi for m_i, g in zip(mu, q_triples)), start=as_field(0))
-        v = sum((m_i * g(j).mid for m_i, g in zip(mu, q_triples)), start=as_field(0))
-        w = sum((m_i * g(j + 1).lo for m_i, g in zip(mu, q_triples)), start=as_field(0))
-        if u == 0:
-            raise AdmissibilityError(f"vanishing leading multiplier at m={m}")
-        coeffs[m] = ((y_total - v) * coeffs[m + 1] - w * coeffs[m + 2]) / u
-    return ConnectionRow(n, tuple(coeffs[: n + 1]))
-
-
 def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
     """Theorem-2/3-style pure m-recurrence for monic pairs sharing sigma
     (continuous or discrete) or sigma + tau (discrete).
@@ -183,7 +109,52 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
     """
     if not (p.is_monic() and q.is_monic()):
         raise UnsupportedConnection("recurrence route is stated for monic systems")
-    return recurrence_row(_connection_rules(p, q, n), n)
+    mode = compat(p, q)
+    if mode == GENERAL:
+        raise UnsupportedConnection(
+            "recurrence route needs shared sigma (or shared sigma+tau, discrete); "
+            "use connect_oracle")
+    # Cross rule i, for the triple g_i (xpn, starred, then the D rule):
+    #   X C_m(n+1) + Y C_m(n) + Z C_m(n-1) = U C_{m-1}(n) + V C_m(n) + W C_{m+1}(n)
+    # with (X, Y, Z) = g_i(p, n) and (U, V, W) = (g_i(q, m-1).hi, g_i(q, m).mid,
+    # g_i(q, m+1).lo); the starred and D-rule terms vanish at index 0.
+    rules = [xpn_coeffs]
+    if n >= 1:
+        rules += [starred_coeffs,
+                  derivative_rule_coeffs if mode == SAME_SIGMA else delta_rule_coeffs]
+    p_side = [rule(p, n) for rule in rules]
+    if n == 0:
+        return ConnectionRow(0, (Fraction(1),))
+    # the cross product mu kills the C_m(n+1) and C_m(n-1) columns
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = p_side
+    mu = (x2 * z3 - x3 * z2, x3 * z1 - x1 * z3, x1 * z2 - x2 * z1)
+    if all(v == 0 for v in mu):
+        raise UnsupportedConnection("cross rules are degenerate for this pair")
+    y_total = mu[0] * y1 + mu[1] * y2 + mu[2] * y3
+
+    def weighted(j: int) -> list[FieldElement]:
+        """sum_i mu_i g_i(q, j), componentwise."""
+        total = [Fraction(0)] * 3
+        for mu_i, rule in zip(mu, rules if j >= 1 else rules[:1]):
+            total = [s + mu_i * t for s, t in zip(total, rule(q, j))]
+        return total
+
+    # Iterate the eliminated m-recurrence downward from C_n(n) = 1.  Each Q
+    # index is weighted once, in the order the rows read them: n - 1, n,
+    # n + 1, then downward, so the first triple that raises is the first read.
+    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
+    coeffs[n] = Fraction(1)
+    window = [weighted(n - 1), weighted(n), weighted(n + 1)]
+    for m in range(n - 1, -1, -1):
+        # the eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}
+        below, here, above = window
+        u, v, w = below[0], here[1], above[2]
+        if u == 0:
+            raise AdmissibilityError(f"vanishing leading multiplier at m={m}")
+        coeffs[m] = ((y_total - v) * coeffs[m + 1] - w * coeffs[m + 2]) / u
+        if m:
+            window = [weighted(m - 1), below, here]
+    return ConnectionRow(n, tuple(coeffs[: n + 1]))
 
 
 # ---------------------------------------------------------------------------
@@ -777,12 +748,12 @@ def parameter_derivative(family: str, param: str, n: int,
     wanted = catalog_params(family)
     if set(at) != set(wanted):
         raise ValueError(f"family {family!r} takes parameters {wanted}, got {sorted(at)}")
-    if n < 1:
-        return ConnectionRow(n, (Fraction(0),) * (n + 1))
     key = (family, param)
     if key not in _PDERIV:
         raise KeyError(f"no parameter-derivative formula for {key}; "
                        f"known: {PARAMETER_DERIVATIVE_PAIRS}")
+    if n < 1:
+        return ConnectionRow(n, (Fraction(0),) * (n + 1))
     try:
         values = _PDERIV[key](n, **{k: as_field(v) for k, v in at.items()})
     except ZeroDivisionError:

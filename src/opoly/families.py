@@ -14,6 +14,7 @@ parameter), which is how parameter derivatives are verified.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -38,29 +39,39 @@ class AdmissibilityError(ValueError):
     """A formula denominator (or k_n) vanishes for a requested n."""
 
 
+def per_degree(fn: Callable) -> Callable:
+    """Keep the value of ``fn(spec, n, ...)`` in ``spec``'s memo, under (fn, n).
+
+    Each per-degree value is then computed once per spec instance, however
+    many formulas read it.  A call that raises stores nothing and raises
+    again on the next call, with the message of that caller.  Arguments
+    after n are not part of the key: they may only shape the error raised.
+    """
+    @functools.wraps(fn)
+    def memoized(spec: "FamilySpec", n: int, *rest):
+        key = (fn, n)
+        value = spec._memo.get(key)
+        if value is None:
+            value = spec._memo[key] = fn(spec, n, *rest)
+        return value
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class LeadingRule:
     """Closed-form standardization n -> k_n, with a display label.
 
-    k_n is computed once per rule instance: ``__call__`` keeps every value
-    it returns in a memo on the instance, so the Pochhammer products of a
-    closed form are evaluated once per degree however often the formulas
-    read k_n.  A rule that raises (a vanishing denominator) is not
-    memoized and raises again on the next call.  The label is required:
-    equal labels make equal specs, so two rules with different k_n must
-    not share one.
+    The rule evaluates its closed form on every call; ``FamilySpec.k`` keeps
+    the values.  The label is required: equal labels make equal specs, so
+    two rules with different k_n must not share one.
     """
 
     fn: Callable[[int], FieldElement] = field(compare=False)
     label: str
-    _memo: dict[int, FieldElement] = field(default_factory=dict, init=False,
-                                           compare=False, repr=False)
 
     def __call__(self, n: int) -> FieldElement:
-        value = self._memo.get(n)
-        if value is None:
-            value = self._memo[n] = as_field(self.fn(n))
-        return value
+        return as_field(self.fn(n))
 
 
 MONIC = LeadingRule(lambda n: Fraction(1), "monic")
@@ -77,6 +88,9 @@ class FamilySpec:
     leading: LeadingRule = MONIC
     name: str = ""
     params: tuple[tuple[str, FieldElement], ...] = ()
+    # per-degree values of this instance (see ``per_degree``); equal specs
+    # do not share it
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
@@ -94,8 +108,10 @@ class FamilySpec:
     def tau(self) -> Polynomial:
         return Polynomial([self.e, self.d])
 
+    @per_degree
     def k(self, n: int) -> FieldElement:
-        """k_n; a zero value or a vanishing denominator of the rule is inadmissible."""
+        """k_n, computed once per degree on this spec; a zero value or a
+        vanishing denominator of the rule is inadmissible (and not kept)."""
         try:
             value = self.leading(n)
         except ZeroDivisionError:

@@ -16,9 +16,13 @@ Every triple is an exact rational expression in (a, b, c, d, e, n) and the
 standardization k_n.  Two brackets are written once and shared: the B
 bracket of the recurrence, which also gives the starred mid (evaluated on
 the derivatives' data (a, b, d + 2a, e') at degree n - 1), and the lower
-bracket Q_n behind C_n, gamma_n and the starred lo.  A formula raises
-AdmissibilityError where one of its denominators vanishes, and
-``admissibility`` evaluates the formulas to report those degrees.
+bracket Q_n behind C_n, gamma_n and the starred lo.  Q_n and the
+recurrence, xpn, derivative-rule and starred triples are kept in the
+spec's memo (``families.per_degree``), so each is computed once per spec
+and degree however many formulas or callers read it; the other triples
+are read off those.  A formula raises AdmissibilityError where one of its
+denominators vanishes (that is never memoized), and ``admissibility``
+evaluates the formulas to report those degrees.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -47,6 +51,7 @@ from .families import (
     FamilySpec,
     catalog,
     lambda_n,
+    per_degree,
 )
 from .series import series_polynomial
 
@@ -88,6 +93,7 @@ def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
             * (2 * a * n - 2 * a + d) ** 2)
 
 
+@per_degree
 def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
     """Q_n = n S(n) / D(n) * k_n / k_{n-1}, with S = ``_sum_factor`` and
     D = ``_cn_denominator``: the bracket every lower entry is written with,
@@ -97,7 +103,7 @@ def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
         lo*_n   = -(an + d - a) Q_n              (starred triple).
 
     Raises AdmissibilityError(failure), formatted with n and the spec's
-    name, where D(n) vanishes.
+    name, where D(n) vanishes; so each caller keeps its own message.
     """
     den = _cn_denominator(spec, n)
     if den == 0:
@@ -125,6 +131,7 @@ def _b_ratio(spec: FamilySpec, n: int, d: FieldElement, e: FieldElement) -> Fiel
     return num / den
 
 
+@per_degree
 def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
 
@@ -144,11 +151,13 @@ def _flip(t: CoefficientTriple) -> CoefficientTriple:
     return CoefficientTriple(1 / t.hi, -t.mid / t.hi, t.lo / t.hi)
 
 
+@per_degree
 def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(a_n, b_n, c_n) with x p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}."""
     return _flip(recurrence_coeffs(spec, n))
 
 
+@per_degree
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(alpha_n, beta_n, gamma_n) of the derivative rule
 
@@ -178,10 +187,7 @@ def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(S_n, T_n, R_n) with (sigma + tau) Delta p_n = S p_{n+1} + T p_n + R p_{n-1}."""
     if spec.kind != DISCRETE:
         raise ValueError("delta rule applies to discrete families")
-    return _delta_rule(spec, n, derivative_rule_coeffs(spec, n))
-
-
-def _delta_rule(spec: FamilySpec, n: int, rule: CoefficientTriple) -> CoefficientTriple:
+    rule = derivative_rule_coeffs(spec, n)
     return CoefficientTriple(rule.hi, rule.mid - lambda_n(spec, n), rule.lo)
 
 
@@ -189,6 +195,7 @@ def _delta_rule(spec: FamilySpec, n: int, rule: CoefficientTriple) -> Coefficien
 # Theorem-1 triples (starred / primed / hatted)
 # ---------------------------------------------------------------------------
 
+@per_degree
 def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(hi, mid, lo) with x D p_n = hi D p_{n+1} + mid D p_n + lo D p_{n-1}, n >= 1.
 
@@ -232,15 +239,9 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
-    return _theorem1(spec, n, derivative_rule_coeffs(spec, n))
-
-
-def _theorem1(spec: FamilySpec, n: int,
-              rule: CoefficientTriple) -> dict[str, CoefficientTriple]:
-    """``theorem1_coeffs`` from the derivative rule (alpha_n, beta_n, gamma_n)."""
+    alpha, beta, gamma = derivative_rule_coeffs(spec, n)
     a, b, c, d, e = spec.abcde()
     starred = starred_coeffs(spec, n)
-    alpha, beta, gamma = rule
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(alpha - 2 * a * starred.hi,
                                beta - 2 * a * starred.mid - sig_delta,
@@ -273,17 +274,18 @@ def antidifference(spec: FamilySpec, n: int) -> CoefficientTriple:
 
 
 def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
-    """Every explicit triple for degree n, under the keys of ``oracle_triples``;
-    the derivative rule is evaluated once, for the delta and Theorem-1 triples.
+    """Every explicit triple for degree n, under the keys of ``oracle_triples``.
+
+    The triples the others are read off come from the spec's memo, so a
+    second call for the same spec and n computes no bracket again.
     """
-    recurrence = recurrence_coeffs(spec, n)
-    out = {"xpn": _flip(recurrence), "recurrence": recurrence}
+    out = {"xpn": xpn_coeffs(spec, n), "recurrence": recurrence_coeffs(spec, n)}
     if n < 1:
         return out
-    rule = out["derivative"] = derivative_rule_coeffs(spec, n)
+    out["derivative"] = derivative_rule_coeffs(spec, n)
     if spec.kind == DISCRETE:
-        out["delta"] = _delta_rule(spec, n, rule)
-    out.update(_theorem1(spec, n, rule))
+        out["delta"] = delta_rule_coeffs(spec, n)
+    out.update(theorem1_coeffs(spec, n))
     return out
 
 

@@ -214,12 +214,14 @@ class TestExitCodes:
         assert err.startswith("opoly: ") and "Traceback" not in err
 
     def test_unknown_at_key_is_usage_error(self, capsys):
-        for at in ("beta=2", "alpha=2,beta=2", "alpha=2,alpha=3"):
+        for at in ("beta=2", "alpha=2,beta=2", "alpha=2,alpha=3", "alpha"):
             code, out, err = run_cli(capsys, "param-deriv", "--family", "laguerre",
                                      "--param", "alpha", "--n", "3", "--at", at)
             assert code == USAGE_ERROR, at
             assert not out
             assert err.startswith("opoly: ") and "Traceback" not in err
+        # a malformed item is named, as in --family
+        assert err == "opoly: malformed parameter 'alpha' in 'alpha'\n"
 
     def test_hahn_q_beyond_lattice_is_inadmissible(self, capsys):
         # k_n divides by (-N)_n, which vanishes for n > N
@@ -434,3 +436,15 @@ class TestParamDerivCommand:
         data = json.loads(out)
         assert data["matches_exact_derivative"] is True
         assert data["coeffs"] == {"0": "1/3", "1": "1/2", "2": "1", "3": "0"}
+
+    def test_parameter_without_formula_is_usage_error_at_every_n(self, capsys):
+        at = "alpha=1/2,beta=1/3,N=10"
+        for n in ("0", "1"):
+            code, out, err = run_cli(capsys, "param-deriv", "--family", "hahn",
+                                     "--param", "N", "--n", n, "--at", at)
+            assert (code, out) == (USAGE_ERROR, ""), n
+            assert "no parameter-derivative formula for ('hahn', 'N')" in err, n
+        # a pair with a formula still gives the zero row at n = 0
+        code, out, _ = run_cli(capsys, "param-deriv", "--family", "hahn",
+                               "--param", "alpha", "--n", "0", "--at", at)
+        assert code == 0 and json.loads(out)["coeffs"] == {"0": "0"}

@@ -106,7 +106,7 @@ def _jacobi_k(alpha, beta, n):
 
 
 class TestLeadingMemo:
-    """k_n is memoized on the rule instance; every read gives the closed form."""
+    """k_n is memoized on the spec instance; every read gives the closed form."""
 
     def test_repeated_reads_match_a_fresh_spec(self):
         for name, points in FAMILY_POINTS.items():

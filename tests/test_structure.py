@@ -2,19 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from opoly import structure
 from opoly.algebra import Polynomial
-from opoly.families import catalog
+from opoly.connection import connect_oracle, connect_recurrence
+from opoly.families import AdmissibilityError, FamilySpec, LeadingRule, catalog
 from opoly.structure import (
     antiderivative,
     antidifference,
     binomial_partial_sum,
     delta_rule_coeffs,
     derivative_rule_coeffs,
+    formula_triples,
     generate,
     oracle_basis,
     oracle_triples,
     recurrence_coeffs,
     solve_equation,
+    starred_coeffs,
     theorem1_coeffs,
     verify_structure,
 )
@@ -146,6 +150,65 @@ class TestTheorem1:
             lhs = polys[n].derivative()
             rhs = second[n + 1].scale(hat.hi) + second[n].scale(hat.mid) + second[n - 1].scale(hat.lo)
             assert lhs == rhs
+
+
+class TestPerDegreeMemo:
+    """k_n, Q_n and the base triples are kept per spec instance; failures are not."""
+
+    @staticmethod
+    def _count_sum_factor(monkeypatch):
+        calls = []
+        original = structure._sum_factor
+
+        def counted(spec, n):
+            calls.append((id(spec), n))
+            return original(spec, n)
+
+        monkeypatch.setattr(structure, "_sum_factor", counted)
+        return calls
+
+    def test_connection_row_evaluates_each_bracket_once(self, monkeypatch):
+        calls = self._count_sum_factor(monkeypatch)
+        p = catalog("jacobi-monic", alpha=F(1, 2), beta=F(1, 3))
+        q = catalog("jacobi-monic", alpha=F(2), beta=F(1, 3))
+        row = connect_recurrence(p, q, 16)
+        # Q_16 on the P side, Q_1 .. Q_17 on the Q side
+        assert sorted(calls) == sorted([(id(p), 16)] + [(id(q), j) for j in range(1, 18)])
+        assert row.coeffs == connect_oracle(p, q, 16).coeffs
+
+    def test_repeated_formula_triples_evaluate_each_bracket_once(self, monkeypatch):
+        calls = self._count_sum_factor(monkeypatch)
+        spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
+        first = [formula_triples(spec, n) for n in range(1, 9)]
+        again = [formula_triples(spec, n) for n in range(1, 9)]
+        assert first == again
+        assert calls == [(id(spec), n) for n in range(1, 9)]
+
+    def test_failures_raise_their_own_message_on_every_call(self):
+        # Chebyshev T: alpha + beta = -1 makes the lower bracket 0/0 at n = 1
+        messages = {recurrence_coeffs: "C_1 denominator vanishes for jacobi",
+                    derivative_rule_coeffs: "gamma_1 denominator vanishes",
+                    starred_coeffs: "gamma_1 denominator vanishes",
+                    theorem1_coeffs: "gamma_1 denominator vanishes"}
+        for order in (list(messages), list(reversed(messages))):
+            spec = catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2))
+            for _ in range(2):
+                for formula in order:
+                    with pytest.raises(AdmissibilityError) as exc:
+                        formula(spec, 1)
+                    assert str(exc.value) == messages[formula]
+
+    def test_equal_specs_keep_their_own_values(self):
+        def spec(base):
+            return FamilySpec("continuous", 0, 0, 1, -2, 0,
+                              LeadingRule(lambda n: F(base) ** n, "same label"), "x")
+
+        doubling, tripling = spec(2), spec(3)
+        assert doubling == tripling and hash(doubling) == hash(tripling)
+        assert (doubling.k(3), tripling.k(3), doubling.k(3)) == (8, 27, 8)
+        got = [recurrence_coeffs(s, 3) for s in (doubling, tripling, doubling)]
+        assert got == [recurrence_coeffs(spec(base), 3) for base in (2, 3, 2)]
+        assert (got[0].hi, got[1].hi) == (2, 3)
 
 
 class TestGenerate:
