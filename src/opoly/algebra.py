@@ -54,6 +54,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_field(value: FieldElement) -> str:
+    """``format_rational`` for a rational, the repr of any other field element."""
+    if isinstance(value, (int, Fraction)):
+        return format_rational(value)
+    return repr(value)
+
+
 def pochhammer(a: FieldElement, k: int) -> FieldElement:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
     if k < 0:

@@ -160,8 +160,8 @@ def cmd_verify(args) -> tuple[str, int]:
     relations = tuple(r for r in relations if r != "delta_rule" or spec.kind == "discrete")
     try:
         report = structure.verify_structure(spec, args.n_max, relations)
-    except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        raise UsageError(exc.args[0]) from exc
     mismatches = []
     if not args.skip_crosschecks:
         # equation solver and series round-trip against generate's p_n, then
@@ -256,7 +256,7 @@ def cmd_param_deriv(args) -> tuple[str, int]:
     try:
         row = conn.parameter_derivative(args.family, args.param, args.n, at)
     except KeyError as exc:
-        raise UsageError(str(exc)) from exc
+        raise UsageError(exc.args[0]) from exc
     oracle = conn.exact_parameter_derivative(args.family, args.param, args.n, at)
     payload = {"family": args.family, "param": args.param, "at": {k: format_rational(v) for k, v in at.items()},
                "matches_exact_derivative": row.coeffs == oracle.coeffs,
@@ -357,8 +357,11 @@ def run(argv: list[str]) -> int:
     except AdmissibilityError as exc:
         print(f"opoly: inadmissible spec: {exc}", file=sys.stderr)
         return INADMISSIBLE
-    except (UsageError, ValueError, KeyError) as exc:
+    except (UsageError, ValueError) as exc:
         print(f"opoly: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except KeyError as exc:
+        print(f"opoly: {exc.args[0]}", file=sys.stderr)
         return USAGE_ERROR
     sys.stdout.write(output)
     return code

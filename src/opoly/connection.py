@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from typing import Callable, Mapping
 
 from .algebra import (
@@ -34,6 +35,7 @@ from .algebra import (
     pochhammer,
 )
 from .families import DISCRETE, AdmissibilityError, FamilySpec, catalog, catalog_params
+from .series import descend
 from .structure import (
     delta_rule_coeffs,
     derivative_rule_coeffs,
@@ -132,6 +134,7 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
         raise UnsupportedConnection("cross rules are degenerate for this pair")
     y_total = mu[0] * y1 + mu[1] * y2 + mu[2] * y3
 
+    @cache
     def weighted(j: int) -> list[FieldElement]:
         """sum_i mu_i g_i(q, j), componentwise."""
         total = [Fraction(0)] * 3
@@ -139,22 +142,15 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
             total = [s + mu_i * t for s, t in zip(total, rule(q, j))]
         return total
 
-    # Iterate the eliminated m-recurrence downward from C_n(n) = 1.  Each Q
-    # index is weighted once, in the order the rows read them: n - 1, n,
-    # n + 1, then downward, so the first triple that raises is the first read.
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    window = [weighted(n - 1), weighted(n), weighted(n + 1)]
-    for m in range(n - 1, -1, -1):
-        # the eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}
-        below, here, above = window
-        u, v, w = below[0], here[1], above[2]
-        if u == 0:
-            raise AdmissibilityError(f"vanishing leading multiplier at m={m}")
-        coeffs[m] = ((y_total - v) * coeffs[m + 1] - w * coeffs[m + 2]) / u
-        if m:
-            window = [weighted(m - 1), below, here]
-    return ConnectionRow(n, tuple(coeffs[: n + 1]))
+    # The eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}; solve
+    # it downward from C_n(n) = 1.  Each Q index is weighted once, in the
+    # order the multipliers read them: n - 1, n, n + 1, then downward, so the
+    # first triple that raises is the first read.
+    coeffs = descend(n, Fraction(1), "vanishing leading multiplier at m={m}",
+                     lambda m: weighted(m)[0],
+                     lambda m: weighted(m + 1)[1] - y_total,
+                     lambda m: weighted(m + 2)[2])
+    return ConnectionRow(n, tuple(coeffs))
 
 
 # ---------------------------------------------------------------------------

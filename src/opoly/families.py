@@ -26,7 +26,7 @@ from .algebra import (
     Polynomial,
     as_field,
     factorial,
-    format_rational,
+    format_field,
     parse_rational,
     pochhammer,
 )
@@ -182,7 +182,7 @@ def affine_transform(spec: FamilySpec, scale: FieldElement, offset: FieldElement
     def k(n: int, base=base, s=s):
         return base(n) / s ** n
 
-    label = f"({base.label})/scale^n, scale={_field_to_str(s)}, offset={_field_to_str(t)}"
+    label = f"({base.label})/scale^n, scale={format_field(s)}, offset={format_field(t)}"
     return FamilySpec(CONTINUOUS, a, new_b, new_c, d, new_e,
                       LeadingRule(k, label), f"{spec.name}@affine", spec.params)
 
@@ -319,7 +319,7 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
     if missing or extra:
         raise ValueError(f"family {base!r} takes parameters {wanted}, got {sorted(given)}")
     args = [as_field(given[p]) for p in wanted]
-    point = ",".join(f"{k}={_field_to_str(v)}" for k, v in given.items())
+    point = ",".join(f"{k}={format_field(v)}" for k, v in given.items())
     try:
         spec = builder(*args)
     except ZeroDivisionError:
@@ -338,23 +338,17 @@ def catalog(name: str, params: Mapping[str, FieldElement] | None = None,
 # JSON form
 # ---------------------------------------------------------------------------
 
-def _field_to_str(value: FieldElement) -> str:
-    if isinstance(value, (int, Fraction)):
-        return format_rational(value)
-    return repr(value)
-
-
 def spec_to_json(spec: FamilySpec) -> dict:
     return {
         "kind": spec.kind,
-        "a": _field_to_str(spec.a),
-        "b": _field_to_str(spec.b),
-        "c": _field_to_str(spec.c),
-        "d": _field_to_str(spec.d),
-        "e": _field_to_str(spec.e),
+        "a": format_field(spec.a),
+        "b": format_field(spec.b),
+        "c": format_field(spec.c),
+        "d": format_field(spec.d),
+        "e": format_field(spec.e),
         "k": spec.leading.label if not spec.name else (
             "monic" if spec.is_monic() else spec.name),
-        "params": {key: _field_to_str(val) for key, val in spec.params},
+        "params": {key: format_field(val) for key, val in spec.params},
     }
 
 

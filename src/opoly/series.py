@@ -10,6 +10,15 @@ sum, which ``closed_form`` returns as a structured descriptor.
 Inverse problem: expand x^n (or x^(falling n)) over a family basis; the
 coefficients again satisfy two- or three-term recurrences in m, seeded with
 C_n(n) = 1/k_n.
+
+Every such index recurrence is solved by one function, ``descend``.  A
+route passes its printed multipliers as written, in the convention
+
+    lead(m) C_m + mid(m) C_{m+1} + top(m) C_{m+2} = 0,
+
+so C_m = -(mid(m) C_{m+1} + top(m) C_{m+2}) / lead(m) and the code reads
+like the equation in its docstring.  ``connection.connect_recurrence``
+solves its eliminated m-recurrence with the same function.
 """
 
 from __future__ import annotations
@@ -24,9 +33,9 @@ from .algebra import (
     MONOMIAL,
     FieldElement,
     Polynomial,
-    RationalFunction,
     as_field,
     factorial,
+    format_field,
     format_rational,
     pochhammer,
 )
@@ -58,6 +67,35 @@ class SeriesCoefficients:
 
 
 # ---------------------------------------------------------------------------
+# The downward solver
+# ---------------------------------------------------------------------------
+
+SERIES_FAILURE = "series multiplier vanishes at m={m}"
+INVERSE_FAILURE = "inverse-series multiplier vanishes at m={m}"
+
+
+def descend(n: int, seed: FieldElement, failure: str,
+            lead: Callable[[int], FieldElement], mid: Callable[[int], FieldElement],
+            top: Callable[[int], FieldElement] | None = None) -> list[FieldElement]:
+    """[C_0, ..., C_n] from lead(m) C_m + mid(m) C_{m+1} + top(m) C_{m+2} = 0.
+
+    Iterated down from C_n = seed, C_{n+1} = 0; a two-term recurrence has no
+    ``top``.  All multipliers at m are read before lead(m) is tested, and a
+    vanishing lead(m) raises ``AdmissibilityError(failure.format(m=m))``.
+    """
+    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
+    coeffs[n] = seed
+    for m in range(n - 1, -1, -1):
+        u, rest = lead(m), mid(m) * coeffs[m + 1]
+        if top is not None:
+            rest = rest + top(m) * coeffs[m + 2]
+        if u == 0:
+            raise AdmissibilityError(failure.format(m=m))
+        coeffs[m] = -rest / u
+    return coeffs[: n + 1]
+
+
+# ---------------------------------------------------------------------------
 # Forward series coefficients
 # ---------------------------------------------------------------------------
 
@@ -72,15 +110,11 @@ def power_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
     if spec.kind != CONTINUOUS:
         raise ValueError("power_coeffs needs a continuous family")
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = spec.k(n)
-    for m in range(n - 1, -1, -1):
-        lead = (m - n) * (a * (n + m - 1) + d)
-        if lead == 0:
-            raise AdmissibilityError(f"series multiplier vanishes at m={m}")
-        rhs = (m + 1) * (b * m + e) * coeffs[m + 1] + c * (m + 1) * (m + 2) * coeffs[m + 2]
-        coeffs[m] = -rhs / lead
-    return SeriesCoefficients(n, MONOMIAL, tuple(coeffs[: n + 1]))
+    coeffs = descend(n, spec.k(n), SERIES_FAILURE,
+                     lambda m: (m - n) * (a * (n + m - 1) + d),
+                     lambda m: (m + 1) * (b * m + e),
+                     lambda m: c * (m + 1) * (m + 2))
+    return SeriesCoefficients(n, MONOMIAL, tuple(coeffs))
 
 
 def falling_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
@@ -104,13 +138,9 @@ def falling_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
     a, b, c, d, e = spec.abcde()
     if c != 0:
         return falling_coeffs_three_term(spec, n)
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 1)
-    coeffs[n] = spec.k(n)
-    for m in range(n - 1, -1, -1):
-        lead = (a * (n + m - 1) + d) * (n - m)
-        if lead == 0:
-            raise AdmissibilityError(f"series multiplier vanishes at m={m}")
-        coeffs[m] = (m + 1) * (a * m * m + (b + d) * m + e) * coeffs[m + 1] / lead
+    coeffs = descend(n, spec.k(n), SERIES_FAILURE,
+                     lambda m: (a * (n + m - 1) + d) * (n - m),
+                     lambda m: -(m + 1) * (a * m * m + (b + d) * m + e))
     return SeriesCoefficients(n, FALLING, tuple(coeffs))
 
 
@@ -118,18 +148,13 @@ def falling_coeffs_three_term(spec: FamilySpec, n: int) -> SeriesCoefficients:
     """The general three-term route of ``falling_coeffs``, also run when c = 0
     (to cross-check the two-term route)."""
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = spec.k(n)
-    for m in range(n - 1, -1, -1):
-        lead = (a * (n + m - 1) + d) * (n - m)
-        if lead == 0:
-            raise AdmissibilityError(f"series multiplier vanishes at m={m}")
-        rhs = ((m + 1) * (a * n * n - 2 * a * m * m - a * n - a * m + n * d
-                          - 2 * d * m - b * m - d - e) * coeffs[m + 1]
-               - (m + 1) * (m + 2) * (a * m * m + 2 * a * m + d * m + b * m
-                                      + a + d + b + c + e) * coeffs[m + 2])
-        coeffs[m] = -rhs / lead
-    return SeriesCoefficients(n, FALLING, tuple(coeffs[: n + 1]))
+    coeffs = descend(n, spec.k(n), SERIES_FAILURE,
+                     lambda m: (a * (n + m - 1) + d) * (n - m),
+                     lambda m: (m + 1) * (a * n * n - 2 * a * m * m - a * n - a * m + n * d
+                                          - 2 * d * m - b * m - d - e),
+                     lambda m: -(m + 1) * (m + 2) * (a * m * m + 2 * a * m + d * m + b * m
+                                                     + a + d + b + c + e))
+    return SeriesCoefficients(n, FALLING, tuple(coeffs))
 
 
 def series_polynomial(spec: FamilySpec, n: int) -> Polynomial:
@@ -161,27 +186,13 @@ class Entry:
             return "-x"
         coef, const = as_field(self.coef), as_field(self.const)
         if coef == 0:
-            return _fmt(const)
-        part = "n" if coef == 1 else ("-n" if coef == -1 else f"{_fmt(coef)}*n")
+            return format_field(const)
+        part = "n" if coef == 1 else ("-n" if coef == -1 else f"{format_field(coef)}*n")
         if const == 0:
             return part
-        return f"{part}{'+' if _positive(const) else '-'}{_fmt(abs_field(const))}"
-
-
-def _fmt(value: FieldElement) -> str:
-    if isinstance(value, RationalFunction):
-        return repr(value)
-    return format_rational(value)
-
-
-def _positive(value: FieldElement) -> bool:
-    return isinstance(value, Fraction) and value > 0
-
-
-def abs_field(value: FieldElement) -> FieldElement:
-    if isinstance(value, Fraction) and value < 0:
-        return -value
-    return value
+        if not isinstance(const, Fraction):  # no sign to pull out
+            return f"{part}+({format_field(const)})"
+        return f"{part}{'+' if const > 0 else '-'}{format_rational(abs(const))}"
 
 
 @dataclass(frozen=True)
@@ -365,8 +376,8 @@ def closed_form(spec: FamilySpec) -> HypergeometricDescriptor:
 
 
 def descriptor_to_json(desc: HypergeometricDescriptor, n: int | None = None) -> dict:
-    arg: dict = {"kind": desc.argument.kind, "scale": _fmt(as_field(desc.argument.scale)),
-                 "offset": _fmt(as_field(desc.argument.offset))}
+    arg: dict = {"kind": desc.argument.kind, "scale": format_field(desc.argument.scale),
+                 "offset": format_field(desc.argument.offset)}
     if desc.argument.kind == "reciprocal":
         arg["power"] = desc.argument.power
     return {
@@ -374,7 +385,7 @@ def descriptor_to_json(desc: HypergeometricDescriptor, n: int | None = None) -> 
         "lower": [e.render() for e in desc.lower],
         "argument": arg,
         "step": desc.step,
-        "prefactor": (_fmt(as_field(desc.prefactor(n))) if n is not None
+        "prefactor": (format_field(desc.prefactor(n)) if n is not None
                       else desc.prefactor_label),
     }
 
@@ -408,14 +419,9 @@ def power_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
 def _power_in_monic_two_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     # (n-m)(d+2am)(d+a+2am) C_m + (m+1)(bm+e)(am+na+d) C_{m+1} = 0
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    for m in range(n - 1, -1, -1):
-        lead = (n - m) * (d + 2 * a * m) * (d + a + 2 * a * m)
-        if lead == 0:
-            raise AdmissibilityError(f"inverse-series multiplier vanishes at m={m}")
-        coeffs[m] = -(m + 1) * (b * m + e) * (a * m + n * a + d) * coeffs[m + 1] / lead
-    return coeffs[: n + 1]
+    return descend(n, Fraction(1), INVERSE_FAILURE,
+                   lambda m: (n - m) * (d + 2 * a * m) * (d + a + 2 * a * m),
+                   lambda m: (m + 1) * (b * m + e) * (a * m + n * a + d))
 
 
 def _power_in_monic_closed(spec: FamilySpec, n: int) -> list[FieldElement]:
@@ -442,24 +448,19 @@ def _power_in_monic_three_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     #      - ae^2 - d^2 c + bed - 4a^2 c - 4acd + ab^2 + b^2 d)
     #     * (am+an+a+d)(m+1)(d+2am) C_{m+2} = 0
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    for m in range(n - 1, -1, -1):
-        lead = ((n - m) * (d + 2 * a * m) * (d + 3 * a + 2 * a * m)
-                * (d + a + 2 * a * m) * (d + 2 * a * m + 2 * a) ** 2)
-        if lead == 0:
-            raise AdmissibilityError(f"inverse-series multiplier vanishes at m={m}")
-        t1 = ((d * e + b * d + 2 * d * b * m + 2 * a * m * m * b + 2 * a * m * b
-               + 2 * e * a * n - d * b * n)
-              * (d + 2 * a * m + 2 * a) * (m + 1) * (d + 3 * a + 2 * a * m)
-              * (d + a + 2 * a * m)) * coeffs[m + 1]
-        t2 = ((m + 2) * (-4 * a * a * c * m * m + a * b * b * m * m + 2 * a * b * b * m
-                         - 4 * a * c * m * d - 8 * a * a * c * m + m * b * b * d
-                         - a * e * e - d * d * c + b * e * d - 4 * a * a * c
-                         - 4 * a * c * d + a * b * b + b * b * d)
-              * (a * m + a * n + a + d) * (m + 1) * (d + 2 * a * m)) * coeffs[m + 2]
-        coeffs[m] = -(t1 - t2) / lead
-    return coeffs[: n + 1]
+    return descend(n, Fraction(1), INVERSE_FAILURE,
+                   lambda m: ((n - m) * (d + 2 * a * m) * (d + 3 * a + 2 * a * m)
+                              * (d + a + 2 * a * m) * (d + 2 * a * m + 2 * a) ** 2),
+                   lambda m: ((d * e + b * d + 2 * d * b * m + 2 * a * m * m * b + 2 * a * m * b
+                               + 2 * e * a * n - d * b * n)
+                              * (d + 2 * a * m + 2 * a) * (m + 1) * (d + 3 * a + 2 * a * m)
+                              * (d + a + 2 * a * m)),
+                   lambda m: -((m + 2) * (-4 * a * a * c * m * m + a * b * b * m * m
+                                          + 2 * a * b * b * m - 4 * a * c * m * d
+                                          - 8 * a * a * c * m + m * b * b * d
+                                          - a * e * e - d * d * c + b * e * d - 4 * a * a * c
+                                          - 4 * a * c * d + a * b * b + b * b * d)
+                               * (a * m + a * n + a + d) * (m + 1) * (d + 2 * a * m)))
 
 
 def falling_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
@@ -477,15 +478,9 @@ def falling_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
 def _falling_in_monic_two_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     # (d+a+2am)(d+2am)(m-n) C_m - (an+d+am)(m+1)(am^2 + m(b+d) + e) C_{m+1} = 0
     a, b, c, d, e = spec.abcde()
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    for m in range(n - 1, -1, -1):
-        lead = (d + a + 2 * a * m) * (d + 2 * a * m) * (m - n)
-        if lead == 0:
-            raise AdmissibilityError(f"inverse-series multiplier vanishes at m={m}")
-        coeffs[m] = ((a * n + d + a * m) * (m + 1)
-                     * (a * m * m + m * (b + d) + e)) * coeffs[m + 1] / lead
-    return coeffs[: n + 1]
+    return descend(n, Fraction(1), INVERSE_FAILURE,
+                   lambda m: (d + a + 2 * a * m) * (d + 2 * a * m) * (m - n),
+                   lambda m: -(a * n + d + a * m) * (m + 1) * (a * m * m + m * (b + d) + e))
 
 
 def _falling_in_monic_three_term(spec: FamilySpec, n: int) -> list[FieldElement]:
@@ -513,16 +508,10 @@ def _falling_in_monic_three_term(spec: FamilySpec, n: int) -> list[FieldElement]
                 - a * d * b + 4 * a * d * c + 2 * a * d * e - a * b * b + a * e * e
                 - d * d * b + d * d * c - d * b * b - d * b * e)
 
-    coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
-    coeffs[n] = Fraction(1)
-    for m in range(n - 1, -1, -1):
-        lead = ((2 * m * a + a + d) * (2 * m * a + 3 * a + d)
-                * (2 * m * a + 2 * a + d) ** 2 * (2 * m * a + d) * (n - m))
-        if lead == 0:
-            raise AdmissibilityError(f"inverse-series multiplier vanishes at m={m}")
-        t1 = ((2 * m * a + a + d) * (2 * m * a + 3 * a + d) * (2 * m * a + 2 * a + d)
-              * (m + 1) * T(m)) * coeffs[m + 1]
-        t2 = ((m + 1) * (2 * m * a + d) * (m + 2)
-              * (m * a + n * a + a + d) * U(m)) * coeffs[m + 2]
-        coeffs[m] = -(t1 + t2) / lead
-    return coeffs[: n + 1]
+    return descend(n, Fraction(1), INVERSE_FAILURE,
+                   lambda m: ((2 * m * a + a + d) * (2 * m * a + 3 * a + d)
+                              * (2 * m * a + 2 * a + d) ** 2 * (2 * m * a + d) * (n - m)),
+                   lambda m: ((2 * m * a + a + d) * (2 * m * a + 3 * a + d)
+                              * (2 * m * a + 2 * a + d) * (m + 1) * T(m)),
+                   lambda m: ((m + 1) * (2 * m * a + d) * (m + 2)
+                              * (m * a + n * a + a + d) * U(m)))

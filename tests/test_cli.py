@@ -121,7 +121,69 @@ class TestTabulate:
                             ["2", "4", "0", "2"], ["3", "6", "0", "2"]]
 
 
+def _raw(kind, abcde):
+    a, b, c, d, e = abcde.split(",")
+    return f"raw:kind={kind},a={a},b={b},c={c},d={d},e={e},k=monic"
+
+
+# (case id, argv, message) for every route that solves an index recurrence
+# downward: the first vanishing leading multiplier names its index m.
+VANISHING_MULTIPLIERS = (
+    ("power-series", ("repr", "--family", _raw("continuous", "1,-2,0,-2,-1/2"),
+                      "--what", "series", "--n", "2"), "series multiplier vanishes at m=1"),
+    ("power-in-basis-two-term", ("repr", "--family", _raw("continuous", "1,-2,0,-2,-1/2"),
+                                 "--what", "in-basis", "--n", "2"),
+     "inverse-series multiplier vanishes at m=1"),
+    ("power-series-c", ("repr", "--family", _raw("continuous", "1,-2,3/2,-4,1"),
+                        "--what", "series", "--n", "3"), "series multiplier vanishes at m=2"),
+    ("power-in-basis-three-term", ("repr", "--family", _raw("continuous", "1,-2,3/2,-4,1"),
+                                   "--what", "in-basis", "--n", "2"),
+     "inverse-series multiplier vanishes at m=1"),
+    ("falling-series-two-term", ("repr", "--family", _raw("discrete", "-1,2,0,5,-1"),
+                                 "--what", "series", "--n", "4"),
+     "series multiplier vanishes at m=2"),
+    ("falling-in-basis-two-term", ("repr", "--family", _raw("discrete", "-1,2,0,5,-1"),
+                                   "--what", "in-basis", "--n", "3"),
+     "inverse-series multiplier vanishes at m=2"),
+    ("falling-series-three-term", ("repr", "--family", _raw("discrete", "-1,4,2,1,-1/2"),
+                                   "--what", "series", "--n", "2"),
+     "series multiplier vanishes at m=0"),
+    ("falling-in-basis-three-term", ("repr", "--family", _raw("discrete", "-1,4,2,1,-1/2"),
+                                     "--what", "in-basis", "--n", "1"),
+     "inverse-series multiplier vanishes at m=0"),
+    ("connect-continuous", ("connect", "--from", _raw("continuous", "1,0,-2,-4,1/2"),
+                            "--to", _raw("continuous", "1,0,-2,2,1"), "--n", "4"),
+     "vanishing leading multiplier at m=1"),
+    ("connect-discrete", ("connect", "--from", _raw("discrete", "-1,-2,0,3,-2"),
+                          "--to", _raw("discrete", "-1,-2,0,-3,4"), "--n", "4"),
+     "vanishing leading multiplier at m=0"),
+)
+
+
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [case[1:] for case in VANISHING_MULTIPLIERS],
+                             ids=[case[0] for case in VANISHING_MULTIPLIERS])
+    def test_vanishing_multiplier_is_named(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (INADMISSIBLE, "")
+        assert err == f"opoly: inadmissible spec: {message}\n"
+
+    def test_key_error_message_is_printed_as_written(self, capsys):
+        at = "alpha=1/2,beta=1/3,N=10"
+        cases = (
+            (("verify", "--family", "hermite", "--n-max", "3", "--relations", "foo"),
+             "unknown relations: ['foo']"),
+            (("param-deriv", "--family", "nope", "--param", "alpha", "--n", "1",
+              "--at", "alpha=1"), "unknown family 'nope'"),
+            (("param-deriv", "--family", "hahn", "--param", "N", "--n", "1", "--at", at),
+             "no parameter-derivative formula for ('hahn', 'N'); "
+             f"known: {PARAMETER_DERIVATIVE_PAIRS}"),
+        )
+        for argv, message in cases:
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (USAGE_ERROR, ""), argv
+            assert err == f"opoly: {message}\n", argv
+
     def test_verify_ok(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family",
                                "jacobi:alpha=1/2,beta=-1/3", "--n-max", "6")

@@ -14,6 +14,8 @@ from opoly.series import (
     falling_in_basis,
     power_coeffs,
     power_in_basis,
+    _falling_in_monic_three_term,
+    _falling_in_monic_two_term,
     _power_in_monic_closed,
     _power_in_monic_three_term,
     _power_in_monic_two_term,
@@ -164,6 +166,18 @@ class TestClosedForms:
         assert data["argument"] == {"kind": "unit", "scale": "-1/2", "offset": "0"}
         assert data["prefactor"] == "1"
 
+    def test_descriptor_json_of_non_rational_entries(self):
+        # a formal or dual constant has no sign to pull out of it
+        from opoly.algebra import Dual
+        from opoly.families import FamilySpec, MONIC
+        t = RationalFunction.parameter()
+        spec = FamilySpec("continuous", 1, 1, 0, t + 3, 0, MONIC)
+        assert descriptor_to_json(closed_form(spec))["upper"] == ["-n", "n+(2 + 1*t)"]
+        data = descriptor_to_json(closed_form(catalog("laguerre", alpha=Dual(F(1, 2), 1))))
+        assert data["upper"] == ["-n"]
+        assert data["lower"] == ["Dual(3/2, 1)"]
+        assert data["argument"] == {"kind": "affine", "scale": "1", "offset": "0"}
+
     def test_irrational_roots_fall_back(self):
         # discrete, a != 0, quadratic with non-square discriminant
         from opoly.families import FamilySpec, MONIC
@@ -239,6 +253,13 @@ class TestInverseSeries:
         lag = catalog("laguerre-monic", alpha=F(1, 2))
         for n in range(9):
             assert _power_in_monic_two_term(lag, n) == _power_in_monic_three_term(lag, n)
+        # the discrete routes agree where c = 0
+        for spec in (catalog("hahn-monic", alpha=F(1, 2), beta=F(1, 3), N=F(12)),
+                     catalog("charlier-monic", mu=F(2)),
+                     FamilySpec("discrete", 1, F(1, 2), 0, 3, F(2, 3), MONIC)):
+            for n in range(9):
+                two = _falling_in_monic_two_term(spec, n)
+                assert two == _falling_in_monic_three_term(spec, n), (spec, n)
 
     def test_removable_closed_form_uses_two_term_route(self):
         # e = 0 makes (e/b)_m vanish: the closed route is 0/0, the two-term
