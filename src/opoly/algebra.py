@@ -12,11 +12,21 @@ Polynomials are dense and univariate, and carry a basis tag: ``MONOMIAL``
 difference operators delta/nabla/shift and the formal derivative act on
 them exactly, and ``expand_over`` is the one triangular solve that writes a
 polynomial over a basis of distinct degrees.
+
+A polynomial over the rationals also has an integer view, the design of
+FLINT's ``fmpq_poly``: integer numerators over one common denominator,
+reduced so that the denominator is positive and shares no factor with all
+the numerators.  Products, sums, scalings, the Taylor shift, both basis
+conversions and the back-substitution of ``expand_over`` run on that view
+with integer arithmetic only (fraction-free), and a polynomial they build
+makes its ``Fraction`` coefficients only when they are read.  Dual-number
+and rational-function coefficients take the per-coefficient route instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Fraction
@@ -65,6 +75,13 @@ def pochhammer(a: FieldElement, k: int) -> FieldElement:
     """Shifted factorial (a)_k = a(a+1)...(a+k-1), with (a)_0 = 1."""
     if k < 0:
         raise ValueError("pochhammer needs k >= 0")
+    if isinstance(a, (int, Fraction)):
+        # (p/q)_k = prod_j (p + jq) / q^k: one division, at the end
+        p, q = a.numerator, a.denominator
+        num = 1
+        for j in range(k):
+            num *= p + j * q
+        return Fraction(num, q ** k)
     result: FieldElement = Fraction(1)
     for j in range(k):
         result = result * (a + j)
@@ -423,6 +440,43 @@ def as_field(value: FieldElement) -> FieldElement:
     return value
 
 
+def _integer_view(coeffs: Sequence[FieldElement]) -> tuple:
+    """(nums, den) with coeffs[i] = nums[i]/den, nums a list that is never
+    changed and den the least common denominator; () when a coefficient is
+    not rational."""
+    if not all(type(c) is Fraction for c in coeffs):
+        return ()
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_ints(nums: list[int], den: int, basis: str) -> "Polynomial":
+    """The polynomial with coefficients nums[i]/den (den > 0), built from its
+    integer view: trailing zeros trimmed and the content common to den and
+    every numerator divided out.  Takes nums over; no caller may change it."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    out = object.__new__(Polynomial)
+    out._coeffs = None
+    out._ints = ([c // g for c in nums] if g != 1 else nums, den // g)
+    out.basis = basis
+    return out
+
+
+def _int_combination(basis: str, *terms: tuple[tuple, Fraction | int]) -> "Polynomial":
+    """sum of s * nums/den over the terms ((nums, den), s), each s an int or a
+    Fraction, in integer arithmetic over one common denominator."""
+    den = lcm(*(d * s.denominator for (_, d), s in terms))
+    out = [0] * max(len(nums) for (nums, _), _ in terms)
+    for (nums, d), s in terms:
+        factor = s.numerator * (den // (d * s.denominator))
+        if factor:
+            for i, c in enumerate(nums):
+                out[i] += factor * c
+    return _from_ints(out, den, basis)
+
+
 class Polynomial:
     """Dense univariate polynomial over an exact field, with a basis tag.
 
@@ -430,9 +484,19 @@ class Polynomial:
     factorial x(x-1)...(x-k+1) in the falling basis.  Trailing zeros are
     trimmed; the zero polynomial has an empty coefficient tuple and
     degree -1.  Instances are immutable.
+
+    A polynomial with rational coefficients also has a private integer view
+    ``(nums, den)``: coeffs[k] = nums[k]/den, den > 0 and
+    gcd(den, *nums) = 1, so equal polynomials have equal views.  It is
+    derived from ``coeffs`` once per instance, when a kernel first needs it.
+    A kernel that computes on the view builds its result from integers and
+    sets the view; ``coeffs``, the public tuple of ``Fraction``s, is then
+    made from it once, on first access.  Dual-number and rational-function
+    coefficients have no integer view, and every kernel takes its
+    per-coefficient route for them.
     """
 
-    __slots__ = ("coeffs", "basis")
+    __slots__ = ("_coeffs", "_ints", "basis")
 
     def __init__(self, coeffs: Iterable[FieldElement] = (), basis: str = MONOMIAL):
         if basis not in (MONOMIAL, FALLING):
@@ -441,8 +505,24 @@ class Polynomial:
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
             end -= 1
-        self.coeffs: tuple[FieldElement, ...] = tuple(cs[:end])
+        self._coeffs: tuple[FieldElement, ...] | None = tuple(cs[:end])
+        self._ints: tuple | None = None  # the integer view, once derived
         self.basis = basis
+
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        cs = self._coeffs
+        if cs is None:
+            nums, den = self._ints
+            cs = self._coeffs = tuple(Fraction(c, den) for c in nums)
+        return cs
+
+    def _int_view(self) -> tuple:
+        """The integer view (nums, den), or () when a coefficient is not rational."""
+        view = self._ints
+        if view is None:
+            view = self._ints = _integer_view(self._coeffs)
+        return view
 
     # -- constructors -----------------------------------------------------
 
@@ -461,23 +541,30 @@ class Polynomial:
     @classmethod
     def monomial(cls, degree: int, coeff: FieldElement = 1, basis: str = MONOMIAL) -> "Polynomial":
         """coeff * x^degree (or coeff * x^(falling degree))."""
+        coeff = as_field(coeff)
+        if type(coeff) is Fraction and basis in (MONOMIAL, FALLING):
+            return _from_ints([0] * degree + [coeff.numerator], coeff.denominator, basis)
         return cls([0] * degree + [coeff], basis)
 
     # -- structure ---------------------------------------------------------
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        cs = self._coeffs
+        return len(cs if cs is not None else self._ints[0]) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return self.degree() < 0
 
     def coeff(self, k: int) -> FieldElement:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        if not 0 <= k <= self.degree():
+            return Fraction(0)
+        if self._coeffs is None:
+            nums, den = self._ints
+            return Fraction(nums[k], den)
+        return self._coeffs[k]
 
     def leading(self) -> FieldElement:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coeff(self.degree())
 
     def _require_same_basis(self, other: "Polynomial") -> None:
         if self.basis != other.basis:
@@ -489,6 +576,9 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_basis(other)
+        u, v = self._int_view(), other._int_view()
+        if u and v:
+            return _int_combination(self.basis, (u, 1), (v, 1))
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial((self.coeff(i) + other.coeff(i) for i in range(n)), self.basis)
 
@@ -496,11 +586,14 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._require_same_basis(other)
+        u, v = self._int_view(), other._int_view()
+        if u and v:
+            return _int_combination(self.basis, (u, 1), (v, -1))
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial((self.coeff(i) - other.coeff(i) for i in range(n)), self.basis)
 
     def __neg__(self):
-        return Polynomial((-c for c in self.coeffs), self.basis)
+        return self.scale(-1)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -510,12 +603,16 @@ class Polynomial:
                 return prod.to_basis(FALLING)
             if self.is_zero() or other.is_zero():
                 return Polynomial.zero(self.basis)
-            out: list[FieldElement] = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
+            u, v = self._int_view(), other._int_view()
+            left, right = (u[0], v[0]) if u and v else (self.coeffs, other.coeffs)
+            out: list = [0] * (len(left) + len(right) - 1)
+            for i, a in enumerate(left):
                 if a == 0:
                     continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
+                for j, b in enumerate(right, i):
+                    out[j] = out[j] + a * b
+            if u and v:
+                return _from_ints(out, u[1] * v[1], MONOMIAL)
             return Polynomial(out, self.basis)
         return self.scale(other)
 
@@ -524,37 +621,54 @@ class Polynomial:
 
     def scale(self, scalar: FieldElement) -> "Polynomial":
         scalar = as_field(scalar)
+        u = self._int_view()
+        if u and type(scalar) is Fraction:
+            return _int_combination(self.basis, (u, scalar))
         return Polynomial((c * scalar for c in self.coeffs), self.basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if self.basis == other.basis:
-            return self.coeffs == other.coeffs
-        return self.to_basis(MONOMIAL).coeffs == other.to_basis(MONOMIAL).coeffs
+        if self.basis != other.basis:
+            self, other = self.to_basis(MONOMIAL), other.to_basis(MONOMIAL)
+        if self._coeffs is None or other._coeffs is None:
+            u, v = self._int_view(), other._int_view()
+            if u and v:
+                return u == v
+        return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash(self.to_basis(MONOMIAL).coeffs)
 
     # -- calculus and difference operators ----------------------------------
 
+    def _lowered(self) -> "Polynomial":
+        """sum_k k c_k e_{k-1}: d/dx on monomials, delta on falling factorials."""
+        u = self._int_view()
+        if u:
+            nums, den = u
+            return _from_ints([k * nums[k] for k in range(1, len(nums))], den, self.basis)
+        return Polynomial((self.coeffs[k] * k for k in range(1, len(self.coeffs))), self.basis)
+
     def derivative(self) -> "Polynomial":
         """Formal d/dx; defined on the monomial basis only."""
         if self.basis != MONOMIAL:
             raise BasisError("derivative needs the monomial basis; use delta instead")
-        return Polynomial((self.coeffs[k] * k for k in range(1, len(self.coeffs))), MONOMIAL)
+        return self._lowered()
 
     def shift(self, h: int) -> "Polynomial":
         """p(x + h), exactly, in the same basis."""
         if self.basis == FALLING:
             return self.to_basis(MONOMIAL).shift(h).to_basis(FALLING)
         # Taylor shift in place: pass i is a synthetic division by (x - h)
-        # that leaves the i-th Taylor coefficient at h in cs[i].
-        cs = list(self.coeffs)
+        # that leaves the i-th Taylor coefficient at h in cs[i].  An integer
+        # h keeps the numerators integral over the same denominator.
+        u = self._int_view() if isinstance(h, int) else ()
+        cs = list(u[0] if u else self.coeffs)
         for i in range(len(cs) - 1):
             for j in range(len(cs) - 2, i - 1, -1):
                 cs[j] += h * cs[j + 1]
-        return Polynomial(cs, MONOMIAL)
+        return _from_ints(cs, u[1], MONOMIAL) if u else Polynomial(cs, MONOMIAL)
 
     def delta(self) -> "Polynomial":
         """Forward difference p(x+1) - p(x).
@@ -563,7 +677,7 @@ class Polynomial:
         m * x^(falling m-1).
         """
         if self.basis == FALLING:
-            return Polynomial((self.coeffs[k] * k for k in range(1, len(self.coeffs))), FALLING)
+            return self._lowered()
         return self.shift(1) - self
 
     def nabla(self) -> "Polynomial":
@@ -585,33 +699,29 @@ class Polynomial:
     # -- basis conversion ----------------------------------------------------
 
     def to_basis(self, target: str) -> "Polynomial":
+        """The same polynomial in the target basis.
+
+        Both conversions are Horner schemes with integer multipliers, so the
+        integer view keeps its denominator.
+        """
         if target not in (MONOMIAL, FALLING):
             raise BasisError(f"unknown basis {target!r}")
         if target == self.basis:
             return self
-        if target == FALLING:
-            # Horner using x * x^(falling m) = x^(falling m+1) + m x^(falling m).
-            acc: list[FieldElement] = []
-            for c in reversed(self.coeffs):
-                shifted = [Fraction(0)] * (len(acc) + 1)
-                for m, a in enumerate(acc):
-                    shifted[m + 1] = shifted[m + 1] + a
-                    shifted[m] = shifted[m] + a * m
-                acc = shifted
-                if acc:
-                    acc[0] = acc[0] + c
-                else:
-                    acc = [as_field(c)]
-            return Polynomial(acc, FALLING)
-        # falling -> monomial: expand each falling factorial.
-        result = Polynomial.zero(MONOMIAL)
-        term = Polynomial.const(1)  # x^(falling k), expanded
-        for k, c in enumerate(self.coeffs):
-            if k > 0:
-                term = term * Polynomial((-(k - 1), 1), MONOMIAL)
-            if c != 0:
-                result = result + term.scale(c)
-        return result
+        u = self._int_view()
+        cs = u[0] if u else self.coeffs
+        acc: list = []
+        for k in range(len(cs) - 1, -1, -1):
+            nxt: list = [0] * (len(acc) + 1)
+            for m, a in enumerate(acc):
+                nxt[m + 1] += a
+                if target == FALLING:  # x * x^(falling m) = x^(falling m+1) + m x^(falling m)
+                    nxt[m] += a * m
+                else:  # p = c_0 + x (c_1 + (x - 1)(c_2 + (x - 2)(...)))
+                    nxt[m] -= a * k
+            nxt[0] += cs[k]
+            acc = nxt
+        return _from_ints(acc, u[1], target) if u else Polynomial(acc, target)
 
     # -- evaluation -----------------------------------------------------------
 
@@ -654,14 +764,45 @@ def expand_over(target: Polynomial, parts: Sequence[Polynomial]) -> list[FieldEl
     The nonzero parts, of distinct degree (which makes the v_i unique), are
     eliminated from the highest degree down.  A zero part gets the
     coefficient 0.  Raises ValueError when target is not in their span.
+
+    Over the rationals the elimination is fraction-free: the residual is
+    kept as integers over one denominator, and removing a part with integer
+    view (P, d) and leading numerator l from a residual R/D whose entry at
+    that degree is r gives (l R - r P)/(l D), r and l first divided by their
+    gcd (signed so that l, and with it D, stays positive) and the result by
+    its content.
     """
     values: list[FieldElement] = [Fraction(0)] * len(parts)
     order = sorted((i for i, part in enumerate(parts) if not part.is_zero()),
                    key=lambda i: -parts[i].degree())
     if any(parts[i].basis != target.basis for i in order):
         raise BasisError("expand_over needs the parts in the basis of the target")
+    width = parts[order[0]].degree() + 1 if order else 0
+    views = [part._int_view() for part in parts]
+    base = target._int_view()
+    if base and all(views[i] for i in order):
+        rem, den = list(base[0]), base[1]  # the residual is rem/den
+        rem += [0] * (width - len(rem))
+        for i in order:
+            nums, d = views[i]
+            r, lead = rem[len(nums) - 1], nums[-1]
+            if not r:
+                continue
+            values[i] = Fraction(r * d, den * lead)
+            g = gcd(r, lead) if lead > 0 else -gcd(r, lead)  # keeps den > 0
+            r, lead = r // g, lead // g
+            rem = [lead * c for c in rem]
+            for j, c in enumerate(nums):
+                rem[j] -= r * c
+            g = gcd(den * lead, *rem)
+            den = den * lead // g
+            rem = [c // g for c in rem]
+        if any(rem):
+            raise ValueError("target is not in the span of the parts; residual "
+                             f"{_from_ints(rem, den, target.basis)!r}")
+        return values
     rem = list(target.coeffs)  # the residual, updated in place
-    rem += [Fraction(0)] * (len(parts[order[0]].coeffs) - len(rem) if order else 0)
+    rem += [Fraction(0)] * (width - len(rem))
     for i in order:
         part = parts[i]
         values[i] = value = rem[part.degree()] / part.leading()

@@ -763,21 +763,29 @@ def exact_parameter_derivative(family: str, param: str, n: int,
                                at: Mapping[str, Fraction]) -> ConnectionRow:
     """Oracle: differentiate p_n exactly with dual numbers.
 
-    The family is generated at the rational point first, so an inadmissible
-    point fails with the message of the numeric route.  It is then generated
-    again with the chosen parameter as Dual(v, 1) and the others as
-    Dual(v, 0): the dual part of each monomial coefficient of p_n is its
-    derivative in the parameter at the point (forward mode).  The result is
-    expanded over the family's own polynomials at that point.
+    The family is generated with the chosen parameter as Dual(v, 1) and the
+    others as Dual(v, 0): the dual part of each monomial coefficient of p_n
+    is its derivative in the parameter at the point (forward mode), and the
+    value parts are the family's own polynomials there, over which the
+    result is expanded.  The family is built at the rational point first,
+    and generated there only where the dual route fails (a
+    ZeroDivisionError or an AdmissibilityError) or a value part loses its
+    degree (a k_m of value 0), so an inadmissible point fails with the
+    message of the numeric route; the derivative has a pole only where that
+    route succeeds.
     """
     if param not in at:
         raise KeyError(f"{param!r} is not among the parameters {sorted(at)}")
-    basis = generate(catalog(family, {k: Fraction(v) for k, v in at.items()}), n)
+    spec = catalog(family, {k: Fraction(v) for k, v in at.items()})
     seeded = {k: Dual(v, 1 if k == param else 0) for k, v in at.items()}
     try:
-        p_n = generate(catalog(family, seeded), n)[n]
-    except ZeroDivisionError:
+        duals = generate(catalog(family, seeded), n)
+    except (ZeroDivisionError, AdmissibilityError):
+        generate(spec, n)
         point = ",".join(f"{k}={format_rational(v)}" for k, v in at.items())
         raise AdmissibilityError(f"{family}.{param} derivative has a pole at {point}") from None
-    d_coeffs = [c.d if isinstance(c, Dual) else Fraction(0) for c in p_n.coeffs]
+    basis = [Polynomial(c.v if isinstance(c, Dual) else c for c in p.coeffs) for p in duals]
+    if any(p.degree() != m for m, p in enumerate(basis)):
+        basis = generate(spec, n)  # raises the numeric route's message
+    d_coeffs = [c.d if isinstance(c, Dual) else Fraction(0) for c in duals[n].coeffs]
     return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), basis)))

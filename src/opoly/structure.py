@@ -364,13 +364,24 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     return polys
 
 
+@per_degree
+def _operator_column(spec: FamilySpec, j: int) -> Polynomial:
+    """L_0 x^j: the operator of the equation at lambda = 0 applied to x^j."""
+    return spec.apply_operator(Polynomial.monomial(j), 0)
+
+
 def solve_equation(spec: FamilySpec, n: int) -> Polynomial:
     """Degree-n solution of the defining equation with leading k_n.
 
     Brute-force oracle: applies the second-order operator to each monomial
-    and back-substitutes, independently of every transcribed formula.
+    and back-substitutes, independently of every transcribed formula.  The
+    operator at degree n is L_n = L_0 + lambda_n, so its column L_n x^j is
+    L_0 x^j, which does not depend on n and is kept in the spec's memo,
+    plus lambda_n on the diagonal: solving every degree up to N applies the
+    operator N + 1 times.
     """
-    columns = [spec.apply_operator(Polynomial.monomial(j), n) for j in range(n + 1)]
+    lam = lambda_n(spec, n)
+    columns = [_operator_column(spec, j) + Polynomial.monomial(j, lam) for j in range(n + 1)]
     k_n = spec.k(n)
     for m in range(n - 1, -1, -1):
         if columns[m].coeff(m) == 0:  # lambda_n - lambda_m

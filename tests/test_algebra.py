@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction as F
+from functools import cache
+from math import comb, gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from opoly.algebra import (
     FALLING,
@@ -165,6 +168,206 @@ class TestExpandOver:
     def test_target_outside_the_span(self):
         with pytest.raises(ValueError):
             expand_over(Polynomial([0, 0, 1]), [Polynomial.const(1), Polynomial.x()])
+
+
+# ---------------------------------------------------------------------------
+# Per-coefficient references for the integer kernels.  They work over any
+# field element, so they also check the Dual and RationalFunction routes.
+# ---------------------------------------------------------------------------
+
+def ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def ref_lin(p, q, s=1):
+    """p + s q, coefficient by coefficient."""
+    n = max(len(p), len(q))
+    return [(p[i] if i < len(p) else F(0)) + s * (q[i] if i < len(q) else F(0))
+            for i in range(n)]
+
+
+def ref_mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def ref_shift(p, h):
+    """p(x + h) = sum_k c_k sum_i C(k, i) h^(k-i) x^i."""
+    out = [F(0)] * len(p)
+    for k, c in enumerate(p):
+        for i in range(k + 1):
+            out[i] = out[i] + c * (comb(k, i) * F(h) ** (k - i))
+    return out
+
+
+@cache
+def stirling2(k, j):
+    if k == j:
+        return 1
+    if j == 0 or j > k:
+        return 0
+    return j * stirling2(k - 1, j) + stirling2(k - 1, j - 1)
+
+
+@cache
+def stirling1(k, j):
+    """Signed: x^(falling k) = sum_j s(k, j) x^j."""
+    if k == j:
+        return 1
+    if j == 0 or j > k:
+        return 0
+    return stirling1(k - 1, j - 1) - (k - 1) * stirling1(k - 1, j)
+
+
+def ref_to_falling(p):
+    return [sum((c * stirling2(k, j) for k, c in enumerate(p)), F(0)) for j in range(len(p))]
+
+
+def ref_to_monomial(p):
+    return [sum((c * stirling1(k, j) for k, c in enumerate(p)), F(0)) for j in range(len(p))]
+
+
+def ref_residual(target, parts):
+    """What per-coefficient back-substitution over the parts leaves of target."""
+    rem = list(target) + [F(0)] * max(max(map(len, parts), default=0) - len(target), 0)
+    for part in sorted(map(ref_trim, parts), key=len, reverse=True):
+        if part:
+            value = rem[len(part) - 1] / part[-1]
+            for j, c in enumerate(part):
+                rem[j] = rem[j] - value * c
+    return ref_trim(rem)
+
+
+def assert_poly(poly, basis, coeffs):
+    """poly holds exactly coeffs, as Fractions, with a canonical integer view."""
+    want = ref_trim(coeffs)
+    # compared before coeffs is read, while a kernel's result holds only its view
+    assert poly == Polynomial(want, basis)
+    assert poly != Polynomial(want[:-1] + (want[-1] + 1,) if want else (1,), basis)
+    assert poly.degree() == len(want) - 1
+    assert poly.basis == basis
+    assert poly.coeffs == want
+    assert all(type(c) is F for c in poly.coeffs)
+    nums, den = poly._int_view()
+    assert den > 0 and gcd(den, *nums) == 1
+    assert tuple(F(c, den) for c in nums) == want
+    assert hash(poly) == hash(Polynomial(want, basis))
+
+
+NONZERO = st.builds(F, st.integers(-30, 30).filter(bool), st.integers(1, 12))
+RATIONALS = st.one_of(st.just(F(0)), NONZERO)
+COEFFS = st.lists(RATIONALS, max_size=7)
+
+
+class TestIntegerKernels:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(p=COEFFS, q=COEFFS, s=RATIONALS, h=st.integers(-2, 2))
+    def test_kernels_match_per_coefficient_reference(self, p, q, s, h):
+        P, Q = Polynomial(p), Polynomial(q)
+        assert_poly(P * Q, MONOMIAL, ref_mul(p, q))
+        assert_poly(P + Q, MONOMIAL, ref_lin(p, q))
+        assert_poly(P - Q, MONOMIAL, ref_lin(p, q, -1))
+        assert_poly(-P, MONOMIAL, [-c for c in p])
+        assert_poly(P.scale(s), MONOMIAL, [c * s for c in p])
+        assert_poly(P.shift(h), MONOMIAL, ref_shift(p, h))
+        assert_poly(P.delta(), MONOMIAL, ref_lin(ref_shift(p, 1), p, -1))
+        assert_poly(P.nabla(), MONOMIAL, ref_lin(p, ref_shift(p, -1), -1))
+        assert_poly(P.derivative(), MONOMIAL, [k * c for k, c in enumerate(p)][1:])
+        assert_poly(Polynomial.monomial(len(p), s), MONOMIAL, [F(0)] * len(p) + [s])
+        # the kernels again, on polynomials that kernels built
+        pq = ref_mul(p, q)
+        assert_poly((P * Q - P.scale(s)).shift(h), MONOMIAL,
+                    ref_shift(ref_lin(pq, [c * s for c in p], -1), h))
+        assert_poly((P * Q).to_basis(FALLING), FALLING, ref_to_falling(pq))
+
+        Pf, Qf = Polynomial(p, FALLING), Polynomial(q, FALLING)
+        mono = ref_to_monomial(p)
+        assert_poly(P.to_basis(FALLING), FALLING, ref_to_falling(p))
+        assert_poly(Pf.to_basis(MONOMIAL), MONOMIAL, mono)
+        assert_poly(Pf.to_basis(MONOMIAL).to_basis(FALLING), FALLING, p)
+        assert_poly(Pf.delta(), FALLING, [k * c for k, c in enumerate(p)][1:])
+        assert_poly(Pf.nabla(), FALLING, ref_to_falling(ref_lin(mono, ref_shift(mono, -1), -1)))
+        assert_poly(Pf.shift(h), FALLING, ref_to_falling(ref_shift(mono, h)))
+        assert_poly(Pf * Qf, FALLING, ref_to_falling(ref_mul(mono, ref_to_monomial(q))))
+        assert_poly(Pf - Qf.scale(s), FALLING, ref_lin(p, q, -s))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(raw=st.lists(COEFFS, max_size=5), zero_at=st.integers(0, 5),
+           values=st.lists(NONZERO, min_size=6, max_size=6), extra=NONZERO)
+    def test_expand_over_matches_back_substitution(self, raw, zero_at, values, extra):
+        # parts of distinct degrees (a zero leading coefficient becomes 1), and a zero part
+        parts = list({len(cs): cs[:-1] + [cs[-1] or F(1)] for cs in raw if cs}.values())
+        degrees = [len(part) - 1 for part in parts]
+        parts.insert(min(zero_at, len(parts)), [])
+        values = [v if part else F(0) for v, part in zip(values, parts)]
+        target = [F(0)]
+        for v, part in zip(values, parts):
+            target = ref_lin(target, part, v)
+        polys = [Polynomial(part) for part in parts]
+        built = Polynomial.zero()
+        for v, poly in zip(values, polys):
+            built = built + poly.scale(v)
+        for tgt in (Polynomial(target), built):
+            got = expand_over(tgt, polys)
+            assert got == values and all(type(v) is F for v in got)
+
+        # outside the span: the residual is the reference's, in the message
+        missing = min(set(range(8)) - set(degrees))
+        off = ref_lin(target, [F(0)] * missing + [extra])
+        residual = ref_residual(off, parts)
+        with pytest.raises(ValueError) as exc:
+            expand_over(Polynomial(off), polys)
+        assert str(exc.value) == ("target is not in the span of the parts; residual "
+                                  f"{Polynomial(residual)!r}")
+        if degrees:
+            with pytest.raises(BasisError):
+                expand_over(Polynomial(target), [Polynomial(part, FALLING) for part in parts])
+
+    @pytest.mark.parametrize("a", [0, 3, -4, F(1, 2), F(-7, 3), F(-2), F(5, 4)])
+    def test_pochhammer_of_rationals(self, a):
+        for k in range(7):
+            want = F(1)
+            for j in range(k):
+                want *= F(a) + j
+            got = pochhammer(a, k)
+            assert got == want and type(got) is F, (a, k)
+        assert pochhammer(-4, 5) == 0 and pochhammer(F(-2), 3) == 0 and pochhammer(0, 1) == 0
+        assert pochhammer(a, 0) == 1
+
+    def test_dual_coefficients(self):
+        p = [Dual(1, 2), Dual(F(1, 2), -1), F(3)]
+        q = [F(-1), Dual(2, 1)]
+        P, Q = Polynomial(p), Polynomial(q)
+        assert (P * Q).coeffs == ref_trim(ref_mul(p, q))
+        for h in range(-2, 3):
+            assert P.shift(h).coeffs == ref_trim(ref_shift(p, h))
+        parts = [Polynomial([1, 1, 1]), Polynomial([2, -1]), Polynomial.const(F(1, 3))]
+        got = expand_over(P, parts)
+        value = expand_over(Polynomial([c.v if isinstance(c, Dual) else c for c in p]), parts)
+        slope = expand_over(Polynomial([c.d if isinstance(c, Dual) else 0 for c in p]), parts)
+        assert got == [Dual(v, d) for v, d in zip(value, slope)]
+
+    def test_rational_function_coefficients(self):
+        t = RationalFunction.parameter()
+        p = [1 / (t + 1), t, F(2, 3)]
+        q = [t, F(1)]
+        P, Q = Polynomial(p), Polynomial(q)
+        assert (P * Q).coeffs == ref_trim(ref_mul(p, q))
+        for h in range(-2, 3):
+            assert P.shift(h).coeffs == ref_trim(ref_shift(p, h))
+        parts = [Polynomial([1, 1, 1]), Polynomial([2, -1]), Polynomial.const(F(1, 3))]
+        got = expand_over(P, parts)
+        for point in (F(0), F(1, 2), F(-3)):
+            def at(c):
+                return c.evaluate(point) if isinstance(c, RationalFunction) else c
+
+            assert [at(v) for v in got] == expand_over(Polynomial(map(at, p)), parts)
 
 
 class TestPochhammer:

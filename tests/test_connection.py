@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from opoly.algebra import Polynomial, RationalFunction, expand_over
-from opoly.families import catalog
+from opoly.families import AdmissibilityError, catalog
 from opoly.structure import generate, theorem1_coeffs, xpn_coeffs
 from opoly.connection import (
     GENERAL,
@@ -229,6 +229,20 @@ class TestParameterDerivatives:
                 got = exact_parameter_derivative(family, param, n, at)
                 assert got.coeffs == _field_derivative_oracle(family, param, n, at), \
                     (family, param, n)
+
+    @pytest.mark.parametrize("family, param, at, message", [
+        ("jacobi", "alpha", {"alpha": F(-1, 2), "beta": F(-1, 2)},
+         "C_1 denominator vanishes for jacobi"),
+        ("hahn", "beta", {"alpha": F(-1, 3), "beta": F(-2, 3), "N": F(10)},
+         "C_1 denominator vanishes for hahn"),
+        ("bessel", "alpha", {"alpha": F(-1)}, "C_1 denominator vanishes for bessel"),
+        ("hahn-q", "alpha", {"alpha": F(1), "beta": F(2), "N": F(2)},
+         "k_3 has a vanishing denominator for family hahn-q"),
+    ])
+    def test_inadmissible_point_raises_the_numeric_message(self, family, param, at, message):
+        with pytest.raises(AdmissibilityError) as exc:
+            exact_parameter_derivative(family, param, 4, at)
+        assert str(exc.value) == message
 
     def test_laguerre_dalpha_n3(self):
         row = parameter_derivative("laguerre", "alpha", 3, {"alpha": F(2)})

@@ -233,6 +233,40 @@ class TestGenerate:
                 assert p == solve_equation(spec, n), (name, n)
 
 
+class TestSolveEquation:
+    def test_degenerate_equation_is_named(self):
+        # gegenbauer(-3/2): lambda_n = n(n - 3), so lambda_1 = lambda_2 and
+        # lambda_0 = lambda_3; each degree names the first m below it
+        spec = catalog("gegenbauer", alpha=F(-3, 2))
+        assert solve_equation(spec, 0) == Polynomial([1])
+        assert solve_equation(spec, 1) == Polynomial([0, -3])
+        for n, m in ((2, 1), (3, 0)):
+            with pytest.raises(AdmissibilityError) as exc:
+                solve_equation(spec, n)
+            assert str(exc.value) == f"degenerate equation: lambda_{m} = lambda_{n}"
+        assert solve_equation(spec, 4) == Polynomial([F(3, 8), 0, F(-3, 4), 0, F(3, 8)])
+        assert solve_equation(spec, 5) == Polynomial([0, F(3, 8), 0, F(-3, 4), 0, F(3, 8)])
+
+    def test_operator_columns_once_per_spec_instance(self, monkeypatch):
+        calls = []
+        original = FamilySpec.apply_operator
+
+        def counted(spec, y, n):
+            calls.append((id(spec), y.degree(), n))
+            return original(spec, y, n)
+
+        monkeypatch.setattr(FamilySpec, "apply_operator", counted)
+        first = catalog("laguerre", alpha=F(1, 2))
+        second = catalog("laguerre", alpha=F(1, 2))
+        assert first == second and first is not second
+        basis = oracle_basis(first, 5)
+        assert sorted(calls) == [(id(first), j, 0) for j in range(6)]
+        assert oracle_basis(first, 5) == basis and len(calls) == 6
+        # an equal spec computes its own columns
+        assert oracle_basis(second, 5) == basis
+        assert sorted(calls[6:]) == [(id(second), j, 0) for j in range(6)]
+
+
 class TestVerifyStructure:
     def test_jacobi_all_zero(self):
         assert verify_structure(catalog("jacobi", alpha=F(1, 2), beta=F(-1, 3)), 10).ok
