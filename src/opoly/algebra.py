@@ -450,6 +450,11 @@ def _integer_view(coeffs: Sequence[FieldElement]) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _check_basis(basis: str) -> None:
+    if basis not in (MONOMIAL, FALLING):
+        raise BasisError(f"unknown basis {basis!r}")
+
+
 def _from_ints(nums: list[int], den: int, basis: str) -> "Polynomial":
     """The polynomial with coefficients nums[i]/den (den > 0), built from its
     integer view: trailing zeros trimmed and the content common to den and
@@ -499,8 +504,7 @@ class Polynomial:
     __slots__ = ("_coeffs", "_ints", "basis")
 
     def __init__(self, coeffs: Iterable[FieldElement] = (), basis: str = MONOMIAL):
-        if basis not in (MONOMIAL, FALLING):
-            raise BasisError(f"unknown basis {basis!r}")
+        _check_basis(basis)
         cs = [as_field(c) for c in coeffs]
         end = len(cs)
         while end > 0 and cs[end - 1] == 0:
@@ -542,7 +546,8 @@ class Polynomial:
     def monomial(cls, degree: int, coeff: FieldElement = 1, basis: str = MONOMIAL) -> "Polynomial":
         """coeff * x^degree (or coeff * x^(falling degree))."""
         coeff = as_field(coeff)
-        if type(coeff) is Fraction and basis in (MONOMIAL, FALLING):
+        if type(coeff) is Fraction:
+            _check_basis(basis)
             return _from_ints([0] * degree + [coeff.numerator], coeff.denominator, basis)
         return cls([0] * degree + [coeff], basis)
 
@@ -704,8 +709,7 @@ class Polynomial:
         Both conversions are Horner schemes with integer multipliers, so the
         integer view keeps its denominator.
         """
-        if target not in (MONOMIAL, FALLING):
-            raise BasisError(f"unknown basis {target!r}")
+        _check_basis(target)
         if target == self.basis:
             return self
         u = self._int_view()

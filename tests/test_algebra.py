@@ -76,6 +76,15 @@ class TestPolynomialArithmetic:
         with pytest.raises(BasisError):
             p * q
 
+    def test_unknown_basis_rejected(self):
+        for coeff in (1, F(2, 3), Dual(1, 1)):
+            with pytest.raises(BasisError, match="unknown basis 'bogus'"):
+                Polynomial.monomial(2, coeff, "bogus")
+        with pytest.raises(BasisError, match="unknown basis 'bogus'"):
+            Polynomial([1, 2], "bogus")
+        with pytest.raises(BasisError, match="unknown basis 'bogus'"):
+            Polynomial([1, 2]).to_basis("bogus")
+
 
 class TestCalculusOperators:
     def test_derivative_power_rule(self):

@@ -3,7 +3,8 @@
     python3 tools/stdout_digest.py --workload verify --seed 5
 
 Builds the seeded operation list of one workload with ``bench/workloads.py``
-(warm-up round first, then the timed list of a ``--seconds`` run), runs every
+(warm-up round first, then the timed list of a run of ``RUN_SECONDS``, the
+run length ``BENCHMARK.json`` gives ``bench/run.py``), runs every
 operation through ``opoly.cli.run(argv)`` in this process, and prints one
 sha256 over the argv, stdout, stderr and exit code of each operation, with
 the operation count.  Two checkouts that print the same digest for a
@@ -24,6 +25,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+RUN_SECONDS = 30.0
 
 
 def run_op(cli, argv: list[str]) -> tuple[object, str, str]:
@@ -43,15 +45,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=30.0,
-                        help="the run length whose list is hashed (default 30)")
     args = parser.parse_args(argv)
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
     from opoly import cli
     import workloads
 
-    plan = workloads.build(args.workload, args.seed, args.seconds)
+    plan = workloads.build(args.workload, args.seed, RUN_SECONDS)
     digest = hashlib.sha256()
     ops = plan.warmup + plan.ops
     for op in ops:
