@@ -58,7 +58,8 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     """Serialize as ``"p/q"``, or ``"p"`` when the denominator is 1."""
-    value = Fraction(value)
+    if type(value) is not Fraction:
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -577,25 +578,40 @@ class Polynomial:
 
     # -- ring operations ----------------------------------------------------
 
+    def _coerce(self, other):
+        """other in this basis, a scalar as a constant; else NotImplemented."""
+        if isinstance(other, Polynomial):
+            self._require_same_basis(other)
+            return other
+        if isinstance(other, (int, Fraction, Dual, RationalFunction)):
+            return Polynomial.const(other, self.basis)
+        return NotImplemented
+
     def __add__(self, other):
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._require_same_basis(other)
         u, v = self._int_view(), other._int_view()
         if u and v:
             return _int_combination(self.basis, (u, 1), (v, 1))
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial((self.coeff(i) + other.coeff(i) for i in range(n)), self.basis)
 
+    __radd__ = __add__
+
     def __sub__(self, other):
-        if not isinstance(other, Polynomial):
+        other = self._coerce(other)
+        if other is NotImplemented:
             return NotImplemented
-        self._require_same_basis(other)
         u, v = self._int_view(), other._int_view()
         if u and v:
             return _int_combination(self.basis, (u, 1), (v, -1))
         n = max(len(self.coeffs), len(other.coeffs))
         return Polynomial((self.coeff(i) - other.coeff(i) for i in range(n)), self.basis)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is NotImplemented else other - self
 
     def __neg__(self):
         return self.scale(-1)
@@ -623,6 +639,14 @@ class Polynomial:
 
     def __rmul__(self, other):
         return self.scale(other)
+
+    def __pow__(self, exponent: int) -> "Polynomial":
+        if not isinstance(exponent, int) or exponent < 0:
+            return NotImplemented
+        result = Polynomial.const(1, self.basis)
+        for _ in range(exponent):
+            result = result * self
+        return result
 
     def scale(self, scalar: FieldElement) -> "Polynomial":
         scalar = as_field(scalar)
@@ -698,7 +722,7 @@ class Polynomial:
         acc = Polynomial.zero(MONOMIAL)
         arg = Polynomial((offset, scale), MONOMIAL)
         for c in reversed(self.coeffs):
-            acc = acc * arg + Polynomial.const(c)
+            acc = acc * arg + c
         return acc
 
     # -- basis conversion ----------------------------------------------------
@@ -730,8 +754,10 @@ class Polynomial:
     # -- evaluation -----------------------------------------------------------
 
     def __call__(self, point: FieldElement) -> FieldElement:
-        point = as_field(point)
+        """The value at point; at an integer point, Horner on the integer
+        view (monomial basis), with one division at the end."""
         if self.basis == FALLING:
+            point = as_field(point)
             total: FieldElement = Fraction(0)
             factor: FieldElement = Fraction(1)
             for k, c in enumerate(self.coeffs):
@@ -739,10 +765,11 @@ class Polynomial:
                     factor = factor * (point - (k - 1))
                 total = total + c * factor
             return total
-        acc: FieldElement = Fraction(0)
-        for c in reversed(self.coeffs):
+        u = self._int_view() if type(point) is int else ()
+        cs, acc = (u[0], 0) if u else (self.coeffs, Fraction(0))
+        for c in reversed(cs):
             acc = acc * point + c
-        return acc
+        return Fraction(acc, u[1]) if u else acc
 
     def __repr__(self) -> str:
         if self.is_zero():

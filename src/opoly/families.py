@@ -43,9 +43,12 @@ def per_degree(fn: Callable) -> Callable:
     """Keep the value of ``fn(spec, n, ...)`` in ``spec``'s memo, under (fn, n).
 
     Each per-degree value is then computed once per spec instance, however
-    many formulas read it.  A call that raises stores nothing and raises
-    again on the next call, with the message of that caller.  Arguments
-    after n are not part of the key: they may only shape the error raised.
+    many formulas read it: k_n, the term ratio k_{n+1}/k_n, Q_n and the
+    base triples.  A call that raises stores nothing and raises again on
+    the next call, with the message of that caller.  Arguments after n are
+    not part of the key: they may only shape the error raised.  The
+    brackets those values are built from are polynomials in n, kept once
+    per spec by ``polynomial_in_n``.
     """
     @functools.wraps(fn)
     def memoized(spec: "FamilySpec", n: int, *rest):
@@ -56,6 +59,27 @@ def per_degree(fn: Callable) -> Callable:
         return value
 
     return memoized
+
+
+def polynomial_in_n(fn: Callable) -> Callable:
+    """Evaluate ``fn(spec, n, ...)`` as a polynomial in n, expanded once per spec.
+
+    The first call runs the body with the indeterminate ``Polynomial.x()``
+    in place of n and keeps the polynomial in ``spec``'s memo, under fn and
+    the arguments after n; each call returns its value at n, in integer
+    arithmetic when the spec's data are rational.  So the body may combine
+    n only by ``+``, ``-``, ``*`` and ``**``, and may branch only on
+    ``spec.kind`` and the arguments after n, never on n.
+    """
+    @functools.wraps(fn)
+    def evaluated(spec: "FamilySpec", n: int, *rest):
+        key = (fn, *rest)
+        poly = spec._memo.get(key)
+        if poly is None:
+            poly = spec._memo[key] = fn(spec, Polynomial.x(), *rest)
+        return poly(n)
+
+    return evaluated
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,15 @@ evaluates, per degree n:
   (equivalently the antiderivative / antidifference of p_n).
 
 Every triple is an exact rational expression in (a, b, c, d, e, n) and the
-standardization k_n.  Two brackets are written once and shared: the B
-bracket of the recurrence, which also gives the starred mid (evaluated on
-the derivatives' data (a, b, d + 2a, e') at degree n - 1), and the lower
-bracket Q_n behind C_n, gamma_n and the starred lo.  Q_n and the
-recurrence, xpn, derivative-rule and starred triples are kept in the
+term ratio rho_n = k_{n+1}/k_n of the standardization, the only way the
+formulas read k.  Two brackets are written once and shared: the B bracket
+of the recurrence, which also gives the starred mid (evaluated on the
+derivatives' data (a, b, d + 2a, e') at degree n - 1), and the lower
+bracket Q_n behind C_n, gamma_n and the starred lo.  Each numerator,
+denominator and linear factor of a bracket is a polynomial in n whose
+coefficients depend on the spec alone: it is expanded once per spec and
+evaluated at each degree (``families.polynomial_in_n``).  rho_n, Q_n and
+the recurrence, xpn, derivative-rule and starred triples are kept in the
 spec's memo (``families.per_degree``), so each is computed once per spec
 and degree however many formulas or callers read it; the other triples
 are read off those.  A formula raises AdmissibilityError where one of its
@@ -38,6 +42,7 @@ from fractions import Fraction
 from .algebra import (
     FieldElement,
     Polynomial,
+    _int_combination,
     as_field,
     expand_over,
     factorial,
@@ -52,6 +57,7 @@ from .families import (
     catalog,
     lambda_n,
     per_degree,
+    polynomial_in_n,
 )
 from .series import series_polynomial
 
@@ -72,6 +78,7 @@ class CoefficientTriple:
 # Recurrence coefficients (continuous and discrete explicit formulas)
 # ---------------------------------------------------------------------------
 
+@polynomial_in_n
 def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
     """The shared bracket of the C_n / gamma_n numerators."""
     a, b, c, d, e = spec.abcde()
@@ -84,6 +91,7 @@ def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
             - d * b * e + d * d * c + a * e * e)
 
 
+@polynomial_in_n
 def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
     a, d = spec.a, spec.d
     if spec.kind == CONTINUOUS:
@@ -93,9 +101,21 @@ def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
             * (2 * a * n - 2 * a + d) ** 2)
 
 
+@polynomial_in_n
+def _linear_factor(spec: FamilySpec, n: int, shift: int) -> FieldElement:
+    """an + d - shift a: the factors an + d - a and an + d - 2a of the lower entries."""
+    return spec.a * n + spec.d - shift * spec.a
+
+
+@per_degree
+def _k_ratio(spec: FamilySpec, n: int) -> FieldElement:
+    """rho_n = k_{n+1} / k_n: the one way the formulas read the standardization."""
+    return spec.k(n + 1) / spec.k(n)
+
+
 @per_degree
 def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
-    """Q_n = n S(n) / D(n) * k_n / k_{n-1}, with S = ``_sum_factor`` and
+    """Q_n = n S(n) / D(n) * rho_{n-1}, with S = ``_sum_factor`` and
     D = ``_cn_denominator``: the bracket every lower entry is written with,
 
         C_n     = -(an + d - 2a) Q_n A_n        (recurrence)
@@ -108,42 +128,61 @@ def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
     den = _cn_denominator(spec, n)
     if den == 0:
         raise AdmissibilityError(failure.format(n=n, name=spec.name or spec.abcde()))
-    return n * _sum_factor(spec, n) / den * (spec.k(n) / spec.k(n - 1))
+    return n * _sum_factor(spec, n) / den * _k_ratio(spec, n - 1)
 
 
-def _b_ratio(spec: FamilySpec, n: int, d: FieldElement, e: FieldElement) -> FieldElement:
-    """B_n / A_n of the recurrence for the data (spec.a, spec.b, d, e).
+def _tau_data(spec: FamilySpec, starred: bool) -> tuple[FieldElement, FieldElement]:
+    """(d, e) of tau, or (d + 2a, e') of the derivatives' tau when starred."""
+    a, b, d, e = spec.a, spec.b, spec.d, spec.e
+    if not starred:
+        return d, e
+    return d + 2 * a, e + b if spec.kind == CONTINUOUS else d + e + a + b
+
+
+@polynomial_in_n
+def _b_numerator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
+    a, b = spec.a, spec.b
+    d, e = _tau_data(spec, starred)
+    if spec.kind == CONTINUOUS:
+        return 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
+    return n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
+
+
+@polynomial_in_n
+def _b_denominator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
+    """(d + 2an)(d - 2a + 2an), of both kinds; unstarred, also beta_n's."""
+    a, d = spec.a, _tau_data(spec, starred)[0]
+    return (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
+
+
+def _b_ratio(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
+    """B_n / A_n of the recurrence for the data (a, b) and ``_tau_data``.
 
     At n = 0 it is the reduced value e/d (the general bracket carries a
     removable common factor d - 2a there).
     """
     if n == 0:
+        d, e = _tau_data(spec, starred)
         return e / d
-    a, b = spec.a, spec.b
-    if spec.kind == CONTINUOUS:
-        num = 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
-        den = (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
-    else:
-        num = n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
-        den = (2 * a * n - 2 * a + d) * (d + 2 * a * n)
+    den = _b_denominator(spec, n, starred)
     if den == 0:
         raise AdmissibilityError(f"B_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    return num / den
+    return _b_numerator(spec, n, starred) / den
 
 
 @per_degree
 def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
 
-    C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0 as the reduced
-    value (e/d) A_0.
+    A_n is rho_n.  C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0
+    as the reduced value (e/d) A_0.
     """
-    A = spec.k(n + 1) / spec.k(n)
-    B = _b_ratio(spec, n, spec.d, spec.e) * A
+    A = _k_ratio(spec, n)
+    B = _b_ratio(spec, n, False) * A
     if n == 0:
         return CoefficientTriple(A, B, Fraction(0))
     lower = _lower_factor(spec, n, "C_{n} denominator vanishes for {name}")
-    return CoefficientTriple(A, B, -(spec.a * n + spec.d - 2 * spec.a) * lower * A)
+    return CoefficientTriple(A, B, -_linear_factor(spec, n, 2) * lower * A)
 
 
 def _flip(t: CoefficientTriple) -> CoefficientTriple:
@@ -157,6 +196,16 @@ def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     return _flip(recurrence_coeffs(spec, n))
 
 
+@polynomial_in_n
+def _beta_numerator(spec: FamilySpec, n: int) -> FieldElement:
+    a, b, c, d, e = spec.abcde()
+    if spec.kind == CONTINUOUS:
+        return -(n * (a * n + d - a) * (2 * e * a - d * b))
+    return -(n * (d + a * n - a)
+             * (2 * a * n * d - a * d - d * b + 2 * e * a
+                - 2 * a * a * n + 2 * a * a * n * n))
+
+
 @per_degree
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(alpha_n, beta_n, gamma_n) of the derivative rule
@@ -166,21 +215,15 @@ def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """
     if n < 1:
         raise ValueError("derivative rule needs n >= 1")
-    a, b, c, d, e = spec.abcde()
-    alpha = a * n * (spec.k(n) / spec.k(n + 1))
-    if spec.kind == CONTINUOUS:
-        beta_num = -(n * (a * n + d - a) * (2 * e * a - d * b))
-        beta_den = (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
-    else:
-        beta_num = -(n * (d + a * n - a)
-                     * (2 * a * n * d - a * d - d * b + 2 * e * a
-                        - 2 * a * a * n + 2 * a * a * n * n))
-        beta_den = (2 * a * n - 2 * a + d) * (d + 2 * a * n)
+    spec.k(n)  # alpha_n = a n k_n / k_{n+1}: a failing k_n is reported first
+    alpha = spec.a * n / _k_ratio(spec, n)
+    beta_den = _b_denominator(spec, n, False)
     if beta_den == 0:
         raise AdmissibilityError(f"beta_{n} denominator vanishes")
-    beta = beta_num / beta_den
+    beta = _beta_numerator(spec, n) / beta_den
     lower = _lower_factor(spec, n, "gamma_{n} denominator vanishes")
-    return CoefficientTriple(alpha, beta, (a * n + d - a) * (a * n + d - 2 * a) * lower)
+    return CoefficientTriple(alpha, beta,
+                             _linear_factor(spec, n, 1) * _linear_factor(spec, n, 2) * lower)
 
 
 def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -212,13 +255,12 @@ def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """
     if n < 1:
         raise ValueError("starred triple needs n >= 1")
-    a, b, d, e = spec.a, spec.b, spec.d, spec.e
-    if d + 2 * a == 0:
+    if spec.d + 2 * spec.a == 0:
         raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
-    e_star = e + b if spec.kind == CONTINUOUS else d + e + a + b
-    hi = n * spec.k(n) / ((n + 1) * spec.k(n + 1))
-    mid = -_b_ratio(spec, n - 1, d + 2 * a, e_star)
-    lo = -(a * n + d - a) * _lower_factor(spec, n, "gamma_{n} denominator vanishes")
+    spec.k(n)  # hi = n k_n / ((n + 1) k_{n+1}): a failing k_n is reported first
+    hi = n / ((n + 1) * _k_ratio(spec, n))
+    mid = -_b_ratio(spec, n - 1, True)
+    lo = -_linear_factor(spec, n, 1) * _lower_factor(spec, n, "gamma_{n} denominator vanishes")
     return CoefficientTriple(hi, mid, lo)
 
 
@@ -358,7 +400,7 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     prev = Polynomial.zero()
     for n in range(n_max):
         A, B, C = recurrence_coeffs(spec, n)
-        nxt = (x.scale(A) + Polynomial.const(B)) * polys[-1] - prev.scale(C)
+        nxt = (x.scale(A) + B) * polys[-1] - prev.scale(C)
         prev = polys[-1]
         polys.append(nxt)
     return polys
@@ -501,9 +543,17 @@ def verify_structure(spec: FamilySpec, n_max: int,
             key = relation.removesuffix("_rule")  # derivative_rule -> derivative
             if relation not in relations or key not in sides:
                 continue
-            residual, parts = sides[key]
-            for t, part in zip(triples[key], parts):
-                residual = residual - part.scale(t)
+            lhs, parts = sides[key]
+            triple = triples[key]
+            views = [p._int_view() for p in (lhs, *parts)]
+            if all(views) and all(type(t) is Fraction for t in triple):
+                # lhs - sum t * part, in one integer combination
+                residual = _int_combination(lhs.basis, (views[0], 1),
+                                            *zip(views[1:], (-t for t in triple)))
+            else:
+                residual = lhs
+                for t, part in zip(triple, parts):
+                    residual = residual - part.scale(t)
             record(relation, n, residual)
     return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks),
                            tuple(polys))

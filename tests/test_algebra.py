@@ -379,6 +379,34 @@ class TestIntegerKernels:
             assert [at(v) for v in got] == expand_over(Polynomial(map(at, p)), parts)
 
 
+class TestScalarOperations:
+    def test_scalar_sum_difference_and_power(self):
+        p = Polynomial([F(1, 2), F(-3), F(2, 5)])
+        assert p + 3 == 3 + p == Polynomial([F(7, 2), F(-3), F(2, 5)])
+        assert p - F(1, 2) == Polynomial([0, F(-3), F(2, 5)])
+        assert F(1, 2) - p == Polynomial([0, 3, F(-2, 5)])
+        assert (p + Dual(1, 2)).coeffs == (Dual(F(3, 2), 2), F(-3), F(2, 5))
+        assert Polynomial([1, 2], FALLING) - 1 == Polynomial([0, 2], FALLING)
+        assert p ** 0 == Polynomial([1]) and p ** 1 == p and p ** 3 == p * p * p
+        assert Polynomial.x(FALLING) ** 2 == Polynomial([0, 1, 1], FALLING)
+        for bad in (lambda: p ** -1, lambda: p ** F(1, 2), lambda: p + "1"):
+            with pytest.raises(TypeError):
+                bad()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(p=COEFFS, q=COEFFS, x=st.integers(-40, 40))
+    def test_integer_point_matches_horner_at_a_fraction(self, p, q, x):
+        for poly in (Polynomial(p), Polynomial(p) * Polynomial(q)):
+            got = poly(x)
+            assert got == poly(F(x)) and type(got) is F
+            horner = F(0)
+            for c in reversed(poly.coeffs):
+                horner = horner * F(x) + c
+            assert got == horner
+        dual = Polynomial([Dual(1, 2)] + p)
+        assert dual(x) == dual(F(x)) == Dual(1, 2) + x * Polynomial(p)(x)
+
+
 class TestPochhammer:
     def test_empty_product(self):
         assert pochhammer(F(3), 0) == 1

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from opoly.algebra import expand_over
+from opoly import structure
+from opoly.algebra import Dual, expand_over
 from opoly.cli import TABLE_KINDS, run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
@@ -62,6 +63,26 @@ def test_raw_spec_formulas_and_oracles_agree(spec, n_max, data):
     # where every formula is defined, each explicit triple equals the oracle's
     if admissibility(spec, n_max + 1).ok:
         assert structure_mismatches(spec, oracle_basis(spec, n_max + 1), n_max) == []
+
+
+# each bracket that is a polynomial in n, with its arguments after n
+BRACKETS = ((structure._sum_factor, ()), (structure._cn_denominator, ()),
+            (structure._linear_factor, (1,)), (structure._linear_factor, (2,)),
+            (structure._b_numerator, (False,)), (structure._b_numerator, (True,)),
+            (structure._b_denominator, (False,)), (structure._b_denominator, (True,)),
+            (structure._beta_numerator, ()))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(spec=raw_specs(), datum=st.integers(0, 4), slope=nonzero_rationals)
+def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
+    # the same spec with one datum carrying a derivative part
+    data = list(spec.abcde())
+    data[datum] = Dual(data[datum], slope)
+    for s in (spec, FamilySpec(spec.kind, *data, MONIC, "raw")):
+        for bracket, rest in BRACKETS:
+            for n in range(81):
+                assert bracket(s, n, *rest) == bracket.__wrapped__(s, n, *rest), (bracket, n)
 
 
 @st.composite

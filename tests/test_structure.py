@@ -153,7 +153,8 @@ class TestTheorem1:
 
 
 class TestPerDegreeMemo:
-    """k_n, Q_n and the base triples are kept per spec instance; failures are not."""
+    """k_n, rho_n, Q_n, the bracket polynomials and the base triples are kept
+    per spec instance; failures are not."""
 
     @staticmethod
     def _count_sum_factor(monkeypatch):
@@ -197,6 +198,56 @@ class TestPerDegreeMemo:
                     with pytest.raises(AdmissibilityError) as exc:
                         formula(spec, 1)
                     assert str(exc.value) == messages[formula]
+
+    def test_failing_k_messages_do_not_depend_on_call_order(self):
+        # Hahn-Q with N = 3: (-N)_n = 0 makes k_4, k_5, ... fail; each formula
+        # names the first k_j it reads, whatever the memo already holds
+        formulas = (recurrence_coeffs, derivative_rule_coeffs, starred_coeffs, theorem1_coeffs)
+        first_k = {recurrence_coeffs: {5: 6, 4: 5, 3: 4},
+                   derivative_rule_coeffs: {5: 5, 4: 4, 3: 4},
+                   starred_coeffs: {5: 5, 4: 4, 3: 4},
+                   theorem1_coeffs: {5: 5, 4: 4, 3: 4}}
+        for order in (formulas, formulas[::-1]):
+            for degrees in ((5, 4, 3, 2), (2, 3, 4, 5)):
+                spec = catalog("hahn-q", alpha=F(1, 2), beta=F(1, 3), N=F(3))
+                for n in degrees:
+                    for formula in order:
+                        if n == 2:
+                            formula(spec, n)
+                            continue
+                        with pytest.raises(AdmissibilityError) as exc:
+                            formula(spec, n)
+                        j = first_k[formula][n]
+                        assert str(exc.value) == \
+                            f"k_{j} has a vanishing denominator for family hahn-q"
+
+    def test_bracket_polynomials_are_built_once_per_spec_instance(self):
+        def brackets(spec):
+            return {key: value for key, value in spec._memo.items()
+                    if isinstance(value, Polynomial)}
+
+        def shifted_hermite():
+            # a = b = 0: the derivatives' tau data (d + 2a, e + b) equal (d, e)
+            return FamilySpec("continuous", 0, 0, 1, -2, 3)
+
+        spec, twin = shifted_hermite(), shifted_hermite()
+        for n in (1, 2):
+            formula_triples(spec, n)
+        built = brackets(spec)
+        assert len(built) == 9
+        for n in range(3, 12):
+            formula_triples(spec, n)
+        assert brackets(spec).keys() == built.keys()
+        assert all(brackets(spec)[key] is poly for key, poly in built.items())
+        # the recurrence and starred B brackets are equal here, but never shared
+        for bracket in (structure._b_numerator, structure._b_denominator):
+            plain, starred = (spec._memo[(bracket.__wrapped__, s)] for s in (False, True))
+            assert plain == starred and plain is not starred
+        # an equal spec builds its own
+        assert twin == spec and not brackets(twin)
+        formula_triples(twin, 2)
+        assert brackets(twin).keys() == built.keys()
+        assert all(brackets(twin)[key] is not poly for key, poly in built.items())
 
     def test_equal_specs_keep_their_own_values(self):
         def spec(base):
