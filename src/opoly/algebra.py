@@ -766,8 +766,11 @@ class Polynomial:
                 total = total + c * factor
             return total
         u = self._int_view() if type(point) is int else ()
-        cs, acc = (u[0], 0) if u else (self.coeffs, Fraction(0))
-        for c in reversed(cs):
+        cs = u[0] if u else self.coeffs
+        if not cs:
+            return Fraction(0)
+        acc = cs[-1]  # Horner from the leading coefficient
+        for c in reversed(cs[:-1]):
             acc = acc * point + c
         return Fraction(acc, u[1]) if u else acc
 

@@ -34,7 +34,6 @@ from .families import (
 from . import structure
 from . import series
 from . import connection as conn
-from . import diagnostics
 
 USAGE_ERROR = 1
 INADMISSIBLE = 2
@@ -123,34 +122,33 @@ def _table_triple(spec: FamilySpec, what: str, n: int) -> structure.CoefficientT
         return structure.derivative_rule_coeffs(spec, n)
     if what == "delta":
         return structure.delta_rule_coeffs(spec, n)
-    return structure.theorem1_coeffs(spec, n)[what]
+    return structure.theorem1_triple(spec, n, what)
 
 
 def cmd_tabulate(args) -> tuple[str, int]:
     spec = parse_family(args.family)
     start = 0 if args.what in ("recurrence", "xpn") else 1
-    ns = list(range(start, args.n_max + 1))
-    triples = [_table_triple(spec, args.what, n) for n in ns]
-    payload = structure.table_to_json(args.what, list(zip(ns, triples)))
-    payload["family"] = spec_to_json(spec)
-    rows = ([ "n", "lo", "mid", "hi" ],
-            [[str(n), format_rational(t.lo), format_rational(t.mid), format_rational(t.hi)]
-             for n, t in zip(ns, triples)])
+    cells = []  # n and the formatted lo, mid, hi: each value formatted once
+    for n in range(start, args.n_max + 1):
+        t = _table_triple(spec, args.what, n)
+        cells.append((n, format_rational(t.lo), format_rational(t.mid), format_rational(t.hi)))
+    payload = {"relation": args.what,
+               "entries": [{"n": n, "lo": lo, "mid": mid, "hi": hi} for n, lo, mid, hi in cells],
+               "family": spec_to_json(spec)}
+    rows = (["n", "lo", "mid", "hi"], [[str(n), *values] for n, *values in cells])
     return _emit(payload, args.format, rows), 0
 
 
 def cmd_generate(args) -> tuple[str, int]:
     spec = parse_family(args.family)
-    polys = structure.generate(spec, args.n_max)
+    coeffs = [[format_rational(c) for c in p.coeffs]
+              for p in structure.generate(spec, args.n_max)]
     payload = {
         "family": spec_to_json(spec),
         "basis": "monomial",
-        "polynomials": [{"n": n, "coeffs": [format_rational(c) for c in p.coeffs]}
-                        for n, p in enumerate(polys)],
+        "polynomials": [{"n": n, "coeffs": cs} for n, cs in enumerate(coeffs)],
     }
-    rows = (["n", "coeffs"],
-            [[str(n), " ".join(format_rational(c) for c in p.coeffs)]
-             for n, p in enumerate(polys)])
+    rows = (["n", "coeffs"], [[str(n), " ".join(cs)] for n, cs in enumerate(coeffs)])
     return _emit(payload, args.format, rows), 0
 
 
@@ -164,6 +162,7 @@ def cmd_verify(args) -> tuple[str, int]:
         raise UsageError(exc.args[0]) from exc
     mismatches = []
     if not args.skip_crosschecks:
+        from . import diagnostics  # only this branch and cmd_diagnostics need it
         # equation solver and series round-trip against generate's p_n, then
         # every explicit triple against the oracle (as opoly diagnostics does)
         polys = report.polys
@@ -268,6 +267,7 @@ def cmd_param_deriv(args) -> tuple[str, int]:
 
 
 def cmd_diagnostics(args) -> tuple[str, int]:
+    from . import diagnostics
     report = diagnostics.transcription_report(deep=not args.quick)
     code = 0 if not report["unresolved"] else VERIFY_FAILED
     return _emit(report, args.format, None), code

@@ -15,6 +15,7 @@ parameter), which is how parameter derivatives are verified.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -43,12 +44,13 @@ def per_degree(fn: Callable) -> Callable:
     """Keep the value of ``fn(spec, n, ...)`` in ``spec``'s memo, under (fn, n).
 
     Each per-degree value is then computed once per spec instance, however
-    many formulas read it: k_n, the term ratio k_{n+1}/k_n, Q_n and the
-    base triples.  A call that raises stores nothing and raises again on
+    many formulas read it: k_n, the term ratio k_{n+1}/k_n and the base
+    triples.  A call that raises stores nothing and raises again on
     the next call, with the message of that caller.  Arguments after n are
     not part of the key: they may only shape the error raised.  The
-    brackets those values are built from are polynomials in n, kept once
-    per spec by ``polynomial_in_n``.
+    brackets and entries those values are built from are polynomials and
+    quotients in n, kept once per spec by ``polynomial_in_n`` and
+    ``quotient_in_n``.
     """
     @functools.wraps(fn)
     def memoized(spec: "FamilySpec", n: int, *rest):
@@ -67,9 +69,10 @@ def polynomial_in_n(fn: Callable) -> Callable:
     The first call runs the body with the indeterminate ``Polynomial.x()``
     in place of n and keeps the polynomial in ``spec``'s memo, under fn and
     the arguments after n; each call returns its value at n, in integer
-    arithmetic when the spec's data are rational.  So the body may combine
-    n only by ``+``, ``-``, ``*`` and ``**``, and may branch only on
-    ``spec.kind`` and the arguments after n, never on n.
+    arithmetic when the spec's data are rational (at a ``Polynomial`` n, the
+    polynomial itself).  So the body may combine n only by ``+``, ``-``,
+    ``*`` and ``**``, and may branch only on ``spec.kind`` and the
+    arguments after n, never on n.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):
@@ -77,9 +80,56 @@ def polynomial_in_n(fn: Callable) -> Callable:
         poly = spec._memo.get(key)
         if poly is None:
             poly = spec._memo[key] = fn(spec, Polynomial.x(), *rest)
-        return poly(n)
+        return poly if isinstance(n, Polynomial) else poly(n)
 
     return evaluated
+
+
+def quotient_in_n(fn: Callable) -> Callable:
+    """Evaluate ``fn(spec, n, ...)`` as one quotient of polynomials in n.
+
+    The body runs once per spec with the indeterminate in place of n and
+    returns (numerator factors, denominator factors): brackets, n itself and
+    constants.  For rational data the two products are expanded once (kept
+    in ``spec``'s memo, under fn and the arguments after n), and at an
+    integer n Horner on their integer views builds one Fraction.  Dual and
+    rational-function data, and a formal n, multiply the factors' values
+    instead: no product over dual numbers is expanded.  Returns None where
+    the denominator vanishes, so that each caller raises its own message.
+    """
+    @functools.wraps(fn)
+    def evaluated(spec: "FamilySpec", n: int, *rest):
+        key = (fn, *rest)
+        parts = spec._memo.get(key)
+        if parts is None:
+            factors = fn(spec, Polynomial.x(), *rest)
+            expanded = [(None, 1), (None, 1)]
+            if spec._rational:  # highest degree first, for Horner
+                expanded = [(nums[::-1], den) for nums, den in (
+                    functools.reduce(operator.mul, f, Polynomial.const(1))._int_view()
+                    for f in factors)]
+            parts = spec._memo[key] = (*expanded, factors)
+        (top, top_den), (bottom, bottom_den), factors = parts
+        if top is not None and type(n) is int:
+            num = den = 0
+            for c in top:
+                num = num * n + c
+            for c in bottom:
+                den = den * n + c
+            return Fraction(num * bottom_den, den * top_den) if den else None
+        num, den = _product_at(factors[0], n), _product_at(factors[1], n)
+        return num / den if den != 0 else None
+
+    return evaluated
+
+
+def _product_at(factors, n) -> FieldElement:
+    """The product of the factors' values at n, in order (1 for none)."""
+    value = None
+    for f in factors:
+        f = f(n) if isinstance(f, Polynomial) else f
+        value = f if value is None else value * f
+    return Fraction(1) if value is None else value
 
 
 @dataclass(frozen=True)
@@ -88,17 +138,56 @@ class LeadingRule:
 
     The rule evaluates its closed form on every call; ``FamilySpec.k`` keeps
     the values.  The label is required: equal labels make equal specs, so
-    two rules with different k_n must not share one.
+    two rules with different k_n must not share one.  The optional ratio
+    gives k_{n+1}/k_n as a ``quotient_in_n`` body in n alone, each factor
+    linear in n.
     """
 
     fn: Callable[[int], FieldElement] = field(compare=False)
     label: str
+    ratio: Callable | None = field(default=None, compare=False)
 
     def __call__(self, n: int) -> FieldElement:
         return as_field(self.fn(n))
 
 
-MONIC = LeadingRule(lambda n: Fraction(1), "monic")
+MONIC = LeadingRule(lambda n: Fraction(1), "monic", lambda n: ((), ()))
+
+
+@quotient_in_n
+def _rule_ratio(spec: "FamilySpec", n: int):
+    return spec.leading.ratio(n)
+
+
+def _term_ratio(spec: "FamilySpec", n: int) -> FieldElement | None:
+    """rho_n = k_{n+1}/k_n from the rule's ratio; None where the rule has
+    none, the data are not rational or a factor of rho_n vanishes."""
+    if spec.leading.ratio is None or not spec._rational:
+        return None
+    return _rule_ratio(spec, n) or None
+
+
+def _leading_coefficient(spec: "FamilySpec", n: int) -> FieldElement:
+    """k_n, once per degree on this spec: k_{n-1} rho_{n-1} when k_{n-1} is
+    in the memo and no factor of rho_{n-1} vanishes, else the closed form;
+    a failed k_j is not kept, so the next value is a closed form too (jacobi
+    alpha = -3/2, beta = -5/2 has k_2 = k_3 = 0 but k_4 = 1/16).  A zero value
+    or a vanishing denominator of the rule is inadmissible."""
+    if n:
+        previous = spec._memo.get((_leading_coefficient, n - 1))
+        if previous is not None:
+            rho = _term_ratio(spec, n - 1)
+            if rho is not None:
+                return previous * rho
+    try:
+        value = spec.leading(n)
+    except ZeroDivisionError:
+        raise AdmissibilityError(
+            f"k_{n} has a vanishing denominator for family {spec.name or spec.abcde()}"
+        ) from None
+    if value == 0:
+        raise AdmissibilityError(f"k_{n} = 0 for family {spec.name or spec.abcde()}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -115,6 +204,8 @@ class FamilySpec:
     # per-degree values of this instance (see ``per_degree``); equal specs
     # do not share it
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # every datum and parameter is a Fraction (see ``quotient_in_n``)
+    _rational: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
@@ -123,6 +214,8 @@ class FamilySpec:
             object.__setattr__(self, attr, as_field(getattr(self, attr)))
         if self.d == 0:
             raise ValueError("tau must have degree exactly 1 (d != 0)")
+        object.__setattr__(self, "_rational", all(
+            type(v) is Fraction for v in (*self.abcde(), *(v for _, v in self.params))))
 
     # -- basic data ---------------------------------------------------------
 
@@ -132,19 +225,7 @@ class FamilySpec:
     def tau(self) -> Polynomial:
         return Polynomial([self.e, self.d])
 
-    @per_degree
-    def k(self, n: int) -> FieldElement:
-        """k_n, computed once per degree on this spec; a zero value or a
-        vanishing denominator of the rule is inadmissible (and not kept)."""
-        try:
-            value = self.leading(n)
-        except ZeroDivisionError:
-            raise AdmissibilityError(
-                f"k_{n} has a vanishing denominator for family {self.name or self.abcde()}"
-            ) from None
-        if value == 0:
-            raise AdmissibilityError(f"k_{n} = 0 for family {self.name or self.abcde()}")
-        return value
+    k = per_degree(_leading_coefficient)
 
     def abcde(self) -> tuple[FieldElement, ...]:
         return (self.a, self.b, self.c, self.d, self.e)
@@ -179,6 +260,7 @@ class FamilySpec:
         return sig * p.delta().nabla() + tau * p.delta() + p.scale(lam)
 
 
+@polynomial_in_n
 def lambda_n(spec: FamilySpec, n: int) -> FieldElement:
     """Eigenvalue -(a n (n-1) + d n) of the degree-n member."""
     return -(spec.a * n * (n - 1) + spec.d * n)
@@ -206,9 +288,14 @@ def affine_transform(spec: FamilySpec, scale: FieldElement, offset: FieldElement
     def k(n: int, base=base, s=s):
         return base(n) / s ** n
 
+    def ratio(n, base=base, s=s):
+        num, den = base.ratio(n)
+        return num, (*den, s)
+
     label = f"({base.label})/scale^n, scale={format_field(s)}, offset={format_field(t)}"
     return FamilySpec(CONTINUOUS, a, new_b, new_c, d, new_e,
-                      LeadingRule(k, label), f"{spec.name}@affine", spec.params)
+                      LeadingRule(k, label, ratio if base.ratio else None),
+                      f"{spec.name}@affine", spec.params)
 
 
 # ---------------------------------------------------------------------------
@@ -219,33 +306,36 @@ def _jacobi(alpha, beta):
     def k(n):
         return pochhammer(alpha + beta + n + 1, n) / (Fraction(2) ** n * factorial(n))
     return FamilySpec(CONTINUOUS, -1, 0, 1, -(alpha + beta + 2), beta - alpha,
-                      LeadingRule(k, "binom(2n+a+b,n)/2^n"))
+                      LeadingRule(k, "binom(2n+a+b,n)/2^n", lambda n: (
+                          (alpha + beta + 2 * n + 1, alpha + beta + 2 * n + 2),
+                          (2, n + 1, alpha + beta + n + 1))))
 
 
 def _gegenbauer(alpha):
     def k(n):
         return Fraction(2) ** n * pochhammer(alpha, n) / factorial(n)
     return FamilySpec(CONTINUOUS, -1, 0, 1, -(2 * alpha + 1), 0,
-                      LeadingRule(k, "2^n (a)_n / n!"))
+                      LeadingRule(k, "2^n (a)_n / n!", lambda n: ((2, alpha + n), (n + 1,))))
 
 
 def _laguerre(alpha):
     def k(n):
         return Fraction(-1) ** n / factorial(n)
     return FamilySpec(CONTINUOUS, 0, 1, 0, -1, alpha + 1,
-                      LeadingRule(k, "(-1)^n/n!"))
+                      LeadingRule(k, "(-1)^n/n!", lambda n: ((-1,), (n + 1,))))
 
 
 def _hermite():
     return FamilySpec(CONTINUOUS, 0, 0, 1, -2, 0,
-                      LeadingRule(lambda n: Fraction(2) ** n, "2^n"))
+                      LeadingRule(lambda n: Fraction(2) ** n, "2^n", lambda n: ((2,), ())))
 
 
 def _bessel(alpha):
     def k(n):
         return pochhammer(alpha + n + 1, n) / Fraction(2) ** n
     return FamilySpec(CONTINUOUS, 1, 0, 0, alpha + 2, 2,
-                      LeadingRule(k, "(n+a+1)_n/2^n"))
+                      LeadingRule(k, "(n+a+1)_n/2^n", lambda n: (
+                          (alpha + 2 * n + 1, alpha + 2 * n + 2), (2, alpha + n + 1))))
 
 
 def _monomial():
@@ -257,7 +347,9 @@ def _hahn(alpha, beta, N):
     def k(n):
         return pochhammer(alpha + beta + n + 1, n) / factorial(n)
     return FamilySpec(DISCRETE, -1, N + alpha, 0, -(alpha + beta + 2),
-                      (beta + 1) * (N - 1), LeadingRule(k, "binom(a+b+2n,n)"))
+                      (beta + 1) * (N - 1), LeadingRule(k, "binom(a+b+2n,n)", lambda n: (
+                          (alpha + beta + 2 * n + 1, alpha + beta + 2 * n + 2),
+                          (n + 1, alpha + beta + n + 1))))
 
 
 def _hahnq(alpha, beta, N):
@@ -267,14 +359,16 @@ def _hahnq(alpha, beta, N):
         return pochhammer(alpha + beta + n + 1, n) / (
             pochhammer(-N, n) * pochhammer(alpha + 1, n))
     return FamilySpec(DISCRETE, -1, N + 1 + beta, 0, -(alpha + beta + 2),
-                      (alpha + 1) * N, LeadingRule(k, "(a+b+n+1)_n/((-N)_n (a+1)_n)"))
+                      (alpha + 1) * N, LeadingRule(k, "(a+b+n+1)_n/((-N)_n (a+1)_n)", lambda n: (
+                          (alpha + beta + 2 * n + 1, alpha + beta + 2 * n + 2),
+                          (alpha + beta + n + 1, n - N, alpha + n + 1))))
 
 
 def _meixner(gamma, mu):
     def k(n):
         return ((mu - 1) / as_field(mu)) ** n
     return FamilySpec(DISCRETE, 0, 1, 0, mu - 1, gamma * mu,
-                      LeadingRule(k, "(1-1/mu)^n"))
+                      LeadingRule(k, "(1-1/mu)^n", lambda n: ((mu - 1,), (mu,))))
 
 
 def _krawtchouk(p, N):
@@ -282,19 +376,21 @@ def _krawtchouk(p, N):
         return 1 / factorial(n)
     d = -1 / (1 - as_field(p))
     return FamilySpec(DISCRETE, 0, 1, 0, d, N * p / (1 - as_field(p)),
-                      LeadingRule(k, "1/n!"))
+                      LeadingRule(k, "1/n!", lambda n: ((), (n + 1,))))
 
 
 def _charlier(mu):
     def k(n):
         return (-1 / as_field(mu)) ** n
-    return FamilySpec(DISCRETE, 0, 1, 0, -1, mu, LeadingRule(k, "(-1/mu)^n"))
+    return FamilySpec(DISCRETE, 0, 1, 0, -1, mu,
+                      LeadingRule(k, "(-1/mu)^n", lambda n: ((-1,), (mu,))))
 
 
 def _kfamily(alpha, beta):
     def k(n):
         return as_field(alpha) ** n
-    return FamilySpec(DISCRETE, 0, 0, 1, alpha, beta, LeadingRule(k, "alpha^n"))
+    return FamilySpec(DISCRETE, 0, 0, 1, alpha, beta,
+                      LeadingRule(k, "alpha^n", lambda n: ((alpha,), ())))
 
 
 def _falling_factorial():

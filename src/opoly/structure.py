@@ -14,19 +14,21 @@ evaluates, per degree n:
 
 Every triple is an exact rational expression in (a, b, c, d, e, n) and the
 term ratio rho_n = k_{n+1}/k_n of the standardization, the only way the
-formulas read k.  Two brackets are written once and shared: the B bracket
-of the recurrence, which also gives the starred mid (evaluated on the
-derivatives' data (a, b, d + 2a, e') at degree n - 1), and the lower
-bracket Q_n behind C_n, gamma_n and the starred lo.  Each numerator,
-denominator and linear factor of a bracket is a polynomial in n whose
-coefficients depend on the spec alone: it is expanded once per spec and
-evaluated at each degree (``families.polynomial_in_n``).  rho_n, Q_n and
-the recurrence, xpn, derivative-rule and starred triples are kept in the
-spec's memo (``families.per_degree``), so each is computed once per spec
-and degree however many formulas or callers read it; the other triples
-are read off those.  A formula raises AdmissibilityError where one of its
-denominators vanishes (that is never memoized), and ``admissibility``
-evaluates the formulas to report those degrees.
+formulas read k.  Each entry of the base triples is one quotient in n: B_n/A_n
+(also the starred mid, on the derivatives' data (a, b, d + 2a, e') at degree
+n - 1), beta_n, and the lower entries C_n, gamma_n and the starred lo over the
+rho they carry.  Its numerator and denominator are products of brackets
+whose coefficients depend on the spec alone; each bracket is expanded once
+per spec (``families.polynomial_in_n``), each product too, and at each degree
+the two are evaluated in integer arithmetic into one Fraction
+(``families.quotient_in_n``).  rho_n and the recurrence, xpn, derivative-rule
+and starred triples are kept in the spec's memo (``families.per_degree``),
+so each is computed once per spec and degree however many formulas or
+callers read it; the other triples are read off those, and
+``theorem1_triple`` computes only the Theorem-1 triples its kind needs.  A
+formula raises AdmissibilityError where one of its denominators vanishes
+(that is never memoized), and ``admissibility`` evaluates the formulas to
+report those degrees.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -46,7 +48,6 @@ from .algebra import (
     as_field,
     expand_over,
     factorial,
-    format_rational,
     pochhammer,
 )
 from .families import (
@@ -54,10 +55,12 @@ from .families import (
     DISCRETE,
     AdmissibilityError,
     FamilySpec,
+    _term_ratio,
     catalog,
     lambda_n,
     per_degree,
     polynomial_in_n,
+    quotient_in_n,
 )
 from .series import series_polynomial
 
@@ -109,26 +112,35 @@ def _linear_factor(spec: FamilySpec, n: int, shift: int) -> FieldElement:
 
 @per_degree
 def _k_ratio(spec: FamilySpec, n: int) -> FieldElement:
-    """rho_n = k_{n+1} / k_n: the one way the formulas read the standardization."""
-    return spec.k(n + 1) / spec.k(n)
+    """rho_n = k_{n+1} / k_n: the one way the formulas read the standardization.
+    A failing k_{n+1} or k_n is reported first; then the rule's term ratio."""
+    k_next, k_n = spec.k(n + 1), spec.k(n)
+    rho = _term_ratio(spec, n)
+    return k_next / k_n if rho is None else rho
 
 
-@per_degree
-def _lower_factor(spec: FamilySpec, n: int, failure: str) -> FieldElement:
-    """Q_n = n S(n) / D(n) * rho_{n-1}, with S = ``_sum_factor`` and
-    D = ``_cn_denominator``: the bracket every lower entry is written with,
+@quotient_in_n
+def _lower_entry(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...]):
+    """The product of the factors an + d - shift a, times sign n S(n) / D(n),
+    with S = ``_sum_factor`` and D = ``_cn_denominator``: the lower entries
+    over the rho they carry.  With Q_n = n S(n) / D(n) rho_{n-1},
 
-        C_n     = -(an + d - 2a) Q_n A_n        (recurrence)
-        gamma_n = (an + d - a)(an + d - 2a) Q_n  (derivative rule)
-        lo*_n   = -(an + d - a) Q_n              (starred triple).
-
-    Raises AdmissibilityError(failure), formatted with n and the spec's
-    name, where D(n) vanishes; so each caller keeps its own message.
+        C_n / (rho_{n-1} rho_n) = -(an + d - 2a) n S(n) / D(n)     (C_n = -(an + d - 2a) Q_n A_n)
+        gamma_n / rho_{n-1} = (an + d - a)(an + d - 2a) n S(n) / D(n)
+        lo*_n / rho_{n-1}   = -(an + d - a) n S(n) / D(n)          (lo*_n = -(an + d - a) Q_n).
     """
-    den = _cn_denominator(spec, n)
-    if den == 0:
+    linear = tuple(_linear_factor(spec, n, shift) for shift in shifts)
+    return (*linear, sign * n * _sum_factor(spec, n)), (_cn_denominator(spec, n),)
+
+
+def _lower(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...],
+           failure: str) -> FieldElement:
+    """``_lower_entry`` times rho_{n-1}; AdmissibilityError(failure), formatted
+    with n and the spec's name, where D(n) vanishes (before rho_{n-1} is read)."""
+    entry = _lower_entry(spec, n, sign, shifts)
+    if entry is None:
         raise AdmissibilityError(failure.format(n=n, name=spec.name or spec.abcde()))
-    return n * _sum_factor(spec, n) / den * _k_ratio(spec, n - 1)
+    return entry * _k_ratio(spec, n - 1)
 
 
 def _tau_data(spec: FamilySpec, starred: bool) -> tuple[FieldElement, FieldElement]:
@@ -155,6 +167,11 @@ def _b_denominator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     return (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
 
 
+@quotient_in_n
+def _b_quotient(spec: FamilySpec, n: int, starred: bool):
+    return (_b_numerator(spec, n, starred),), (_b_denominator(spec, n, starred),)
+
+
 def _b_ratio(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     """B_n / A_n of the recurrence for the data (a, b) and ``_tau_data``.
 
@@ -164,10 +181,10 @@ def _b_ratio(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     if n == 0:
         d, e = _tau_data(spec, starred)
         return e / d
-    den = _b_denominator(spec, n, starred)
-    if den == 0:
+    value = _b_quotient(spec, n, starred)
+    if value is None:
         raise AdmissibilityError(f"B_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    return _b_numerator(spec, n, starred) / den
+    return value
 
 
 @per_degree
@@ -181,8 +198,8 @@ def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     B = _b_ratio(spec, n, False) * A
     if n == 0:
         return CoefficientTriple(A, B, Fraction(0))
-    lower = _lower_factor(spec, n, "C_{n} denominator vanishes for {name}")
-    return CoefficientTriple(A, B, -_linear_factor(spec, n, 2) * lower * A)
+    C = _lower(spec, n, -1, (2,), "C_{n} denominator vanishes for {name}") * A
+    return CoefficientTriple(A, B, C)
 
 
 def _flip(t: CoefficientTriple) -> CoefficientTriple:
@@ -206,6 +223,11 @@ def _beta_numerator(spec: FamilySpec, n: int) -> FieldElement:
                 - 2 * a * a * n + 2 * a * a * n * n))
 
 
+@quotient_in_n
+def _beta(spec: FamilySpec, n: int):
+    return (_beta_numerator(spec, n),), (_b_denominator(spec, n, False),)
+
+
 @per_degree
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(alpha_n, beta_n, gamma_n) of the derivative rule
@@ -217,13 +239,11 @@ def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
         raise ValueError("derivative rule needs n >= 1")
     spec.k(n)  # alpha_n = a n k_n / k_{n+1}: a failing k_n is reported first
     alpha = spec.a * n / _k_ratio(spec, n)
-    beta_den = _b_denominator(spec, n, False)
-    if beta_den == 0:
+    beta = _beta(spec, n)
+    if beta is None:
         raise AdmissibilityError(f"beta_{n} denominator vanishes")
-    beta = _beta_numerator(spec, n) / beta_den
-    lower = _lower_factor(spec, n, "gamma_{n} denominator vanishes")
     return CoefficientTriple(alpha, beta,
-                             _linear_factor(spec, n, 1) * _linear_factor(spec, n, 2) * lower)
+                             _lower(spec, n, 1, (1, 2), "gamma_{n} denominator vanishes"))
 
 
 def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -260,7 +280,7 @@ def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     spec.k(n)  # hi = n k_n / ((n + 1) k_{n+1}): a failing k_n is reported first
     hi = n / ((n + 1) * _k_ratio(spec, n))
     mid = -_b_ratio(spec, n - 1, True)
-    lo = -_linear_factor(spec, n, 1) * _lower_factor(spec, n, "gamma_{n} denominator vanishes")
+    lo = _lower(spec, n, -1, (1,), "gamma_{n} denominator vanishes")
     return CoefficientTriple(hi, mid, lo)
 
 
@@ -279,22 +299,37 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     (the ones the antiderivative tables print), not the arbitrary
     convention 0.
     """
+    return dict(_theorem1(spec, n))
+
+
+def theorem1_triple(spec: FamilySpec, n: int, what: str) -> CoefficientTriple:
+    """``theorem1_coeffs(spec, n)[what]``, in value and in every exception,
+    computing only the triples ``what`` is read off."""
+    return next(triple for kind, triple in _theorem1(spec, n) if kind == what)
+
+
+def _theorem1(spec: FamilySpec, n: int):
+    """Yield the starred, primed and hatted triples in turn, as (kind, triple);
+    every check comes before the first, so each raises where
+    ``theorem1_coeffs`` does."""
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
     alpha, beta, gamma = derivative_rule_coeffs(spec, n)
-    a, b, c, d, e = spec.abcde()
     starred = starred_coeffs(spec, n)
+    lam = lambda_n(spec, n)
+    if lam == 0:
+        raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
+    yield "starred", starred
+    a, b, c, d, e = spec.abcde()
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(alpha - 2 * a * starred.hi,
                                beta - 2 * a * starred.mid - sig_delta,
                                gamma - 2 * a * starred.lo)
-    lam = lambda_n(spec, n)
-    if lam == 0:
-        raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
-    hatted = CoefficientTriple(-(primed.hi + d * starred.hi) / lam,
-                               -(primed.mid + d * starred.mid + e) / lam,
-                               -(primed.lo + d * starred.lo) / lam)
-    return {"starred": starred, "primed": primed, "hatted": hatted}
+    yield "primed", primed
+    scale = -1 / lam
+    yield "hatted", CoefficientTriple((primed.hi + d * starred.hi) * scale,
+                                      (primed.mid + d * starred.mid + e) * scale,
+                                      (primed.lo + d * starred.lo) * scale)
 
 
 def antiderivative(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -583,19 +618,3 @@ def binomial_partial_sum(n: int, m: int) -> tuple[Fraction, Fraction]:
     lhs = (anti(Fraction(m + n + 1)) - anti(Fraction(n))) / factorial(n)
     rhs = as_field(pochhammer(Fraction(n + 2), m)) / factorial(m)  # C(n+m+1, m)
     return lhs, rhs
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def table_to_json(relation: str, entries: list[tuple[int, CoefficientTriple]]) -> dict:
-    """CoefficientTable JSON: one row per n with lo/mid/hi rational strings."""
-    return {
-        "relation": relation,
-        "entries": [
-            {"n": n, "lo": format_rational(t.lo), "mid": format_rational(t.mid),
-             "hi": format_rational(t.hi)}
-            for n, t in entries
-        ],
-    }

@@ -15,6 +15,7 @@ from opoly.families import (
     spec_to_json,
 )
 from opoly.cli import run
+from opoly.connection import exact_parameter_derivative
 from opoly.structure import admissibility, generate
 
 from conftest import FAMILY_POINTS, iter_specs
@@ -134,6 +135,23 @@ class TestLeadingMemo:
                 messages.add(str(exc.value))
             assert messages == {f"k_{n} has a vanishing denominator for family hahn-q"}
         assert spec.k(5) == F(9 * 10 * 11 * 12 * 13) / (F(-120) * 720)  # (9)_5/((-5)_5 (2)_5)
+
+    def test_k_after_a_failed_k_is_a_closed_form(self):
+        # rho_n = (2n-3)(2n-2) / (2(n+1)(n-3)): rho_1 = 0 and rho_3 has a pole,
+        # yet k_4 exists, so no value after a failed k_j is stepped from it
+        for degrees in (range(6), range(5, -1, -1)):
+            spec = catalog("jacobi", alpha=F(-3, 2), beta=F(-5, 2))
+            got = {n: _k_or_error(spec, n) for n in degrees}
+            assert got == {0: 1, 1: -1, 2: ("inadmissible", "k_2 = 0 for family jacobi"),
+                           3: ("inadmissible", "k_3 = 0 for family jacobi"),
+                           4: F(1, 16), 5: F(3, 16)}
+
+    def test_dual_data_keep_the_closed_form(self):
+        # at n = 0 the Hahn ratio has the factor alpha + beta + 1, which k_0
+        # lacks; at alpha = -1 as a dual number it is 0 + eps, not a unit
+        row = exact_parameter_derivative("hahn", "alpha", 1,
+                                         {"alpha": F(-1), "beta": F(0), "N": F(8)})
+        assert row.coeffs == (7, 1)
 
     def test_wrapped_rules_read_the_base_values(self):
         alpha, beta = F(1, 2), F(-1, 3)

@@ -5,10 +5,11 @@ import contextlib
 import io
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from opoly import structure
-from opoly.algebra import Dual, expand_over
+from opoly.algebra import Dual, Polynomial, expand_over
 from opoly.cli import TABLE_KINDS, run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
@@ -18,11 +19,21 @@ from opoly.connection import (
     connect_recurrence,
 )
 from opoly.diagnostics import structure_mismatches
-from opoly.families import CATALOG_NAMES, MONIC, AdmissibilityError, FamilySpec, catalog_params
+from opoly.families import (
+    CATALOG_NAMES,
+    MONIC,
+    AdmissibilityError,
+    FamilySpec,
+    affine_transform,
+    catalog,
+    catalog_params,
+    lambda_n,
+)
 from opoly.structure import admissibility, generate, oracle_basis, solve_equation
 
 small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
+rarely = st.integers(0, 7).map(lambda v: v == 7)
 
 
 @st.composite
@@ -70,7 +81,31 @@ BRACKETS = ((structure._sum_factor, ()), (structure._cn_denominator, ()),
             (structure._linear_factor, (1,)), (structure._linear_factor, (2,)),
             (structure._b_numerator, (False,)), (structure._b_numerator, (True,)),
             (structure._b_denominator, (False,)), (structure._b_denominator, (True,)),
-            (structure._beta_numerator, ()))
+            (structure._beta_numerator, ()), (lambda_n, ()))
+
+# each entry that is a quotient in n, with its arguments after n
+QUOTIENTS = ((structure._b_quotient, (False,)), (structure._b_quotient, (True,)),
+             (structure._beta, ()), (structure._lower_entry, (-1, (2,))),
+             (structure._lower_entry, (1, (1, 2))), (structure._lower_entry, (-1, (1,))))
+
+
+def _quotient_at(num, den, n):
+    """The quotient of the factors' values at n, None where the denominator
+    is 0; a dual denominator of value 0 raises ZeroDivisionError, as in the
+    formulas."""
+    top = bottom = F(1)
+    for factor in num:
+        top = top * (factor(n) if isinstance(factor, Polynomial) else factor)
+    for factor in den:
+        bottom = bottom * (factor(n) if isinstance(factor, Polynomial) else factor)
+    return top / bottom if bottom != 0 else None
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ZeroDivisionError as exc:
+        return str(exc)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
@@ -83,6 +118,64 @@ def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
         for bracket, rest in BRACKETS:
             for n in range(81):
                 assert bracket(s, n, *rest) == bracket.__wrapped__(s, n, *rest), (bracket, n)
+        # an entry is the quotient of its factors' values, or None where the
+        # denominator vanishes
+        for quotient, rest in QUOTIENTS:
+            num, den = quotient.__wrapped__(s, Polynomial.x(), *rest)
+            for n in range(81):
+                assert _outcome(lambda: quotient(s, n, *rest)) == \
+                    _outcome(lambda: _quotient_at(num, den, n)), (quotient, rest, n)
+
+
+def _k_or_error(spec, n):
+    try:
+        return spec.k(n)
+    except AdmissibilityError as exc:
+        return str(exc)
+
+
+@st.composite
+def catalog_points(draw, name):
+    """Parameters of a catalog family at a random rational point, about a
+    third of them integers, and for a continuous family sometimes an affine
+    (scale, offset)."""
+    values = st.integers(-5, 5).map(F) if draw(st.integers(0, 2)) == 0 else small_rationals
+    params = {key: draw(values) for key in catalog_params(name)}
+    affine = (draw(nonzero_rationals), draw(small_rationals)) if draw(rarely) else None
+    return name, params, affine
+
+
+def _fresh_spec(name, params, affine):
+    spec = catalog(name, params)
+    if affine and spec.kind == "continuous":
+        spec = affine_transform(spec, *affine)
+    return spec
+
+
+# every catalog rule, and the monic one
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("hahn-q-monic",))
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(data=st.data(), order=st.randoms(use_true_random=False))
+def test_k_stepped_by_the_term_ratio_matches_the_closed_form(name, data, order):
+    point = data.draw(catalog_points(name))
+    try:
+        fresh = _fresh_spec(*point)
+    except AdmissibilityError:
+        return
+    closed = []  # k_n read first on an empty memo: the rule's closed form
+    for n in range(31):
+        fresh._memo.clear()
+        closed.append(_k_or_error(fresh, n))
+    degrees = list(range(31))
+    shuffled = list(degrees)
+    order.shuffle(shuffled)
+    for sequence in (degrees, shuffled):
+        spec = _fresh_spec(*point)
+        assert [_k_or_error(spec, n) for n in sequence] == [closed[n] for n in sequence]
+    # rho_n = k_{n+1}/k_n wherever both exist
+    for n in range(30):
+        if not isinstance(closed[n], str) and not isinstance(closed[n + 1], str):
+            assert structure._k_ratio(spec, n) == closed[n + 1] / closed[n], n
 
 
 @st.composite
@@ -114,7 +207,6 @@ def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
 # --- CLI contract: exit codes 0-3 and a message, never a traceback -----------
 
 FAMILY_NAMES = CATALOG_NAMES + tuple(f"{name}-monic" for name in CATALOG_NAMES)
-rarely = st.integers(0, 7).map(lambda v: v == 7)
 cli_values = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 3))
 bad_values = st.sampled_from(("", "x", "1.5", "1/", "/2", "--1", "1/0", "3/0"))
 

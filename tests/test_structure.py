@@ -3,9 +3,9 @@ from fractions import Fraction as F
 import pytest
 
 from opoly import structure
-from opoly.algebra import Polynomial
+from opoly.algebra import Polynomial, RationalFunction
 from opoly.connection import connect_oracle, connect_recurrence
-from opoly.families import AdmissibilityError, FamilySpec, LeadingRule, catalog
+from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, catalog
 from opoly.structure import (
     antiderivative,
     antidifference,
@@ -20,8 +20,10 @@ from opoly.structure import (
     solve_equation,
     starred_coeffs,
     theorem1_coeffs,
+    theorem1_triple,
     verify_structure,
 )
+from opoly.diagnostics import SAMPLE_SPECS
 
 from conftest import iter_specs
 
@@ -49,6 +51,20 @@ class TestRecurrenceCoeffs:
             A, B, _ = recurrence_coeffs(spec, n)
             assert A == -1 / mu
             assert B == (n + mu) / mu
+
+    def test_formal_degree_on_monic_specs(self):
+        # n = t, a rational function: every entry is a rational function of n
+        # that takes the formula's value at each integer degree
+        t = RationalFunction.parameter()
+        for kind, name in (("continuous", "jacobi-monic"), ("discrete", "hahn-monic")):
+            spec = catalog(name, alpha=F(1, 2), beta=F(1, 3),
+                           **({"N": F(14)} if kind == "discrete" else {}))
+            formal = recurrence_coeffs(spec, t)
+            assert type(formal.mid) is RationalFunction
+            for n in range(2, 9):
+                values = tuple(c.evaluate(F(n)) if isinstance(c, RationalFunction) else c
+                               for c in formal)
+                assert values == tuple(recurrence_coeffs(spec, n)), (name, n)
 
     def test_brute_force_equivalence(self):
         # formula triple == unique solution of the expanded linear system
@@ -140,6 +156,34 @@ class TestTheorem1:
         spec = catalog("k-family", alpha=F(3), beta=F(1, 2))
         assert verify_structure(spec, 11).ok
 
+    def test_one_triple_equals_the_full_call(self):
+        # theorem1_triple(spec, n, what) computes only what it needs, and equals
+        # theorem1_coeffs(spec, n)[what] in value or message, on fresh specs
+        def outcome(call):
+            try:
+                return tuple(call())
+            except (AdmissibilityError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        def raw(kind):  # lambda_4 = -(4 * 3 - 3 * 4) = 0, though starred_coeffs succeeds
+            return lambda: FamilySpec(kind, 1, 0, 1, -3, 0, MONIC, "raw")
+
+        cases = [(raw(kind), [4]) for kind in ("continuous", "discrete")]
+        cases.append((lambda: catalog("hahn-q", alpha=F(1, 2), beta=F(1, 3), N=F(3)), [3, 4, 5]))
+        cases.append((lambda: catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2)), [1]))  # Chebyshev T
+        cases += [(lambda name=name, params=params: catalog(name, params), range(1, 9))
+                  for name, params in SAMPLE_SPECS]
+        for fresh, degrees in cases:
+            for n in degrees:
+                for what in ("starred", "primed", "hatted"):
+                    got = outcome(lambda: theorem1_triple(fresh(), n, what))
+                    assert got == outcome(lambda: theorem1_coeffs(fresh(), n)[what]), (n, what)
+        for kind in ("continuous", "discrete"):
+            assert starred_coeffs(raw(kind)(), 4)
+            for what in ("starred", "primed", "hatted"):
+                assert outcome(lambda: theorem1_triple(raw(kind)(), 4, what)) == (
+                    AdmissibilityError, "lambda_4 = 0; hatted triple undefined")
+
     def test_differentiated_hatted_relation(self):
         # d/dx of p_n = a^ p'_{n+1} + b^ p'_n + c^ p'_{n-1} holds exactly too
         spec = catalog("jacobi", alpha=F(1, 2), beta=F(2))
@@ -153,37 +197,51 @@ class TestTheorem1:
 
 
 class TestPerDegreeMemo:
-    """k_n, rho_n, Q_n, the bracket polynomials and the base triples are kept
-    per spec instance; failures are not."""
+    """k_n, rho_n and the base triples are kept per spec instance, and so are
+    the bracket and entry polynomials in n; failures are not kept."""
 
-    @staticmethod
-    def _count_sum_factor(monkeypatch):
+    # the brackets the entries (quotients in n) are built from
+    BRACKETS = ("_sum_factor", "_cn_denominator", "_linear_factor", "_b_numerator",
+                "_b_denominator", "_beta_numerator")
+
+    @classmethod
+    def _count_bracket_reads(cls, monkeypatch):
         calls = []
-        original = structure._sum_factor
+        for name in cls.BRACKETS:
+            def counted(spec, n, *rest, original=getattr(structure, name), name=name):
+                calls.append((id(spec), name, rest, type(n)))
+                return original(spec, n, *rest)
 
-        def counted(spec, n):
-            calls.append((id(spec), n))
-            return original(spec, n)
-
-        monkeypatch.setattr(structure, "_sum_factor", counted)
+            monkeypatch.setattr(structure, name, counted)
         return calls
 
     def test_connection_row_evaluates_each_bracket_once(self, monkeypatch):
-        calls = self._count_sum_factor(monkeypatch)
+        calls = self._count_bracket_reads(monkeypatch)
         p = catalog("jacobi-monic", alpha=F(1, 2), beta=F(1, 3))
         q = catalog("jacobi-monic", alpha=F(2), beta=F(1, 3))
         row = connect_recurrence(p, q, 16)
-        # Q_16 on the P side, Q_1 .. Q_17 on the Q side
-        assert sorted(calls) == sorted([(id(p), 16)] + [(id(q), j) for j in range(1, 18)])
+        # no bracket is read at a degree: only an entry's body reads them, at
+        # the indeterminate, once per spec
+        assert {spec for spec, *_ in calls} == {id(p), id(q)}
+        assert all(kind is Polynomial for *_, kind in calls)
+        built = list(calls)
+        assert connect_recurrence(p, q, 20).coeffs == connect_oracle(p, q, 20).coeffs
+        assert calls == built  # four more degrees on each side, no more reads
         assert row.coeffs == connect_oracle(p, q, 16).coeffs
 
     def test_repeated_formula_triples_evaluate_each_bracket_once(self, monkeypatch):
-        calls = self._count_sum_factor(monkeypatch)
+        calls = self._count_bracket_reads(monkeypatch)
         spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
+        formula_triples(spec, 2)  # reads every entry: the starred B at n - 1 = 1 too
+        at_two = list(calls)
+        assert all(kind is Polynomial for *_, kind in at_two)
         first = [formula_triples(spec, n) for n in range(1, 9)]
+        memo = dict(spec._memo)
         again = [formula_triples(spec, n) for n in range(1, 9)]
         assert first == again
-        assert calls == [(id(spec), n) for n in range(1, 9)]
+        assert calls == at_two
+        assert spec._memo.keys() == memo.keys()
+        assert all(spec._memo[key] is value for key, value in memo.items())
 
     def test_failures_raise_their_own_message_on_every_call(self):
         # Chebyshev T: alpha + beta = -1 makes the lower bracket 0/0 at n = 1
@@ -222,9 +280,11 @@ class TestPerDegreeMemo:
                             f"k_{j} has a vanishing denominator for family hahn-q"
 
     def test_bracket_polynomials_are_built_once_per_spec_instance(self):
-        def brackets(spec):
+        def built(spec):
+            # bracket polynomials, and the expanded numerator and denominator
+            # of each entry (a tuple); per-degree values are neither
             return {key: value for key, value in spec._memo.items()
-                    if isinstance(value, Polynomial)}
+                    if isinstance(value, (Polynomial, tuple))}
 
         def shifted_hermite():
             # a = b = 0: the derivatives' tau data (d + 2a, e + b) equal (d, e)
@@ -233,21 +293,25 @@ class TestPerDegreeMemo:
         spec, twin = shifted_hermite(), shifted_hermite()
         for n in (1, 2):
             formula_triples(spec, n)
-        built = brackets(spec)
-        assert len(built) == 9
+        first = built(spec)
+        # nine brackets and lambda_n; B_n/A_n plain and starred, beta_n, the
+        # three lower entries and the rule's term ratio
+        assert sum(isinstance(v, Polynomial) for v in first.values()) == 10
+        assert sum(isinstance(v, tuple) for v in first.values()) == 7
         for n in range(3, 12):
             formula_triples(spec, n)
-        assert brackets(spec).keys() == built.keys()
-        assert all(brackets(spec)[key] is poly for key, poly in built.items())
-        # the recurrence and starred B brackets are equal here, but never shared
-        for bracket in (structure._b_numerator, structure._b_denominator):
-            plain, starred = (spec._memo[(bracket.__wrapped__, s)] for s in (False, True))
+        assert built(spec).keys() == first.keys()
+        assert all(built(spec)[key] is value for key, value in first.items())
+        # the recurrence and starred B brackets and entries are equal here,
+        # but never shared
+        for body in (structure._b_numerator, structure._b_denominator, structure._b_quotient):
+            plain, starred = (spec._memo[(body.__wrapped__, s)] for s in (False, True))
             assert plain == starred and plain is not starred
         # an equal spec builds its own
-        assert twin == spec and not brackets(twin)
+        assert twin == spec and not built(twin)
         formula_triples(twin, 2)
-        assert brackets(twin).keys() == built.keys()
-        assert all(brackets(twin)[key] is not poly for key, poly in built.items())
+        assert built(twin).keys() == first.keys()
+        assert all(built(twin)[key] is not value for key, value in first.items())
 
     def test_equal_specs_keep_their_own_values(self):
         def spec(base):
