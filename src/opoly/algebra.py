@@ -21,6 +21,10 @@ conversions and the back-substitution of ``expand_over`` run on that view
 with integer arithmetic only (fraction-free), and a polynomial they build
 makes its ``Fraction`` coefficients only when they are read.  Dual-number
 and rational-function coefficients take the per-coefficient route instead.
+
+``RationalFunction`` holds its numerator and denominator as such
+polynomials and computes on their integer views; a primitive
+pseudo-remainder-sequence gcd, in integers, keeps it in lowest terms.
 """
 
 from __future__ import annotations
@@ -105,107 +109,106 @@ def binomial(top: FieldElement, k: int) -> FieldElement:
     return pochhammer(top - k + 1, k) / factorial(k)
 
 
-# ---------------------------------------------------------------------------
-# Raw dense polynomial helpers over Fraction (used by RationalFunction).
-# ---------------------------------------------------------------------------
-
-def _trim(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    end = len(coeffs)
-    while end > 0 and coeffs[end - 1] == 0:
-        end -= 1
-    return tuple(coeffs[:end])
-
-
-def _raw_add(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    n = max(len(p), len(q))
-    return _trim([
-        (p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def _raw_scale(p: Sequence[Fraction], s: Fraction) -> tuple[Fraction, ...]:
-    if s == 0:
-        return ()
-    return tuple(c * s for c in p)
+def _pseudo_divmod(u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    """(q, r) with lead(v)^k u = q v + r and deg r < deg v, where
+    k = max(deg u - deg v + 1, 0): pseudo-division of integer coefficient
+    lists (v nonzero, no trailing zeros), in integers only."""
+    m, lead = len(v), v[-1]
+    r = list(u)
+    q = [0] * max(len(u) - m + 1, 0)
+    for i in range(len(q) - 1, -1, -1):
+        c = r.pop()  # the entry at degree i + m - 1; i steps remain after this one
+        q[i] = c * lead ** i
+        r = [lead * x for x in r]
+        for j in range(m - 1):
+            r[i + j] -= c * v[j]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
 
 
-def _raw_mul(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    if not p or not q:
-        return ()
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _trim(out)
+def _primitive(p: list[int]) -> tuple[int, list[int]]:
+    """(c, q) with p = c q, q primitive with a positive leading coefficient."""
+    c = gcd(*p) if p[-1] > 0 else -gcd(*p)
+    return c, [x // c for x in p]
 
 
-def _raw_divmod(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quot = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
-    inv_lead = 1 / q[-1]
-    for i in range(len(rem) - len(q), -1, -1):
-        factor = rem[i + len(q) - 1] * inv_lead
-        if factor == 0:
-            continue
-        quot[i] = factor
-        for j, b in enumerate(q):
-            rem[i + j] -= factor * b
-    return _trim(quot), _trim(rem)
+def _primitive_gcd(u: list[int], v: list[int]) -> list[int]:
+    """gcd of two primitive integer polynomials with positive leading
+    coefficients, normalized the same way: the primitive pseudo-remainder
+    sequence (Knuth, TAOCP vol. 2, section 4.6.1)."""
+    if len(u) < len(v):
+        u, v = v, u
+    while len(v) > 1:
+        r = _pseudo_divmod(u, v)[1]
+        if not r:
+            return v
+        u, v = v, _primitive(r)[1]
+    return [1]
 
 
-def _raw_gcd(p: Sequence[Fraction], q: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    a, b = _trim(p), _trim(q)
-    while b:
-        _, r = _raw_divmod(a, b)
-        a, b = b, r
-    if a:
-        a = tuple(c / a[-1] for c in a)  # monic
-    return a
+def _exact_quotient(u: list[int], g: list[int]) -> list[int]:
+    """u / g for a primitive g that divides u over the integers."""
+    q = _pseudo_divmod(u, g)[0]
+    power = g[-1] ** len(q)
+    return [c // power for c in q]
 
 
 class RationalFunction:
     """Rational function num(t)/den(t) over Fraction in one formal parameter.
 
     Normalized so that gcd(num, den) = 1 and den is monic; this makes
-    equality a plain tuple comparison.  Forms a field: any nonzero element
-    has an inverse.  The parameter-derivative oracle uses ``Dual`` instead,
-    which needs no gcd.  This field stays for what a dual number cannot do:
-    carry a formal parameter through a removable 0/0, which the planned
-    limit route for removable singularities needs (ROADMAP.md), and the
-    formal-x check of the series tests.
+    equality a comparison of the two polynomials, and a constant equal to
+    (and hashed as) its ``Fraction``.  Forms a field: any nonzero element
+    has an inverse.  Numerator and denominator are rational ``Polynomial``s,
+    so the arithmetic runs on their integer views (``num`` and ``den`` read
+    them as tuples of ``Fraction``); the gcd is a primitive
+    pseudo-remainder sequence in integers.  The parameter-derivative oracle
+    uses ``Dual`` instead, which needs no gcd.  This field stays for what a
+    dual number cannot do: carry a formal parameter through a removable
+    0/0, which the planned limit route for removable singularities needs
+    (ROADMAP.md), and the formal-x check of the series tests.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num: Iterable[Fraction] | Fraction | int = 0,
                  den: Iterable[Fraction] | Fraction | int = 1):
-        num = self._as_coeffs(num)
-        den = self._as_coeffs(den)
-        if not den:
+        num, den = self._as_poly(num), self._as_poly(den)
+        if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
-        g = _raw_gcd(num, den)
-        if g and len(g) > 1 or (g and g != (Fraction(1),)):
-            num, _ = _raw_divmod(num, g)
-            den, _ = _raw_divmod(den, g)
-        lead = den[-1]
-        if lead != 1:
-            num = tuple(c / lead for c in num)
-            den = tuple(c / lead for c in den)
-        self.num: tuple[Fraction, ...] = _trim(num)
-        self.den: tuple[Fraction, ...] = _trim(den)
+        if num.is_zero():
+            self._num, self._den = num, Polynomial.const(1)
+            return
+        (a, da), (b, db) = num._int_view(), den._int_view()
+        ca, a = _primitive(a)
+        cb, b = _primitive(b)
+        g = _primitive_gcd(a, b)
+        if len(g) > 1:
+            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        s = Fraction(ca * db, cb * da * b[-1])  # num/den = s a / (b / lead(b))
+        self._num = _from_ints([s.numerator * c for c in a], s.denominator, MONOMIAL)
+        self._den = _from_ints(b, b[-1], MONOMIAL)
 
     @staticmethod
-    def _as_coeffs(value) -> tuple[Fraction, ...]:
+    def _as_poly(value) -> Polynomial:
+        """A monomial-basis Polynomial with Fraction coefficients; a
+        Polynomial argument is the arithmetic's own product or sum."""
+        if isinstance(value, Polynomial):
+            return value
         if isinstance(value, RationalFunction):
             raise TypeError("nested RationalFunction")
         if isinstance(value, (int, Fraction)):
-            return _trim((Fraction(value),))
-        return _trim(tuple(Fraction(c) for c in value))
+            return Polynomial.const(Fraction(value))
+        return Polynomial(Fraction(c) for c in value)
+
+    @property
+    def num(self) -> tuple[Fraction, ...]:
+        return self._num.coeffs
+
+    @property
+    def den(self) -> tuple[Fraction, ...]:
+        return self._den.coeffs
 
     @classmethod
     def parameter(cls) -> "RationalFunction":
@@ -225,34 +228,35 @@ class RationalFunction:
         return NotImplemented  # type: ignore[return-value]
 
     def __bool__(self) -> bool:
-        return bool(self.num)
+        return not self._num.is_zero()
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return self._num == o._num and self._den == o._den
 
     def __hash__(self) -> int:
+        if self._den.degree() == 0 and self._num.degree() < 1:
+            return hash(self._num.coeff(0))
         return hash((self.num, self.den))
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        num = _raw_add(_raw_mul(self.num, o.den), _raw_mul(o.num, self.den))
-        return RationalFunction(num, _raw_mul(self.den, o.den))
+        return RationalFunction(self._num * o._den + o._num * self._den, self._den * o._den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(tuple(-c for c in self.num), self.den)
+        return RationalFunction(-self._num, self._den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return RationalFunction(self._num * o._den - o._num * self._den, self._den * o._den)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -261,7 +265,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunction(_raw_mul(self.num, o.num), _raw_mul(self.den, o.den))
+        return RationalFunction(self._num * o._num, self._den * o._den)
 
     __rmul__ = __mul__
 
@@ -269,9 +273,9 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        if not o.num:
+        if not o:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(_raw_mul(self.num, o.den), _raw_mul(self.den, o.num))
+        return RationalFunction(self._num * o._den, self._den * o._num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -282,37 +286,20 @@ class RationalFunction:
     def __pow__(self, exponent: int):
         if exponent < 0:
             return (1 / self) ** (-exponent)
-        result = RationalFunction(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return RationalFunction(self._num ** exponent, self._den ** exponent)
 
     def derivative(self) -> "RationalFunction":
         """Formal derivative d/dt via the quotient rule."""
-        dn = _trim(tuple(self.num[i] * i for i in range(1, len(self.num))))
-        dd = _trim(tuple(self.den[i] * i for i in range(1, len(self.den))))
-        num = _raw_add(_raw_mul(dn, self.den), _raw_scale(_raw_mul(self.num, dd), Fraction(-1)))
-        return RationalFunction(num, _raw_mul(self.den, self.den))
+        num, den = self._num, self._den
+        return RationalFunction(num.derivative() * den - num * den.derivative(), den * den)
 
     def evaluate(self, point: Fraction) -> Fraction:
         """Value at a rational point; raises ZeroDivisionError at a pole."""
         point = Fraction(point)
-
-        def horner(coeffs):
-            acc = Fraction(0)
-            for c in reversed(coeffs):
-                acc = acc * point + c
-            return acc
-
-        den = horner(self.den)
+        den = self._den(point)
         if den == 0:
             raise ZeroDivisionError(f"pole at t = {point}")
-        return horner(self.num) / den
+        return self._num(point) / den
 
     def __repr__(self) -> str:
         def side(coeffs):

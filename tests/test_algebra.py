@@ -13,6 +13,7 @@ from opoly.algebra import (
     Dual,
     Polynomial,
     RationalFunction,
+    _pseudo_divmod,
     binomial,
     expand_over,
     format_rational,
@@ -480,6 +481,86 @@ class TestRationalFunction:
         t = RationalFunction.parameter()
         with pytest.raises(ZeroDivisionError):
             (1 / (t - 2)).evaluate(F(2))
+
+    def test_a_constant_hashes_as_its_fraction(self):
+        three = RationalFunction.const(3)
+        assert three == F(3) and hash(three) == hash(F(3))
+        assert len({three, F(3), 3}) == 1
+        assert len({Polynomial([three]), Polynomial([3])}) == 1
+        assert hash(RationalFunction.const(0)) == hash(F(0))
+        t = RationalFunction.parameter()
+        assert hash(t) == hash(((F(0), F(1)), (F(1),)))  # a non-constant keeps its hash
+        assert hash(1 / t) == hash(((F(1),), (F(0), F(1))))
+
+    def test_canonical_form_matches_the_euclidean_reference(self):
+        rng = random.Random(21)
+        for _ in range(80):
+            common = [rand_fraction(rng, 9) for _ in range(rng.randint(2, 4))]
+            common[-1] = common[-1] or F(1)
+            num = [rand_fraction(rng, 9) for _ in range(rng.randint(0, 4))]
+            den = [rand_fraction(rng, 9) for _ in range(rng.randint(0, 3))] + [F(rng.choice([-3, 1, 2]))]
+            num, den = _ref_mul(num, common), _ref_mul(den, common)
+            r = RationalFunction(num, den)
+            assert (r.num, r.den) == _ref_canonical(num, den), (num, den)
+            assert all(type(c) is F for c in r.num + r.den)
+        with pytest.raises(AttributeError):
+            r.num = ()
+
+    def test_pseudo_division_identity(self):
+        rng = random.Random(22)
+        for _ in range(300):
+            u = _ref_trim([rng.randint(-30, 30) for _ in range(rng.randint(0, 8))])
+            v = [rng.randint(-30, 30) for _ in range(rng.randint(0, 4))] + [rng.choice([-7, -1, 1, 4])]
+            q, r = _pseudo_divmod(u, v)
+            k = max(len(u) - len(v) + 1, 0)
+            assert len(r) < len(v) and (not r or r[-1])
+            assert _ref_add(_ref_mul(q, v), r) == _ref_trim([v[-1] ** k * c for c in u])
+
+
+# A per-coefficient Euclidean normalization over Fraction, independent of
+# the integer pseudo-remainder route: the reference for the canonical form.
+
+def _ref_trim(p):
+    end = len(p)
+    while end > 0 and p[end - 1] == 0:
+        end -= 1
+    return tuple(p[:end])
+
+
+def _ref_add(p, q):
+    n = max(len(p), len(q))
+    return _ref_trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
+
+
+def _ref_mul(p, q):
+    if not p or not q:
+        return ()
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _ref_trim(out)
+
+
+def _ref_divmod(p, q):
+    rem = list(p)
+    quot = [F(0)] * max(len(p) - len(q) + 1, 0)
+    for i in range(len(rem) - len(q), -1, -1):
+        factor = rem[i + len(q) - 1] / q[-1]
+        quot[i] = factor
+        for j, b in enumerate(q):
+            rem[i + j] -= factor * b
+    return _ref_trim(quot), _ref_trim(rem)
+
+
+def _ref_canonical(num, den):
+    """(num, den) over Fraction with den monic and gcd(num, den) = 1, by the
+    Euclidean algorithm on Fraction coefficients."""
+    a, b = _ref_trim([F(c) for c in num]), _ref_trim([F(c) for c in den])
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    num, den = _ref_divmod(num, a)[0], _ref_divmod(den, a)[0]
+    return tuple(c / den[-1] for c in num), tuple(c / den[-1] for c in den)
 
 
 def rand_dual(rng):

@@ -7,9 +7,11 @@ benchmark; this test catches it without running the benchmark.
 import importlib
 import inspect
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from opoly import cli, connection, series, structure
+from opoly.algebra import RationalFunction
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -39,6 +41,7 @@ def test_tracer_wraps_the_traced_names_and_restores_every_original(monkeypatch, 
     tracing = importlib.import_module("tracing")
     before = _functions()
     descend, generate = series.descend, structure.generate
+    ratfunc = {attr: vars(RationalFunction)[attr] for attr in ("__init__", "derivative", "evaluate")}
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -46,11 +49,18 @@ def test_tracer_wraps_the_traced_names_and_restores_every_original(monkeypatch, 
             assert module.descend is not descend
             assert module.descend.__wrapped__ is descend
         assert structure.generate.__wrapped__ is generate
+        for attr, original in ratfunc.items():
+            assert vars(RationalFunction)[attr].__wrapped__ is original
+        r = RationalFunction([1, 1], [-1, 0, 1])  # (t + 1)/(t^2 - 1) = 1/(t - 1)
+        assert r.derivative().evaluate(3) == Fraction(-1, 4)
         assert cli.run(["verify", "--family", "laguerre:alpha=1/2", "--n-max", "3"]) == 0
     finally:
         tracer.uninstall()
     capsys.readouterr()
     assert tracer.calls["series.descend"] > 0
     assert tracer.calls["structure.generate"] > 0
+    for short in ("ratfunc_new", "ratfunc_derivative", "ratfunc_evaluate"):
+        assert tracer.calls[f"algebra.{short}"] > 0
+    assert {attr: vars(RationalFunction)[attr] for attr in ratfunc} == ratfunc
     after = _functions()
     assert [key for key, fn in before.items() if after.get(key) is not fn] == []
