@@ -110,27 +110,11 @@ def _emit(payload: dict, fmt: str, csv_rows: tuple[list[str], Iterable[list[str]
     return "\n".join(lines) + "\n"
 
 
-TABLE_KINDS = ("recurrence", "xpn", "derivative", "delta", "starred", "primed", "hatted")
-
-
-def _table_triple(spec: FamilySpec, what: str, n: int) -> structure.CoefficientTriple:
-    if what == "recurrence":
-        return structure.recurrence_coeffs(spec, n)
-    if what == "xpn":
-        return structure.xpn_coeffs(spec, n)
-    if what == "derivative":
-        return structure.derivative_rule_coeffs(spec, n)
-    if what == "delta":
-        return structure.delta_rule_coeffs(spec, n)
-    return structure.theorem1_triple(spec, n, what)
-
-
 def cmd_tabulate(args) -> tuple[str, int]:
     spec = parse_family(args.family)
-    start = 0 if args.what in ("recurrence", "xpn") else 1
     cells = []  # n and the formatted lo, mid, hi: each value formatted once
-    for n in range(start, args.n_max + 1):
-        t = _table_triple(spec, args.what, n)
+    for n in range(structure.RELATIONS[args.what].start, args.n_max + 1):
+        t = structure.formula_triple(spec, args.what, n)
         cells.append((n, format_rational(t.lo), format_rational(t.mid), format_rational(t.hi)))
     payload = {"relation": args.what,
                "entries": [{"n": n, "lo": lo, "mid": mid, "hi": hi} for n, lo, mid, hi in cells],
@@ -154,8 +138,14 @@ def cmd_generate(args) -> tuple[str, int]:
 
 def cmd_verify(args) -> tuple[str, int]:
     spec = parse_family(args.family)
-    relations = tuple(args.relations.split(",")) if args.relations else structure.RELATION_NAMES
-    relations = tuple(r for r in relations if r != "delta_rule" or spec.kind == "discrete")
+    lacking = {r.check for r in structure.RELATIONS.values() if spec.kind not in r.kinds}
+    relations = (tuple(args.relations.split(",")) if args.relations
+                 else tuple(r for r in structure.RELATION_NAMES if r not in lacking))
+    for i, name in enumerate(relations):
+        if name in relations[:i]:
+            raise UsageError(f"duplicate relation {name!r} in {args.relations!r}")
+        if name in lacking:
+            raise UsageError(f"relation {name!r} does not apply to {spec.kind} families")
     try:
         report = structure.verify_structure(spec, args.n_max, relations)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
@@ -288,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tabulate", help="coefficient tables for one family")
     p.add_argument("--family", required=True)
-    p.add_argument("--what", choices=TABLE_KINDS, required=True)
+    p.add_argument("--what", choices=structure.RELATIONS, required=True)
     p.add_argument("--n-max", type=int, required=True)
     add_common(p)
 

@@ -11,10 +11,9 @@ re-derived by an independent route and compared exactly:
 * closed connection formulas   vs. the oracle rows
 * parameter-derivative tables  vs. the dual-number derivative
 
-``structure_mismatches`` compares every explicit structure triple of one
-spec (xpn, recurrence, derivative, delta, starred, primed, hatted) with the
-oracle; ``opoly verify`` runs it on its family, ``check_structure_formulas``
-over ``SAMPLE_SPECS``.
+``structure_mismatches`` compares each explicit structure triple of one spec
+(``structure.RELATIONS``) with the oracle; ``opoly verify`` runs it on its
+family, ``check_structure_formulas`` over ``SAMPLE_SPECS``.
 
 ``transcription_report`` runs the whole battery and returns machine-readable
 results; the shipped catalog must produce zero unresolved mismatches.
@@ -44,6 +43,7 @@ from .connection import (
 )
 from .series import falling_in_basis, power_in_basis, series_polynomial
 from .structure import (
+    RELATIONS,
     CoefficientTriple,
     formula_triples,
     generate,
@@ -94,7 +94,7 @@ def structure_mismatches(spec: FamilySpec, basis: list[Polynomial], n_max: int
         oracle = oracle_triples(spec, basis, n)
         for key, got in formula_triples(spec, n).items():
             want = oracle[key]
-            width = 2 if n == 1 and key in ("starred", "primed", "hatted") else 3
+            width = 2 if n == 1 and RELATIONS[key].theorem1 else 3
             if tuple(got)[:width] != tuple(want)[:width]:
                 out.append((key, n, got, want))
     return out

@@ -24,8 +24,9 @@ the two are evaluated in integer arithmetic into one Fraction
 (``families.quotient_in_n``).  rho_n and the recurrence, xpn, derivative-rule
 and starred triples are kept in the spec's memo (``families.per_degree``),
 so each is computed once per spec and degree however many formulas or
-callers read it; the other triples are read off those, and
-``theorem1_triple`` computes only the Theorem-1 triples its kind needs.  A
+callers read it; the other triples are read off those.  ``RELATIONS`` names
+the relations once for tabulate, verify and the oracle comparison, and
+``formula_triple`` computes only the Theorem-1 triples its key needs.  A
 formula raises AdmissibilityError where one of its denominators vanishes
 (that is never memoized), and ``admissibility`` evaluates the formulas to
 report those degrees.
@@ -302,12 +303,6 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     return dict(_theorem1(spec, n))
 
 
-def theorem1_triple(spec: FamilySpec, n: int, what: str) -> CoefficientTriple:
-    """``theorem1_coeffs(spec, n)[what]``, in value and in every exception,
-    computing only the triples ``what`` is read off."""
-    return next(triple for kind, triple in _theorem1(spec, n) if kind == what)
-
-
 def _theorem1(spec: FamilySpec, n: int):
     """Yield the starred, primed and hatted triples in turn, as (kind, triple);
     every check comes before the first, so each raises where
@@ -350,19 +345,44 @@ def antidifference(spec: FamilySpec, n: int) -> CoefficientTriple:
     return theorem1_coeffs(spec, n)["hatted"]
 
 
+@dataclass(frozen=True)
+class Relation:
+    """One structure relation, as ``RELATIONS`` lists it."""
+    start: int  # its first degree
+    check: str | None  # its verify_structure name; None for xpn, the flipped recurrence
+    kinds: tuple[str, ...] = (CONTINUOUS, DISCRETE)  # the kinds of family that have it
+    theorem1: bool = False  # a Theorem-1 relation: its lo multiplies D p_0 = 0 at n = 1
+
+
+# Every structure relation, keyed as in ``formula_triples`` and ``tabulate --what``.
+RELATIONS = {"recurrence": Relation(0, "recurrence"), "xpn": Relation(0, None),
+             "derivative": Relation(1, "derivative_rule"),
+             "delta": Relation(1, "delta_rule", (DISCRETE,)),
+             **{key: Relation(1, key, theorem1=True) for key in ("starred", "primed", "hatted")}}
+RELATION_NAMES = ("equation", *(r.check for r in RELATIONS.values() if r.check))
+
+
+def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
+    """``formula_triples(spec, n)[key]``, in value and in every exception of
+    its formula, computing only the Theorem-1 triples ``key`` is read off."""
+    if RELATIONS[key].theorem1:
+        return next(triple for kind, triple in _theorem1(spec, n) if kind == key)
+    return {"recurrence": recurrence_coeffs, "xpn": xpn_coeffs,
+            "derivative": derivative_rule_coeffs, "delta": delta_rule_coeffs}[key](spec, n)
+
+
 def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """Every explicit triple for degree n, under the keys of ``oracle_triples``.
 
     The triples the others are read off come from the spec's memo, so a
     second call for the same spec and n computes no bracket again.
     """
-    out = {"xpn": xpn_coeffs(spec, n), "recurrence": recurrence_coeffs(spec, n)}
-    if n < 1:
-        return out
-    out["derivative"] = derivative_rule_coeffs(spec, n)
-    if spec.kind == DISCRETE:
-        out["delta"] = delta_rule_coeffs(spec, n)
-    out.update(theorem1_coeffs(spec, n))
+    out, theorem1 = {}, {}
+    for key, relation in RELATIONS.items():
+        if n >= relation.start and spec.kind in relation.kinds:
+            if relation.theorem1:  # the three Theorem-1 triples from one call
+                theorem1 = theorem1 or theorem1_coeffs(spec, n)
+            out[key] = theorem1[key] if relation.theorem1 else formula_triple(spec, key, n)
     return out
 
 
@@ -543,10 +563,6 @@ class StructureReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-RELATION_NAMES = ("equation", "recurrence", "derivative_rule", "delta_rule",
-                  "starred", "primed", "hatted")
-
-
 def verify_structure(spec: FamilySpec, n_max: int,
                      relations: tuple[str, ...] = RELATION_NAMES) -> StructureReport:
     """Exact residuals of every structure relation for 1 <= n <= n_max - 1.
@@ -574,9 +590,8 @@ def verify_structure(spec: FamilySpec, n_max: int,
             continue
         triples = formula_triples(spec, n)
         sides = _relation_sides(spec, polys, n)
-        for relation in RELATION_NAMES[1:]:
-            key = relation.removesuffix("_rule")  # derivative_rule -> derivative
-            if relation not in relations or key not in sides:
+        for key, relation in RELATIONS.items():
+            if relation.check not in relations or key not in sides:
                 continue
             lhs, parts = sides[key]
             triple = triples[key]
@@ -589,7 +604,7 @@ def verify_structure(spec: FamilySpec, n_max: int,
                 residual = lhs
                 for t, part in zip(triple, parts):
                     residual = residual - part.scale(t)
-            record(relation, n, residual)
+            record(relation.check, n, residual)
     return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks),
                            tuple(polys))
 

@@ -285,6 +285,27 @@ class TestExitCodes:
         # a malformed item is named, as in --family
         assert err == "opoly: malformed parameter 'alpha' in 'alpha'\n"
 
+    def test_verify_relation_the_kind_lacks_is_usage_error(self, capsys):
+        # as tabulate --what delta is on a continuous family: a run that checks
+        # nothing must not pass
+        for relations in ("delta_rule", "equation,delta_rule"):
+            code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "3",
+                                     "--relations", relations, "--skip-crosschecks")
+            assert (code, out) == (USAGE_ERROR, ""), relations
+            assert err == "opoly: relation 'delta_rule' does not apply to continuous families\n"
+        code, out, _ = run_cli(capsys, "verify", "--family", "charlier:mu=2", "--n-max", "3",
+                               "--relations", "delta_rule", "--skip-crosschecks")
+        data = json.loads(out)
+        assert (code, data["relations"]) == (0, ["delta_rule"])
+        assert [(c["relation"], c["n"]) for c in data["checks"]] == [("delta_rule", 1),
+                                                                     ("delta_rule", 2)]
+
+    def test_verify_repeated_relation_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "3",
+                                 "--relations", "recurrence,equation,recurrence")
+        assert (code, out) == (USAGE_ERROR, "")
+        assert err == "opoly: duplicate relation 'recurrence' in 'recurrence,equation,recurrence'\n"
+
     def test_hahn_q_beyond_lattice_is_inadmissible(self, capsys):
         # k_n divides by (-N)_n, which vanishes for n > N
         family = "hahn-q:alpha=1,beta=2,N=5"

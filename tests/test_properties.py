@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from opoly import structure
 from opoly.algebra import Dual, Polynomial, expand_over
-from opoly.cli import TABLE_KINDS, run
+from opoly.cli import run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
     ConnectionRow,
@@ -207,6 +207,7 @@ def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
 # --- CLI contract: exit codes 0-3 and a message, never a traceback -----------
 
 FAMILY_NAMES = CATALOG_NAMES + tuple(f"{name}-monic" for name in CATALOG_NAMES)
+TABLE_KINDS = tuple(structure.RELATIONS)  # the tabulate --what choices
 cli_values = st.builds("{}/{}".format, st.integers(-4, 4), st.integers(1, 3))
 bad_values = st.sampled_from(("", "x", "1.5", "1/", "/2", "--1", "1/0", "3/0"))
 

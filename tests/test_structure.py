@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from opoly import structure
-from opoly.algebra import Polynomial, RationalFunction
+from opoly.algebra import Dual, Polynomial, RationalFunction
 from opoly.connection import connect_oracle, connect_recurrence
 from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, catalog
 from opoly.structure import (
@@ -12,6 +12,7 @@ from opoly.structure import (
     binomial_partial_sum,
     delta_rule_coeffs,
     derivative_rule_coeffs,
+    formula_triple,
     formula_triples,
     generate,
     oracle_basis,
@@ -20,7 +21,6 @@ from opoly.structure import (
     solve_equation,
     starred_coeffs,
     theorem1_coeffs,
-    theorem1_triple,
     verify_structure,
 )
 from opoly.diagnostics import SAMPLE_SPECS
@@ -157,7 +157,7 @@ class TestTheorem1:
         assert verify_structure(spec, 11).ok
 
     def test_one_triple_equals_the_full_call(self):
-        # theorem1_triple(spec, n, what) computes only what it needs, and equals
+        # formula_triple(spec, what, n) computes only what it needs, and equals
         # theorem1_coeffs(spec, n)[what] in value or message, on fresh specs
         def outcome(call):
             try:
@@ -176,12 +176,12 @@ class TestTheorem1:
         for fresh, degrees in cases:
             for n in degrees:
                 for what in ("starred", "primed", "hatted"):
-                    got = outcome(lambda: theorem1_triple(fresh(), n, what))
+                    got = outcome(lambda: formula_triple(fresh(), what, n))
                     assert got == outcome(lambda: theorem1_coeffs(fresh(), n)[what]), (n, what)
         for kind in ("continuous", "discrete"):
             assert starred_coeffs(raw(kind)(), 4)
             for what in ("starred", "primed", "hatted"):
-                assert outcome(lambda: theorem1_triple(raw(kind)(), 4, what)) == (
+                assert outcome(lambda: formula_triple(raw(kind)(), what, 4)) == (
                     AdmissibilityError, "lambda_4 = 0; hatted triple undefined")
 
     def test_differentiated_hatted_relation(self):
@@ -398,6 +398,33 @@ class TestVerifyStructure:
         relations = {c.relation for c in report.checks}
         assert relations == {"equation", "derivative_rule", "delta_rule",
                              "starred", "primed", "hatted"}
+
+
+    @pytest.mark.parametrize("name, params", [
+        ("jacobi", {"alpha": Dual(F(1, 2), 1), "beta": F(1, 3)}),
+        ("hahn", {"alpha": Dual(F(1, 2), 1), "beta": F(1, 3), "N": F(14)}),
+    ])
+    def test_dual_parameter_spec(self, monkeypatch, name, params):
+        # alpha = 1/2 + eps: the polynomials and triples carry Dual coefficients,
+        # which have no integer view, so each residual is formed coefficient by
+        # coefficient (and d/dx by Polynomial._lowered's per-coefficient route);
+        # it must vanish in the value and in the d/dalpha part alike
+        report = verify_structure(catalog(name, params), 6)
+        assert report.ok and report.checks
+        assert all(isinstance(c, Dual) for c in report.polys[3].coeffs)
+        original = structure.formula_triples
+
+        def broken(spec, n):  # the starred mid at n = 3, wrong in its d/dalpha part only
+            out = original(spec, n)
+            if n == 3:
+                hi, mid, lo = out["starred"]
+                out = {**out, "starred": structure.CoefficientTriple(hi, mid + Dual(0, 1), lo)}
+            return out
+
+        monkeypatch.setattr(structure, "formula_triples", broken)
+        bad = verify_structure(catalog(name, params), 6).failures()
+        assert [(c.relation, c.n) for c in bad] == [("starred", 3)]
+        assert "Dual(0, " in bad[0].residual
 
 
 class TestAntiderivativeRepresentations:

@@ -64,3 +64,25 @@ def test_tracer_wraps_the_traced_names_and_restores_every_original(monkeypatch, 
     assert {attr: vars(RationalFunction)[attr] for attr in ratfunc} == ratfunc
     after = _functions()
     assert [key for key, fn in before.items() if after.get(key) is not fn] == []
+
+
+def test_tracer_counts_the_formulas_tabulate_dispatches_to(monkeypatch, capsys):
+    # formula_triple calls the formulas through module globals, which the tracer
+    # wraps; and the benchmark's table kinds are the relation table's keys
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    assert importlib.import_module("workloads").TABLE_KINDS == tuple(structure.RELATIONS)
+    tracer = tracing.Tracer()
+    tracer.install()
+    counts = {}
+    try:
+        for what, traced in (("recurrence", "structure.recurrence_coeffs"),
+                             ("hatted", "structure.derivative_rule_coeffs")):
+            before = tracer.calls[traced]
+            assert cli.run(["tabulate", "--family", "hermite", "--what", what,
+                            "--n-max", "4"]) == 0
+            counts[what] = tracer.calls[traced] - before
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert counts["recurrence"] > 0 and counts["hatted"] > 0
