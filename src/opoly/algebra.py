@@ -470,6 +470,58 @@ def _int_combination(basis: str, *terms: tuple[tuple, Fraction | int]) -> "Polyn
     return _from_ints(out, den, basis)
 
 
+class _IntPoly:
+    """A polynomial with int coefficients ``c``, lowest degree first, and
+    nothing else: no basis, no denominator, no content reduction.  It is the
+    indeterminate n the bracket bodies of ``families.polynomial_in_n`` run
+    on for rational data, and the compiled Theorem-1 entries of
+    ``structure`` are quotients of it.  Supports +, -, * and ** with ints
+    and with itself."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: list[int]):
+        self.c = c
+
+    def __add__(self, other):
+        a, b = self.c, other.c if type(other) is _IntPoly else [other]
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, x in enumerate(b):
+            out[i] += x
+        return _IntPoly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _IntPoly([-x for x in self.c])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is not _IntPoly:
+            return _IntPoly([other * x for x in self.c])
+        out = [0] * (len(self.c) + len(other.c) - 1)
+        for i, x in enumerate(self.c):
+            if x:
+                for j, y in enumerate(other.c, i):
+                    out[j] += x * y
+        return _IntPoly(out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int):
+        out = _IntPoly([1])
+        for _ in range(exponent):
+            out = out * self
+        return out
+
+
 class Polynomial:
     """Dense univariate polynomial over an exact field, with a basis tag.
 

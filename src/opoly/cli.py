@@ -112,8 +112,11 @@ def _emit(payload: dict, fmt: str, csv_rows: tuple[list[str], Iterable[list[str]
 
 def cmd_tabulate(args) -> tuple[str, int]:
     spec = parse_family(args.family)
+    relation = structure.RELATIONS[args.what]
+    if spec.kind not in relation.kinds:  # also when --n-max is below the first degree
+        raise UsageError(f"{args.what} rule applies to {' and '.join(relation.kinds)} families")
     cells = []  # n and the formatted lo, mid, hi: each value formatted once
-    for n in range(structure.RELATIONS[args.what].start, args.n_max + 1):
+    for n in range(relation.start, args.n_max + 1):
         t = structure.formula_triple(spec, args.what, n)
         cells.append((n, format_rational(t.lo), format_rational(t.mid), format_rational(t.hi)))
     payload = {"relation": args.what,

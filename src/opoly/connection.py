@@ -771,8 +771,11 @@ def exact_parameter_derivative(family: str, param: str, n: int,
     and generated there only where the dual route fails (a
     ZeroDivisionError or an AdmissibilityError) or a value part loses its
     degree (a k_m of value 0), so an inadmissible point fails with the
-    message of the numeric route; the derivative has a pole only where that
-    route succeeds.
+    message of the numeric route.  The dual route fails only where the
+    numeric one does: it divides by a value part only where the numeric
+    route checks that value, and its closed-form k_m vanish or have poles
+    at the degrees where the rule's term ratio, which the numeric route may
+    step by instead, does.
     """
     if param not in at:
         raise KeyError(f"{param!r} is not among the parameters {sorted(at)}")
@@ -781,9 +784,8 @@ def exact_parameter_derivative(family: str, param: str, n: int,
     try:
         duals = generate(catalog(family, seeded), n)
     except (ZeroDivisionError, AdmissibilityError):
-        generate(spec, n)
-        point = ",".join(f"{k}={format_rational(v)}" for k, v in at.items())
-        raise AdmissibilityError(f"{family}.{param} derivative has a pole at {point}") from None
+        generate(spec, n)  # raises the numeric route's message
+        raise
     basis = [Polynomial(c.v if isinstance(c, Dual) else c for c in p.coeffs) for p in duals]
     if any(p.degree() != m for m, p in enumerate(basis)):
         basis = generate(spec, n)  # raises the numeric route's message

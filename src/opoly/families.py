@@ -9,12 +9,16 @@ together with a standardization rule k_n (the leading coefficient of the
 degree-n member) and the kind flag.  The catalog carries the named classical
 families; raw specs cover everything else.  Parameters may be exact
 rationals or dual numbers (a ``Dual`` carrying the derivative in one
-parameter), which is how parameter derivatives are verified.
+parameter), which is how parameter derivatives are verified.  A spec with
+rational data also keeps them cleared of denominators (``IntegerData``):
+every formula is homogeneous in the data, so the brackets and the series
+recurrences run on those integers.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,6 +29,8 @@ from .algebra import (
     MONOMIAL,
     FieldElement,
     Polynomial,
+    _from_ints,
+    _IntPoly,
     as_field,
     factorial,
     format_field,
@@ -63,26 +69,42 @@ def per_degree(fn: Callable) -> Callable:
     return memoized
 
 
-def polynomial_in_n(fn: Callable) -> Callable:
+def polynomial_in_n(degree: int) -> Callable:
     """Evaluate ``fn(spec, n, ...)`` as a polynomial in n, expanded once per spec.
 
-    The first call runs the body with the indeterminate ``Polynomial.x()``
-    in place of n and keeps the polynomial in ``spec``'s memo, under fn and
-    the arguments after n; each call returns its value at n, in integer
-    arithmetic when the spec's data are rational (at a ``Polynomial`` n, the
-    polynomial itself).  So the body may combine n only by ``+``, ``-``,
-    ``*`` and ``**``, and may branch only on ``spec.kind`` and the
-    arguments after n, never on n.
-    """
-    @functools.wraps(fn)
-    def evaluated(spec: "FamilySpec", n: int, *rest):
-        key = (fn, *rest)
-        poly = spec._memo.get(key)
-        if poly is None:
-            poly = spec._memo[key] = fn(spec, Polynomial.x(), *rest)
-        return poly if isinstance(n, Polynomial) else poly(n)
+    The first call runs the body with an indeterminate in place of n and
+    keeps the polynomial in ``spec``'s memo, under fn and the arguments
+    after n; each call returns its value at n, in integer arithmetic when
+    the spec's data are rational (at a ``Polynomial`` n, the polynomial
+    itself).  So the body may combine n only by ``+``, ``-``, ``*`` and
+    ``**``, and may branch only on ``spec.kind`` and the arguments after n,
+    never on n.
 
-    return evaluated
+    ``degree`` is the body's homogeneous degree w in the data (a, ..., e):
+    scaling every datum by t scales the value by t^w.  For rational data
+    the body runs once on the spec's integer data ``L (a, ..., e)`` with a
+    plain int polynomial in n (``algebra._IntPoly``), and the result is its
+    coefficients over L^w, reduced once; no Fraction is made while it
+    runs.  Dual-number data take ``Polynomial.x()`` in Fraction arithmetic.
+    """
+    def decorate(fn: Callable) -> Callable:
+        @functools.wraps(fn)
+        def evaluated(spec: "FamilySpec", n: int, *rest):
+            key = (fn, *rest)
+            poly = spec._memo.get(key)
+            if poly is None:
+                ints = spec._ints
+                if ints is None:
+                    poly = fn(spec, Polynomial.x(), *rest)
+                else:
+                    poly = _from_ints(fn(ints, _IntPoly([0, 1]), *rest).c,
+                                      ints.scale ** degree, MONOMIAL)
+                spec._memo[key] = poly
+            return poly if isinstance(n, Polynomial) else poly(n)
+
+        return evaluated
+
+    return decorate
 
 
 def quotient_in_n(fn: Callable) -> Callable:
@@ -90,12 +112,14 @@ def quotient_in_n(fn: Callable) -> Callable:
 
     The body runs once per spec with the indeterminate in place of n and
     returns (numerator factors, denominator factors): brackets, n itself and
-    constants.  For rational data the two products are expanded once (kept
-    in ``spec``'s memo, under fn and the arguments after n), and at an
-    integer n Horner on their integer views builds one Fraction.  Dual and
-    rational-function data, and a formal n, multiply the factors' values
-    instead: no product over dual numbers is expanded.  Returns None where
-    the denominator vanishes, so that each caller raises its own message.
+    constants; at a ``Polynomial`` n the call returns those factors.  For
+    rational data the two products are expanded once (kept in ``spec``'s
+    memo, under fn and the arguments after n; the brackets are already
+    integer polynomials over one denominator), and at an integer n Horner
+    on their integer views builds one Fraction.  Dual and rational-function
+    data, and a formal n, multiply the factors' values instead: no product
+    over dual numbers is expanded.  Returns None where the denominator
+    vanishes, so that each caller raises its own message.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):
@@ -110,6 +134,8 @@ def quotient_in_n(fn: Callable) -> Callable:
                     for f in factors)]
             parts = spec._memo[key] = (*expanded, factors)
         (top, top_den), (bottom, bottom_den), factors = parts
+        if isinstance(n, Polynomial):
+            return factors
         if top is not None and type(n) is int:
             num = den = 0
             for c in top:
@@ -117,19 +143,11 @@ def quotient_in_n(fn: Callable) -> Callable:
             for c in bottom:
                 den = den * n + c
             return Fraction(num * bottom_den, den * top_den) if den else None
-        num, den = _product_at(factors[0], n), _product_at(factors[1], n)
+        num, den = (math.prod((f(n) if isinstance(f, Polynomial) else f for f in side),
+                              start=Fraction(1)) for side in factors)
         return num / den if den != 0 else None
 
     return evaluated
-
-
-def _product_at(factors, n) -> FieldElement:
-    """The product of the factors' values at n, in order (1 for none)."""
-    value = None
-    for f in factors:
-        f = f(n) if isinstance(f, Polynomial) else f
-        value = f if value is None else value * f
-    return Fraction(1) if value is None else value
 
 
 @dataclass(frozen=True)
@@ -190,6 +208,29 @@ def _leading_coefficient(spec: "FamilySpec", n: int) -> FieldElement:
     return value
 
 
+@dataclass(frozen=True, slots=True)
+class IntegerData:
+    """The data of a rational spec cleared of denominators: (a, ..., e) =
+    (A, ..., E) / scale, with ints A, ..., E and scale the lcm of the
+    data's denominators.  Every formula is homogeneous in the data (the
+    equation does not change under (sigma, tau) -> (t sigma, t tau)), so
+    the formula bodies may read these ints in place of the Fractions and
+    divide by a power of ``scale`` once at the end, or not at all when
+    every term of a recurrence has the same degree.  It has the attributes
+    the bodies read: ``kind``, ``a`` to ``e`` and ``abcde()``."""
+
+    kind: str
+    a: int
+    b: int
+    c: int
+    d: int
+    e: int
+    scale: int
+
+    def abcde(self) -> tuple[int, ...]:
+        return (self.a, self.b, self.c, self.d, self.e)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     kind: str
@@ -206,6 +247,8 @@ class FamilySpec:
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # every datum and parameter is a Fraction (see ``quotient_in_n``)
     _rational: bool = field(default=False, init=False, compare=False, repr=False)
+    # the data cleared of denominators, for rational specs only
+    _ints: IntegerData | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, DISCRETE):
@@ -216,6 +259,11 @@ class FamilySpec:
             raise ValueError("tau must have degree exactly 1 (d != 0)")
         object.__setattr__(self, "_rational", all(
             type(v) is Fraction for v in (*self.abcde(), *(v for _, v in self.params))))
+        if self._rational:
+            scale = math.lcm(*(v.denominator for v in self.abcde()))
+            object.__setattr__(self, "_ints", IntegerData(
+                self.kind, *(v.numerator * (scale // v.denominator) for v in self.abcde()),
+                scale))
 
     # -- basic data ---------------------------------------------------------
 
@@ -229,6 +277,11 @@ class FamilySpec:
 
     def abcde(self) -> tuple[FieldElement, ...]:
         return (self.a, self.b, self.c, self.d, self.e)
+
+    def scaled(self) -> "IntegerData | FamilySpec":
+        """The data up to a common factor, for formulas homogeneous in them:
+        the integer data of a rational spec, else the spec itself."""
+        return self._ints or self
 
     def is_monic(self) -> bool:
         return self.leading.label == "monic"
@@ -260,7 +313,7 @@ class FamilySpec:
         return sig * p.delta().nabla() + tau * p.delta() + p.scale(lam)
 
 
-@polynomial_in_n
+@polynomial_in_n(1)
 def lambda_n(spec: FamilySpec, n: int) -> FieldElement:
     """Eigenvalue -(a n (n-1) + d n) of the degree-n member."""
     return -(spec.a * n * (n - 1) + spec.d * n)

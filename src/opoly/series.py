@@ -18,7 +18,11 @@ route passes its printed multipliers as written, in the convention
 
 so C_m = -(mid(m) C_{m+1} + top(m) C_{m+2}) / lead(m) and the code reads
 like the equation in its docstring.  ``connection.connect_recurrence``
-solves its eliminated m-recurrence with the same function.
+solves its eliminated m-recurrence with the same function.  The seven
+recurrence routes read the spec's data through ``FamilySpec.scaled``: for
+rational data, the integers L (a, ..., e).  Every multiplier of one
+recurrence has the same degree in the data, so the common factor cancels
+and the solution is the same, with no Fraction in the multipliers.
 """
 
 from __future__ import annotations
@@ -109,7 +113,7 @@ def power_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
     """
     if spec.kind != CONTINUOUS:
         raise ValueError("power_coeffs needs a continuous family")
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     coeffs = descend(n, spec.k(n), SERIES_FAILURE,
                      lambda m: (m - n) * (a * (n + m - 1) + d),
                      lambda m: (m + 1) * (b * m + e),
@@ -135,7 +139,7 @@ def falling_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
     """
     if spec.kind != DISCRETE:
         raise ValueError("falling_coeffs needs a discrete family")
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     if c != 0:
         return falling_coeffs_three_term(spec, n)
     coeffs = descend(n, spec.k(n), SERIES_FAILURE,
@@ -147,7 +151,7 @@ def falling_coeffs(spec: FamilySpec, n: int) -> SeriesCoefficients:
 def falling_coeffs_three_term(spec: FamilySpec, n: int) -> SeriesCoefficients:
     """The general three-term route of ``falling_coeffs``, also run when c = 0
     (to cross-check the two-term route)."""
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     coeffs = descend(n, spec.k(n), SERIES_FAILURE,
                      lambda m: (a * (n + m - 1) + d) * (n - m),
                      lambda m: (m + 1) * (a * n * n - 2 * a * m * m - a * n - a * m + n * d
@@ -418,7 +422,7 @@ def power_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
 
 def _power_in_monic_two_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     # (n-m)(d+2am)(d+a+2am) C_m + (m+1)(bm+e)(am+na+d) C_{m+1} = 0
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     return descend(n, Fraction(1), INVERSE_FAILURE,
                    lambda m: (n - m) * (d + 2 * a * m) * (d + a + 2 * a * m),
                    lambda m: (m + 1) * (b * m + e) * (a * m + n * a + d))
@@ -447,7 +451,7 @@ def _power_in_monic_three_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     #   - (m+2)(-4a^2 c m^2 + ab^2 m^2 + 2ab^2 m - 4acmd - 8a^2 cm + mb^2 d
     #      - ae^2 - d^2 c + bed - 4a^2 c - 4acd + ab^2 + b^2 d)
     #     * (am+an+a+d)(m+1)(d+2am) C_{m+2} = 0
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     return descend(n, Fraction(1), INVERSE_FAILURE,
                    lambda m: ((n - m) * (d + 2 * a * m) * (d + 3 * a + 2 * a * m)
                               * (d + a + 2 * a * m) * (d + 2 * a * m + 2 * a) ** 2),
@@ -477,7 +481,7 @@ def falling_in_basis(spec: FamilySpec, n: int) -> SeriesCoefficients:
 
 def _falling_in_monic_two_term(spec: FamilySpec, n: int) -> list[FieldElement]:
     # (d+a+2am)(d+2am)(m-n) C_m - (an+d+am)(m+1)(am^2 + m(b+d) + e) C_{m+1} = 0
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
     return descend(n, Fraction(1), INVERSE_FAILURE,
                    lambda m: (d + a + 2 * a * m) * (d + 2 * a * m) * (m - n),
                    lambda m: -(a * n + d + a * m) * (m + 1) * (a * m * m + m * (b + d) + e))
@@ -487,7 +491,7 @@ def _falling_in_monic_three_term(spec: FamilySpec, n: int) -> list[FieldElement]
     # (2ma+a+d)(2ma+3a+d)(2ma+2a+d)^2 (2ma+d)(n-m) C_m
     #   + (2ma+a+d)(2ma+3a+d)(2ma+2a+d)(m+1) T(m) C_{m+1}
     #   + (m+1)(2ma+d)(m+2)(ma+na+a+d) U(m) C_{m+2} = 0
-    a, b, c, d, e = spec.abcde()
+    a, b, c, d, e = spec.scaled().abcde()
 
     def T(m: int) -> FieldElement:
         return (2 * m * m * n * a * a - 2 * m * m * a * a + m * m * a * d

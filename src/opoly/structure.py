@@ -19,17 +19,26 @@ formulas read k.  Each entry of the base triples is one quotient in n: B_n/A_n
 n - 1), beta_n, and the lower entries C_n, gamma_n and the starred lo over the
 rho they carry.  Its numerator and denominator are products of brackets
 whose coefficients depend on the spec alone; each bracket is expanded once
-per spec (``families.polynomial_in_n``), each product too, and at each degree
-the two are evaluated in integer arithmetic into one Fraction
-(``families.quotient_in_n``).  rho_n and the recurrence, xpn, derivative-rule
-and starred triples are kept in the spec's memo (``families.per_degree``),
-so each is computed once per spec and degree however many formulas or
-callers read it; the other triples are read off those.  ``RELATIONS`` names
-the relations once for tabulate, verify and the oracle comparison, and
-``formula_triple`` computes only the Theorem-1 triples its key needs.  A
-formula raises AdmissibilityError where one of its denominators vanishes
-(that is never memoized), and ``admissibility`` evaluates the formulas to
-report those degrees.
+per spec (``families.polynomial_in_n``, on the integer data of a rational
+spec), each product too, and at each degree the two are evaluated in
+integer arithmetic into one Fraction (``families.quotient_in_n``).  rho_n
+and the recurrence, xpn, derivative-rule and starred triples are kept in
+the spec's memo (``families.per_degree``), so each is computed once per spec
+and degree however many formulas or callers read it.
+
+The starred, primed and hatted triples of ``theorem1_coeffs`` and
+``formula_triple`` are compiled once per spec with rational data and a rule
+with a ratio: each of their nine entries becomes one unreduced quotient of
+integer polynomials in n (``_compile_theorem1``), and from n = 2 on each
+degree evaluates the entries it is asked for, one Horner pass and one
+Fraction each, wherever the per-degree checks would pass.  Elsewhere, at
+n = 1, and for ``starred_coeffs`` (which connection rows read at few
+degrees), the triples are computed at the degree, the primed and hatted
+ones from the starred and derivative-rule triples by the same elimination
+(``_eliminated``).  ``RELATIONS`` names the relations once for tabulate,
+verify and the oracle comparison.  A formula raises AdmissibilityError
+where one of its denominators vanishes (that is never memoized), and
+``admissibility`` evaluates the formulas to report those degrees.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -39,6 +48,7 @@ formulas are required to match the oracle (see ``diagnostics``).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,6 +56,7 @@ from .algebra import (
     FieldElement,
     Polynomial,
     _int_combination,
+    _IntPoly,
     as_field,
     expand_over,
     factorial,
@@ -56,6 +67,7 @@ from .families import (
     DISCRETE,
     AdmissibilityError,
     FamilySpec,
+    _rule_ratio,
     _term_ratio,
     catalog,
     lambda_n,
@@ -82,7 +94,7 @@ class CoefficientTriple:
 # Recurrence coefficients (continuous and discrete explicit formulas)
 # ---------------------------------------------------------------------------
 
-@polynomial_in_n
+@polynomial_in_n(3)
 def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
     """The shared bracket of the C_n / gamma_n numerators."""
     a, b, c, d, e = spec.abcde()
@@ -95,7 +107,7 @@ def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
             - d * b * e + d * d * c + a * e * e)
 
 
-@polynomial_in_n
+@polynomial_in_n(4)
 def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
     a, d = spec.a, spec.d
     if spec.kind == CONTINUOUS:
@@ -105,7 +117,7 @@ def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
             * (2 * a * n - 2 * a + d) ** 2)
 
 
-@polynomial_in_n
+@polynomial_in_n(1)
 def _linear_factor(spec: FamilySpec, n: int, shift: int) -> FieldElement:
     """an + d - shift a: the factors an + d - a and an + d - 2a of the lower entries."""
     return spec.a * n + spec.d - shift * spec.a
@@ -152,7 +164,7 @@ def _tau_data(spec: FamilySpec, starred: bool) -> tuple[FieldElement, FieldEleme
     return d + 2 * a, e + b if spec.kind == CONTINUOUS else d + e + a + b
 
 
-@polynomial_in_n
+@polynomial_in_n(2)
 def _b_numerator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     a, b = spec.a, spec.b
     d, e = _tau_data(spec, starred)
@@ -161,7 +173,7 @@ def _b_numerator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     return n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
 
 
-@polynomial_in_n
+@polynomial_in_n(2)
 def _b_denominator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
     """(d + 2an)(d - 2a + 2an), of both kinds; unstarred, also beta_n's."""
     a, d = spec.a, _tau_data(spec, starred)[0]
@@ -214,7 +226,7 @@ def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     return _flip(recurrence_coeffs(spec, n))
 
 
-@polynomial_in_n
+@polynomial_in_n(3)
 def _beta_numerator(spec: FamilySpec, n: int) -> FieldElement:
     a, b, c, d, e = spec.abcde()
     if spec.kind == CONTINUOUS:
@@ -285,6 +297,9 @@ def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     return CoefficientTriple(hi, mid, lo)
 
 
+THEOREM1_KINDS = ("starred", "primed", "hatted")
+
+
 def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """The starred, primed and hatted triples for degree n >= 1.
 
@@ -295,36 +310,213 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     where D is d/dx (continuous) or the forward difference (discrete), and
     D' p_n means p_n'' resp. Delta nabla p_n.  The starred triple is
     ``starred_coeffs``; the primed and hatted ones follow from it and the
-    derivative rule by exact elimination.  At n = 1 the lo components
+    derivative rule by exact elimination (``_eliminated``).  From n = 2 on
+    the values are read from the spec's compiled entries where it has them
+    (``_theorem1``); they are the same values.  At n = 1 the lo components
     multiply D p_0 = 0; the values reported there are the closed forms in n
     (the ones the antiderivative tables print), not the arbitrary
     convention 0.
     """
-    return dict(_theorem1(spec, n))
+    return _theorem1(spec, n)
 
 
-def _theorem1(spec: FamilySpec, n: int):
-    """Yield the starred, primed and hatted triples in turn, as (kind, triple);
-    every check comes before the first, so each raises where
-    ``theorem1_coeffs`` does."""
+def _theorem1(spec: FamilySpec, n: int, kinds: tuple[str, ...] = THEOREM1_KINDS
+              ) -> dict[str, CoefficientTriple]:
+    """The Theorem-1 triples named in ``kinds``, by kind; every check of all
+    three comes first, so each raises where ``theorem1_coeffs`` does.
+
+    From n = 2 on, a spec with rational data whose rule has a ratio reads
+    its compiled entries (``_compiled_theorem1``) wherever the k reads pass
+    and no unreduced denominator vanishes.  Everywhere else, n = 1 included
+    (B_0 is the reduced e'/d' there), the triples are computed at this
+    degree, and each check raises its own message in its own order."""
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
-    alpha, beta, gamma = derivative_rule_coeffs(spec, n)
+    compiled = _compiled_theorem1(spec) if n > 1 and type(n) is int else None
+    served = compiled.at(spec, n, kinds) if compiled else None
+    if served is not None:
+        return served
+    rule = derivative_rule_coeffs(spec, n)
     starred = starred_coeffs(spec, n)
     lam = lambda_n(spec, n)
     if lam == 0:
         raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
-    yield "starred", starred
+    return dict(zip(THEOREM1_KINDS, (starred, *_eliminated(spec, rule, starred, lam))))
+
+
+def _eliminated(spec: FamilySpec, rule: CoefficientTriple, starred: CoefficientTriple, lam
+                ) -> tuple[CoefficientTriple, CoefficientTriple]:
+    """The primed and hatted triples, eliminated from the derivative rule,
+    the starred triple and lambda_n: the same algebra over Fractions at one
+    degree and over ``_Quotient``s in n."""
     a, b, c, d, e = spec.abcde()
     sig_delta = b if spec.kind == CONTINUOUS else a + b
-    primed = CoefficientTriple(alpha - 2 * a * starred.hi,
-                               beta - 2 * a * starred.mid - sig_delta,
-                               gamma - 2 * a * starred.lo)
-    yield "primed", primed
+    primed = CoefficientTriple(rule.hi - 2 * a * starred.hi,
+                               rule.mid - 2 * a * starred.mid - sig_delta,
+                               rule.lo - 2 * a * starred.lo)
     scale = -1 / lam
-    yield "hatted", CoefficientTriple((primed.hi + d * starred.hi) * scale,
-                                      (primed.mid + d * starred.mid + e) * scale,
-                                      (primed.lo + d * starred.lo) * scale)
+    return primed, CoefficientTriple((primed.hi + d * starred.hi) * scale,
+                                     (primed.mid + d * starred.mid + e) * scale,
+                                     (primed.lo + d * starred.lo) * scale)
+
+
+def _expand(factors: Counter) -> _IntPoly:
+    """The product of a multiset of factors (coefficient tuples)."""
+    out = _IntPoly([1])
+    for key, power in factors.items():
+        out = out * _IntPoly(list(key)) ** power
+    return out
+
+
+class _Quotient:
+    """num / (the product of the multiset ``den``), with an int polynomial
+    num and int polynomial factors in n, kept unreduced.
+
+    A product adds the multisets, and a sum puts both terms over the
+    union (the larger power of each factor), so no gcd is ever taken and
+    the denominator vanishes exactly where one of its factors does.  A
+    quotient divides by the divisor's numerator as one new factor.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: _IntPoly, den: Counter | None = None):
+        self.num, self.den = num, Counter() if den is None else den
+
+    @staticmethod
+    def of(value) -> "_Quotient":
+        """A quotient from a quotient, an int, a Fraction or a rational Polynomial."""
+        if type(value) is _Quotient:
+            return value
+        if isinstance(value, Polynomial):
+            nums, den = value._int_view()
+        else:
+            value = Fraction(value)
+            nums, den = [value.numerator], value.denominator
+        return _Quotient(_IntPoly(list(nums)), Counter({(den,): 1} if den != 1 else ()))
+
+    def __add__(self, other):
+        other = _Quotient.of(other)
+        den = self.den | other.den
+        return _Quotient(self.num * _expand(den - self.den)
+                         + other.num * _expand(den - other.den), den)
+
+    def __neg__(self):
+        return _Quotient(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_Quotient.of(other)
+
+    def __mul__(self, other):
+        other = _Quotient.of(other)
+        return _Quotient(self.num * other.num, self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _Quotient.of(other)
+        return self * _Quotient(_expand(other.den), Counter({tuple(other.num.c): 1}))
+
+    def __rtruediv__(self, other):
+        return _Quotient.of(other) / self
+
+
+def _quotient(factors, shift: int = 0) -> _Quotient:
+    """The ``quotient_in_n`` body's (numerator, denominator) factors as a
+    ``_Quotient`` in n, each denominator factor kept apart; at n + shift."""
+    value = _Quotient.of(1)
+    for sign, side in zip((1, -1), factors):
+        for f in side:
+            f = _Quotient.of(f.shift(shift) if isinstance(f, Polynomial) else f)
+            value = value * f if sign > 0 else value / f
+    return value
+
+
+@dataclass(frozen=True)
+class _CompiledTheorem1:
+    """The starred, primed and hatted entries of one spec as quotients in n.
+
+    ``factors`` holds every denominator factor of the entries, highest
+    degree first for Horner: n + 1, D(n), the denominators of beta_n and
+    B*_{n-1}, lambda_n, rho_n's numerator and the factors of rho_{n-1}'s
+    denominator.  ``triples`` holds (kind, entries), each entry (numerator,
+    ((factor index, power), ...)).  Where the k reads pass and no factor
+    vanishes, every check of the per-degree route passes and both rho come
+    from the rule (a rho_n with a vanishing denominator, or a rho_{n-1}
+    with a vanishing numerator, would make k_{n+1} a pole or k_n zero), so
+    each entry takes the per-degree value there.
+    """
+
+    factors: tuple[tuple[int, ...], ...]
+    triples: tuple
+
+    def at(self, spec: FamilySpec, n: int, kinds: tuple[str, ...]
+           ) -> dict[str, CoefficientTriple] | None:
+        """The triples named in ``kinds`` at n, each entry one Horner pass and
+        one Fraction; None where a k read fails or a factor vanishes, where
+        the per-degree route decides."""
+        try:
+            spec.k(n), spec.k(n + 1), spec.k(n - 1)
+        except AdmissibilityError:
+            return None
+        values = []
+        for factor in self.factors:
+            value = 0
+            for c in factor:
+                value = value * n + c
+            if not value:
+                return None
+            values.append(value)
+        out = {}
+        for kind, entries in self.triples:
+            if kind in kinds:
+                triple = []
+                for num, den in entries:
+                    top, bottom = 0, 1
+                    for c in num:
+                        top = top * n + c
+                    for i, power in den:
+                        bottom *= values[i] ** power
+                    triple.append(Fraction(top, bottom))
+                out[kind] = CoefficientTriple(*triple)
+        return out
+
+
+def _compiled_theorem1(spec: FamilySpec) -> _CompiledTheorem1 | None:
+    """The spec's compiled Theorem-1 entries, built on the first read and
+    kept in its memo; None for data that are not rational, a rule without
+    a ratio, or d + 2a = 0 (the derivatives' tau is constant)."""
+    compiled = spec._memo.get(_compiled_theorem1)
+    if compiled is None:
+        compiled = spec._memo[_compiled_theorem1] = _compile_theorem1(spec) or ()
+    return compiled or None
+
+
+def _compile_theorem1(spec: FamilySpec) -> _CompiledTheorem1 | None:
+    """Each Theorem-1 entry as one unreduced quotient in n: the formulas of
+    ``starred_coeffs`` and ``derivative_rule_coeffs`` with rho_n and
+    rho_{n-1} from the rule's ratio, then ``_eliminated``."""
+    if not spec._rational or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
+        return None
+    x = Polynomial.x()
+    n = _Quotient(_IntPoly([0, 1]))
+    rho, rho_prev = _quotient(_rule_ratio(spec, x)), _quotient(_rule_ratio(spec, x), -1)
+    starred = CoefficientTriple(n / (n + 1) / rho,
+                                -_quotient(_b_quotient(spec, x, True), -1),
+                                _quotient(_lower_entry(spec, x, -1, (1,))) * rho_prev)
+    rule = CoefficientTriple(spec.a * n / rho, _quotient(_beta(spec, x)),
+                             _quotient(_lower_entry(spec, x, 1, (1, 2))) * rho_prev)
+    triples = dict(zip(THEOREM1_KINDS, (starred, *_eliminated(
+        spec, rule, starred, _Quotient.of(lambda_n(spec, x))))))
+    keys = list(dict.fromkeys(
+        key for triple in triples.values() for entry in triple for key in entry.den))
+    index = {key: i for i, key in enumerate(keys)}
+    return _CompiledTheorem1(
+        tuple(key[::-1] for key in keys),
+        tuple((kind, tuple((tuple(entry.num.c[::-1]),
+                            tuple((index[key], power) for key, power in entry.den.items()))
+                           for entry in triple))
+              for kind, triple in triples.items()))
 
 
 def antiderivative(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -358,7 +550,7 @@ class Relation:
 RELATIONS = {"recurrence": Relation(0, "recurrence"), "xpn": Relation(0, None),
              "derivative": Relation(1, "derivative_rule"),
              "delta": Relation(1, "delta_rule", (DISCRETE,)),
-             **{key: Relation(1, key, theorem1=True) for key in ("starred", "primed", "hatted")}}
+             **{key: Relation(1, key, theorem1=True) for key in THEOREM1_KINDS}}
 RELATION_NAMES = ("equation", *(r.check for r in RELATIONS.values() if r.check))
 
 
@@ -366,7 +558,7 @@ def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
     """``formula_triples(spec, n)[key]``, in value and in every exception of
     its formula, computing only the Theorem-1 triples ``key`` is read off."""
     if RELATIONS[key].theorem1:
-        return next(triple for kind, triple in _theorem1(spec, n) if kind == key)
+        return _theorem1(spec, n, (key,))[key]
     return {"recurrence": recurrence_coeffs, "xpn": xpn_coeffs,
             "derivative": derivative_rule_coeffs, "delta": delta_rule_coeffs}[key](spec, n)
 

@@ -300,6 +300,17 @@ class TestExitCodes:
         assert [(c["relation"], c["n"]) for c in data["checks"]] == [("delta_rule", 1),
                                                                      ("delta_rule", 2)]
 
+    def test_tabulate_relation_the_kind_lacks_is_usage_error_at_every_n_max(self, capsys):
+        # below the relation's first degree too: an empty table is no answer
+        for n_max in ("0", "1", "3"):
+            code, out, err = run_cli(capsys, "tabulate", "--family", "hermite",
+                                     "--what", "delta", "--n-max", n_max)
+            assert (code, out) == (USAGE_ERROR, ""), n_max
+            assert err == "opoly: delta rule applies to discrete families\n", n_max
+        code, out, _ = run_cli(capsys, "tabulate", "--family", "charlier:mu=2",
+                               "--what", "delta", "--n-max", "0")
+        assert (code, json.loads(out)["entries"]) == (0, [])
+
     def test_verify_repeated_relation_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "3",
                                  "--relations", "recurrence,equation,recurrence")

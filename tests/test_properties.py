@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opoly import structure
+from opoly import series, structure
 from opoly.algebra import Dual, Polynomial, expand_over
 from opoly.cli import run
 from opoly.connection import (
@@ -125,6 +125,61 @@ def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
             for n in range(81):
                 assert _outcome(lambda: quotient(s, n, *rest)) == \
                     _outcome(lambda: _quotient_at(num, den, n)), (quotient, rest, n)
+
+
+def _on_fractions(spec):
+    """The same spec without its integer data: every bracket and series
+    route then runs on the Fractions."""
+    copy = FamilySpec(spec.kind, *spec.abcde(), spec.leading, spec.name, spec.params)
+    object.__setattr__(copy, "_ints", None)
+    return copy
+
+
+# the index recurrences that read the integer data, by kind
+SERIES_ROUTES = {"continuous": (series.power_coeffs, series._power_in_monic_two_term,
+                                series._power_in_monic_three_term),
+                 "discrete": (series.falling_coeffs, series.falling_coeffs_three_term,
+                              series._falling_in_monic_two_term,
+                              series._falling_in_monic_three_term)}
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(spec=raw_specs(), shrink=st.sampled_from((1, 6, 35)))
+def test_integer_data_routes_match_fraction_arithmetic(spec, shrink):
+    # dividing every datum by the same integer leaves each formula's value
+    # unchanged but moves the lcm of the denominators: each bracket's declared
+    # degree w must undo it
+    spec = FamilySpec(spec.kind, *(v / shrink for v in spec.abcde()), MONIC, "raw")
+    assert spec._ints is not None and spec._ints.scale % shrink == 0
+    fractions = _on_fractions(spec)
+    for bracket, rest in BRACKETS:
+        x = Polynomial.x()
+        assert bracket(spec, x, *rest) == bracket.__wrapped__(fractions, x, *rest), bracket
+    for route in SERIES_ROUTES[spec.kind]:
+        for n in range(7):
+            def solved(s):
+                try:
+                    out = route(s, n)
+                except AdmissibilityError as exc:
+                    return str(exc)
+                return tuple(getattr(out, "coeffs", out))
+            assert solved(spec) == solved(fractions), (route, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(spec=raw_specs())
+def test_compiled_theorem1_matches_the_per_degree_route(spec):
+    # raw specs reach the removable zeros, d + 2a = 0 and lambda_n = 0
+    per_degree = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
+    per_degree._memo[structure._compiled_theorem1] = ()
+    for n in range(1, 9):
+        outcomes = []
+        for s in (spec, per_degree):
+            try:
+                outcomes.append({k: tuple(t) for k, t in structure.theorem1_coeffs(s, n).items()})
+            except AdmissibilityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], n
 
 
 def _k_or_error(spec, n):

@@ -196,6 +196,61 @@ class TestTheorem1:
             assert lhs == rhs
 
 
+def _per_degree(spec):
+    """The spec with its compile marked as unavailable, so every Theorem-1
+    read takes the per-degree route."""
+    spec._memo[structure._compiled_theorem1] = ()
+    return spec
+
+
+def _theorem1_outcome(call):
+    """The triples as tuples by kind, or the exception's type and message."""
+    try:
+        return {kind: tuple(t) for kind, t in call().items()}
+    except (AdmissibilityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCompiledTheorem1:
+    """The compiled entries serve exactly what the per-degree route computes:
+    the same value at every degree, or the same message in the same order."""
+
+    def test_every_catalog_family_matches_the_per_degree_route(self):
+        for name, params in (*iter_specs(), *iter_specs(monic=True)):
+            compiled, per_degree = catalog(name, params), _per_degree(catalog(name, params))
+            for n in range(1, 61):
+                got = _theorem1_outcome(lambda: theorem1_coeffs(compiled, n))
+                assert got == _theorem1_outcome(lambda: theorem1_coeffs(per_degree, n)), (
+                    name, params, n)
+            assert compiled._memo[structure._compiled_theorem1], name  # built by the reads
+
+    def test_removable_zeros_and_degenerate_points_match(self):
+        # the alpha + beta = -1 line (Chebyshev T, Bessel alpha = -1, Jacobi
+        # and Hahn at alpha = -1/3) and Gegenbauer alpha = -3/2, where
+        # lambda_m = lambda_n: each kind read alone, degree after degree on one
+        # spec, as tabulate reads it, and all three at once
+        points = [("jacobi", {"alpha": F(-1, 2), "beta": F(-1, 2)}),
+                  ("bessel", {"alpha": F(-1)}),
+                  ("jacobi", {"alpha": F(-1, 3), "beta": F(-2, 3)}),
+                  ("hahn", {"alpha": F(-1, 3), "beta": F(-2, 3), "N": F(80)}),
+                  ("gegenbauer", {"alpha": F(-3, 2)})]
+        for name, params in points:
+            for kinds in (("starred",), ("primed",), ("hatted",), structure.THEOREM1_KINDS):
+                compiled, per_degree = catalog(name, params), _per_degree(catalog(name, params))
+                for n in range(1, 9):
+                    def read(spec):
+                        return lambda: {kind: formula_triple(spec, kind, n) for kind in kinds}
+                    assert _theorem1_outcome(read(compiled)) == \
+                        _theorem1_outcome(read(per_degree)), (name, params, kinds, n)
+        # the compile is built past the failing degree, on the first read at n = 2
+        spec = catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2))
+        with pytest.raises(AdmissibilityError, match="gamma_1 denominator vanishes"):
+            theorem1_coeffs(spec, 1)
+        assert structure._compiled_theorem1 not in spec._memo
+        theorem1_coeffs(spec, 2)
+        assert spec._memo[structure._compiled_theorem1]
+
+
 class TestPerDegreeMemo:
     """k_n, rho_n and the base triples are kept per spec instance, and so are
     the bracket and entry polynomials in n; failures are not kept."""
