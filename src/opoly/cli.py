@@ -142,7 +142,7 @@ def cmd_generate(args) -> tuple[str, int]:
 def cmd_verify(args) -> tuple[str, int]:
     spec = parse_family(args.family)
     lacking = {r.check for r in structure.RELATIONS.values() if spec.kind not in r.kinds}
-    relations = (tuple(args.relations.split(",")) if args.relations
+    relations = (tuple(args.relations.split(",")) if args.relations is not None
                  else tuple(r for r in structure.RELATION_NAMES if r not in lacking))
     for i, name in enumerate(relations):
         if name in relations[:i]:
@@ -157,7 +157,8 @@ def cmd_verify(args) -> tuple[str, int]:
     if not args.skip_crosschecks:
         from . import diagnostics  # only this branch and cmd_diagnostics need it
         # equation solver and series round-trip against generate's p_n, then
-        # every explicit triple against the oracle (as opoly diagnostics does)
+        # every explicit triple against the oracle (as opoly diagnostics does),
+        # the oracle's triple read from a zero residual where the bases agree
         polys = report.polys
         basis = structure.oracle_basis(spec, args.n_max + 1)
         for n in range(args.n_max + 1):
@@ -166,7 +167,8 @@ def cmd_verify(args) -> tuple[str, int]:
             if series.series_polynomial(spec, n) != polys[n]:
                 mismatches.append({"check": "series-roundtrip", "n": n})
         mismatches += [{"check": f"{key}-vs-oracle", "n": n} for key, n, _, _
-                       in diagnostics.structure_mismatches(spec, basis, args.n_max)]
+                       in diagnostics.structure_mismatches(spec, basis, args.n_max,
+                                                           polys, report.verdicts)]
         mismatches.sort(key=lambda m: m["n"])  # stable: by degree, checks in order
     payload = {
         "family": spec_to_json(spec),
@@ -293,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="exact identity suite for one family")
     p.add_argument("--family", required=True)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--relations", default="")
+    p.add_argument("--relations")
     p.add_argument("--skip-crosschecks", action="store_true")
     add_common(p)
 

@@ -13,7 +13,8 @@ re-derived by an independent route and compared exactly:
 
 ``structure_mismatches`` compares each explicit structure triple of one spec
 (``structure.RELATIONS``) with the oracle; ``opoly verify`` runs it on its
-family, ``check_structure_formulas`` over ``SAMPLE_SPECS``.
+family, with the verdicts of its residual checks, ``check_structure_formulas``
+over ``SAMPLE_SPECS``, solving every triple.
 
 ``transcription_report`` runs the whole battery and returns machine-readable
 results; the shipped catalog must produce zero unresolved mismatches.
@@ -45,6 +46,7 @@ from .series import falling_in_basis, power_in_basis, series_polynomial
 from .structure import (
     RELATIONS,
     CoefficientTriple,
+    _flip,
     formula_triples,
     generate,
     oracle_basis,
@@ -82,18 +84,35 @@ SAMPLE_SPECS: tuple[tuple[str, dict], ...] = (
 )
 
 
-def structure_mismatches(spec: FamilySpec, basis: list[Polynomial], n_max: int
+def structure_mismatches(spec: FamilySpec, basis: list[Polynomial], n_max: int,
+                         polys: tuple[Polynomial, ...] = (), verdicts: dict | None = None
                          ) -> list[tuple[str, int, CoefficientTriple, CoefficientTriple]]:
     """(key, n, formula, oracle) for each triple of ``formula_triples`` that
     differs from ``oracle_triples``, 0 <= n <= n_max; ``basis`` is
     ``oracle_basis(spec, m)`` with m >= n_max + 1.  At n = 1 the lo parts of
     the Theorem-1 triples multiply D p_0 = 0 and are not compared.
+
+    ``polys`` and ``verdicts`` are a ``verify_structure`` report's.  Where
+    ``basis`` equals ``polys`` up to n_max + 1, the oracle's triple at
+    (key, n) is the triple a zero residual proved there, provided the
+    formula's triple is the one that was checked (for xpn: the flipped
+    checked recurrence); each other triple, and every triple of a degree
+    with no verdict, is solved by ``oracle_triples`` as without them.
     """
+    agree = (verdicts and len(polys) > n_max + 1
+             and all(basis[m] == polys[m] for m in range(n_max + 2)))
+    proven = verdicts if agree else {}
+    checked_degrees = {n for _, n in proven}
     out = []
     for n in range(n_max + 1):
-        oracle = oracle_triples(spec, basis, n)
+        oracle = None if n in checked_degrees else oracle_triples(spec, basis, n)
         for key, got in formula_triples(spec, n).items():
-            want = oracle[key]
+            checked, want = proven.get(("recurrence" if key == "xpn" else key, n), (None, None))
+            if want is not None and key == "xpn":
+                checked, want = _flip(checked), _flip(want)
+            if want is None or got != checked:
+                oracle = oracle or oracle_triples(spec, basis, n)
+                want = oracle[key]
             width = 2 if n == 1 and RELATIONS[key].theorem1 else 3
             if tuple(got)[:width] != tuple(want)[:width]:
                 out.append((key, n, got, want))

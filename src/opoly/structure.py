@@ -53,6 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import (
+    MONOMIAL,
     FieldElement,
     Polynomial,
     _int_combination,
@@ -639,16 +640,25 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     coefficient k_n exactly.  Raises the AdmissibilityError of k_0 or of the
     first ``recurrence_coeffs`` step that fails; those steps are the ones
     ``admissibility(spec, n_max - 1, ("recurrence",))`` evaluates.
+
+    With rational data a step is one integer combination of the integer
+    views, A (x p_n) + B p_n - C p_{n-1}, where x p_n is the numerators of
+    p_n shifted by one place; dual-number data take the ``Polynomial``
+    expression (A x + B) p_n - C p_{n-1}.
     """
     polys = [Polynomial.const(spec.k(0))]
     if n_max == 0:
         return polys
-    x = Polynomial.x()
     prev = Polynomial.zero()
     for n in range(n_max):
-        A, B, C = recurrence_coeffs(spec, n)
-        nxt = (x.scale(A) + B) * polys[-1] - prev.scale(C)
-        prev = polys[-1]
+        triple = A, B, C = recurrence_coeffs(spec, n)
+        pn = polys[-1]
+        u, v = pn._int_view(), prev._int_view()
+        if u and v and all(type(t) is Fraction for t in triple):
+            nxt = _int_combination(MONOMIAL, (([0, *u[0]], u[1]), A), (u, B), (v, -C))
+        else:
+            nxt = (Polynomial.x().scale(A) + B) * pn - prev.scale(C)
+        prev = pn
         polys.append(nxt)
     return polys
 
@@ -742,10 +752,21 @@ class RelationCheck:
 
 @dataclass(frozen=True)
 class StructureReport:
+    """The residual checks of ``verify_structure``, the generated basis they
+    were computed from, and what each triple's residual proved.
+
+    ``verdicts`` maps (relation key, n) to (the triple checked, the triple a
+    zero residual proves or None).  On a basis whose p_n have degree n, a
+    zero residual proves the checked triple to be the unique expansion of
+    the relation, except on a zero part (the recurrence lo at n = 0
+    multiplies p_{-1} = 0, a Theorem-1 lo at n = 1 multiplies D p_0 = 0),
+    where the proved entry is 0, the value ``expand_over`` gives there.
+    """
     spec_name: str
     n_max: int
     checks: tuple[RelationCheck, ...]
     polys: tuple[Polynomial, ...] = field(repr=False)  # generate's p_0 .. p_{n_max+1}
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -761,7 +782,10 @@ def verify_structure(spec: FamilySpec, n_max: int,
 
     The equation and recurrence residuals are checked from n = 0.  A zero
     residual polynomial means the relation holds identically.  The report
-    keeps the generated p_0 .. p_{n_max+1} the residuals were computed from.
+    keeps the generated p_0 .. p_{n_max+1} the residuals were computed from,
+    and the verdict of each relation triple it checked (``StructureReport``),
+    which ``diagnostics.structure_mismatches`` reads in place of an oracle
+    solve where the oracle's basis is this one.
     """
     if n_max < 2:
         raise ValueError("verify_structure needs n_max >= 2")
@@ -770,6 +794,7 @@ def verify_structure(spec: FamilySpec, n_max: int,
         raise KeyError(f"unknown relations: {sorted(unknown)}")
     polys = generate(spec, n_max + 1)
     checks: list[RelationCheck] = []
+    verdicts = {}
 
     def record(relation: str, n: int, residual: Polynomial):
         checks.append(RelationCheck(relation, n, residual.is_zero(),
@@ -797,8 +822,13 @@ def verify_structure(spec: FamilySpec, n_max: int,
                 for t, part in zip(triple, parts):
                     residual = residual - part.scale(t)
             record(relation.check, n, residual)
+            proved = None
+            if residual.is_zero():  # on a zero part, the 0 that expand_over gives
+                proved = CoefficientTriple(*(Fraction(0) if part.is_zero() else t
+                                             for t, part in zip(triple, parts)))
+            verdicts[key, n] = triple, proved
     return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks),
-                           tuple(polys))
+                           tuple(polys), verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -311,6 +311,14 @@ class TestExitCodes:
                                "--what", "delta", "--n-max", "0")
         assert (code, json.loads(out)["entries"]) == (0, [])
 
+    def test_verify_empty_relation_is_usage_error(self, capsys):
+        # an empty --relations checks nothing, so it is the unknown relation ''
+        for relations in ("", "equation,,recurrence"):
+            code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "3",
+                                     "--relations", relations)
+            assert (code, out) == (USAGE_ERROR, ""), relations
+            assert err == "opoly: unknown relations: ['']\n", relations
+
     def test_verify_repeated_relation_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--family", "hermite", "--n-max", "3",
                                  "--relations", "recurrence,equation,recurrence")
@@ -432,6 +440,16 @@ class TestDeterminism:
             code, out, _ = run_cli(capsys, "verify", "--family", family, "--n-max", "8")
             assert code == 0, family
             assert hashlib.sha256(out.encode()).hexdigest() == digest, family
+
+    def test_diagnostics_output_is_pinned(self, capsys):
+        # sha256 of the diagnostics stdout: its structure comparison takes
+        # every oracle triple from a solve, with no residual verdicts (both
+        # depths print the same report while nothing is unresolved)
+        digest = "0a0bdbdb4ca1d225d2cc5585d79c5b00fc5d32b2cda15ad36a2dfdbda326cbc8"
+        for argv in (("diagnostics",), ("diagnostics", "--quick")):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0, argv
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
     def test_formula_output_is_pinned(self, capsys):
         # sha256 of the tabulate and generate stdout; how k_n and the

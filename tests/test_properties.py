@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opoly import series, structure
+from opoly import diagnostics, series, structure
 from opoly.algebra import Dual, Polynomial, expand_over
 from opoly.cli import run
 from opoly.connection import (
@@ -18,7 +18,7 @@ from opoly.connection import (
     connect_oracle,
     connect_recurrence,
 )
-from opoly.diagnostics import structure_mismatches
+from opoly.diagnostics import SAMPLE_SPECS, structure_mismatches
 from opoly.families import (
     CATALOG_NAMES,
     MONIC,
@@ -74,6 +74,166 @@ def test_raw_spec_formulas_and_oracles_agree(spec, n_max, data):
     # where every formula is defined, each explicit triple equals the oracle's
     if admissibility(spec, n_max + 1).ok:
         assert structure_mismatches(spec, oracle_basis(spec, n_max + 1), n_max) == []
+
+
+def _mismatches_or_error(spec, basis, n_max, *verdict_args):
+    try:
+        return structure_mismatches(spec, basis, n_max, *verdict_args)
+    except (AdmissibilityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(spec=st.one_of(raw_specs(), st.sampled_from(SAMPLE_SPECS).map(lambda p: catalog(*p))),
+       n_max=st.integers(2, 8))
+def test_verdicts_and_oracle_solves_report_the_same_mismatches(spec, n_max):
+    # a zero residual on the oracle's own basis proves the oracle's triple
+    try:
+        report = structure.verify_structure(spec, n_max)
+        basis = oracle_basis(spec, n_max + 1)
+    except AdmissibilityError:
+        return
+    assert _mismatches_or_error(spec, basis, n_max, report.polys, report.verdicts) == \
+        _mismatches_or_error(spec, basis, n_max)
+
+
+def _oracle_calls(monkeypatch):
+    calls = []
+    original = diagnostics.oracle_triples
+
+    def counted(spec, basis, n):
+        calls.append(n)
+        return original(spec, basis, n)
+
+    monkeypatch.setattr(diagnostics, "oracle_triples", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, params", [
+    ("jacobi", {"alpha": F(1, 2), "beta": F(-1, 3)}),
+    ("hahn", {"alpha": F(1, 2), "beta": F(1, 3), "N": F(14)}),
+])
+def test_each_wrong_entry_is_reported_by_both_routes(monkeypatch, name, params):
+    # one entry of one formula triple wrong, through the comparison's own
+    # formula_triples only: the residuals cannot see it, and the verdict of
+    # (key, n) no longer applies
+    spec, n_max = catalog(name, params), 5
+    report = structure.verify_structure(spec, n_max)
+    basis = oracle_basis(spec, n_max + 1)
+    calls = _oracle_calls(monkeypatch)
+    assert structure_mismatches(spec, basis, n_max, report.polys, report.verdicts) == []
+    assert calls == [n_max]  # every other degree read its verdicts
+    original = structure.formula_triples
+    for key in structure.formula_triples(spec, 1):
+        for n in range(structure.RELATIONS[key].start, n_max + 1):
+            for entry in range(2 if n == 1 and structure.RELATIONS[key].theorem1 else 3):
+                def broken(s, m, key=key, n=n, entry=entry):
+                    out = original(s, m)
+                    if m == n:
+                        values = list(out[key])
+                        values[entry] += 1
+                        out = {**out, key: structure.CoefficientTriple(*values)}
+                    return out
+
+                monkeypatch.setattr(diagnostics, "formula_triples", broken)
+                got = structure_mismatches(spec, basis, n_max, report.polys, report.verdicts)
+                want = structure_mismatches(spec, basis, n_max)
+                assert got == want and [(k, m) for k, m, _, _ in got] == [(key, n)], (key, n)
+
+
+def test_a_verdict_stands_only_for_the_triple_it_checked(monkeypatch):
+    # verdicts that proved other triples than the formulas give: each (key, n)
+    # is solved by the oracle instead, which finds nothing wrong
+    spec, n_max = catalog("meixner", gamma=F(2), mu=F(1, 3)), 4
+    report = structure.verify_structure(spec, n_max)
+    basis = oracle_basis(spec, n_max + 1)
+    shifted = {}
+    for (key, n), (checked, _) in report.verdicts.items():
+        other = structure.CoefficientTriple(checked.hi + 1, checked.mid, checked.lo)
+        shifted[key, n] = other, other
+    calls = _oracle_calls(monkeypatch)
+    assert structure_mismatches(spec, basis, n_max, report.polys, shifted) == []
+    assert calls == list(range(n_max)) + [n_max]
+
+
+def test_a_wrong_entry_on_a_zero_part_is_reported_by_both_routes(monkeypatch):
+    # C_0 multiplies p_{-1} = 0, so a wrong C_0 leaves every residual zero;
+    # the oracle gives 0 there, and so does the verdict
+    original = structure.recurrence_coeffs
+
+    def broken(spec, n):
+        t = original(spec, n)
+        return structure.CoefficientTriple(t.hi, t.mid, F(1)) if n == 0 else t
+
+    monkeypatch.setattr(structure, "recurrence_coeffs", broken)
+    spec = catalog("laguerre", alpha=F(1, 2))
+    report = structure.verify_structure(spec, 4)
+    assert report.ok
+    basis = oracle_basis(spec, 5)
+    got = structure_mismatches(spec, basis, 4, report.polys, report.verdicts)
+    assert got == structure_mismatches(spec, basis, 4)
+    assert [(key, n, want.lo) for key, n, _, want in got] == [("recurrence", 0, 0),
+                                                              ("xpn", 0, 0)]
+
+
+def test_a_basis_that_differs_takes_the_oracle_route(monkeypatch):
+    spec, n_max = catalog("charlier", mu=F(2)), 5
+    report = structure.verify_structure(spec, n_max)
+    basis = oracle_basis(spec, n_max + 1)
+    polys = list(report.polys)
+    polys[n_max + 1] = polys[n_max + 1].scale(2)  # unread by every verdict's relation
+    calls = _oracle_calls(monkeypatch)
+    assert structure_mismatches(spec, basis, n_max, polys, report.verdicts) == []
+    assert calls == list(range(n_max + 1))
+    # a wrong basis is solved over, and reported, as without verdicts
+    basis[3] = basis[3].scale(2)
+    assert _mismatches_or_error(spec, basis, n_max, report.polys, report.verdicts) == \
+        _mismatches_or_error(spec, basis, n_max)
+    assert calls[n_max + 1:] == list(range(n_max + 1)) * 2
+
+
+def _generate_by_polynomials(spec, n_max):
+    """``generate`` with each step the Polynomial expression (A x + B) p_n - C p_{n-1}."""
+    polys = [Polynomial.const(spec.k(0))]
+    x, prev = Polynomial.x(), Polynomial.zero()
+    for n in range(n_max):
+        A, B, C = structure.recurrence_coeffs(spec, n)
+        polys.append((x.scale(A) + B) * polys[-1] - prev.scale(C))
+        prev = polys[-2]
+    return polys
+
+
+def _generated(route, spec, n_max):
+    try:
+        return [p.coeffs for p in route(spec, n_max)]
+    except AdmissibilityError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(spec=raw_specs(), shrink=st.sampled_from((1, 6, 35)), n_max=st.integers(0, 12))
+def test_generate_steps_on_integer_views_as_on_polynomials(spec, shrink, n_max):
+    data = [v / shrink for v in spec.abcde()]
+    fresh = [FamilySpec(spec.kind, *data, MONIC, "raw") for _ in range(2)]
+    assert _generated(generate, fresh[0], n_max) == \
+        _generated(_generate_by_polynomials, fresh[1], n_max)
+
+
+@pytest.mark.parametrize("name, params", [
+    # dual-number data, as exact_parameter_derivative builds them
+    ("jacobi", {"alpha": Dual(F(1, 2), 1), "beta": Dual(F(1, 3), 0)}),
+    ("meixner", {"gamma": Dual(F(2), 0), "mu": Dual(F(1, 3), 1)}),
+    # the alpha + beta = -1 line: the same message at the same step
+    ("jacobi", {"alpha": F(-1, 2), "beta": F(-1, 2)}),
+    ("jacobi", {"alpha": F(-1, 3), "beta": F(-2, 3)}),
+    ("hahn", {"alpha": F(-1, 4), "beta": F(-3, 4), "N": F(80)}),
+    ("bessel", {"alpha": F(-1)}),
+])
+def test_generate_matches_the_polynomial_steps(name, params):
+    outcomes = [_generated(route, catalog(name, params), 10)
+                for route in (generate, _generate_by_polynomials)]
+    assert outcomes[0] == outcomes[1]
+    assert isinstance(outcomes[0], str) == all(type(v) is F for v in params.values())
 
 
 # each bracket that is a polynomial in n, with its arguments after n
