@@ -25,10 +25,16 @@ and rational-function coefficients take the per-coefficient route instead.
 ``RationalFunction`` holds its numerator and denominator as such
 polynomials and computes on their integer views; a primitive
 pseudo-remainder-sequence gcd, in integers, keeps it in lowest terms.
+
+Each entry of a structure relation is an unreduced quotient of bare int
+polynomials in n (``_Quotient`` of ``_IntPoly``), evaluated by one Horner
+pass on each side (``_Quotient.at``).  ``_IntPoly`` and ``Polynomial``
+share one product loop and one Taylor shift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence, Union
@@ -470,13 +476,34 @@ def _int_combination(basis: str, *terms: tuple[tuple, Fraction | int]) -> "Polyn
     return _from_ints(out, den, basis)
 
 
+def _convolve(left: Sequence, right: Sequence) -> list:
+    """The coefficients of the product of two polynomials, lowest degree
+    first: the one product loop, on ints or on any field elements."""
+    out: list = [0] * (len(left) + len(right) - 1)
+    for i, a in enumerate(left):
+        if a:
+            for j, b in enumerate(right, i):
+                out[j] += a * b
+    return out
+
+
+def _taylor_shift(cs: list, h) -> list:
+    """The coefficients of p(x + h) from those of p, lowest degree first,
+    in place: pass i is a synthetic division by (x - h) that leaves the
+    i-th Taylor coefficient at h in cs[i].  An integer h keeps integer
+    coefficients integral."""
+    for i in range(len(cs) - 1):
+        for j in range(len(cs) - 2, i - 1, -1):
+            cs[j] += h * cs[j + 1]
+    return cs
+
+
 class _IntPoly:
     """A polynomial with int coefficients ``c``, lowest degree first, and
     nothing else: no basis, no denominator, no content reduction.  It is the
     indeterminate n the bracket bodies of ``families.polynomial_in_n`` run
-    on for rational data, and the compiled Theorem-1 entries of
-    ``structure`` are quotients of it.  Supports +, -, * and ** with ints
-    and with itself."""
+    on for rational data, and ``_Quotient``s are quotients of it.  Supports
+    +, -, * and ** with ints and with itself, and the shift n -> n + h."""
 
     __slots__ = ("c",)
 
@@ -506,12 +533,7 @@ class _IntPoly:
     def __mul__(self, other):
         if type(other) is not _IntPoly:
             return _IntPoly([other * x for x in self.c])
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c, i):
-                    out[j] += x * y
-        return _IntPoly(out)
+        return _IntPoly(_convolve(self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -520,6 +542,115 @@ class _IntPoly:
         for _ in range(exponent):
             out = out * self
         return out
+
+    def shift(self, h: int) -> "_IntPoly":
+        """p(n + h)."""
+        return _IntPoly(_taylor_shift(list(self.c), h))
+
+
+def _expand(factors: Counter) -> _IntPoly:
+    """The product of a multiset of factors (coefficient tuples)."""
+    out = _IntPoly([1])
+    for key, power in factors.items():
+        out = out * _IntPoly(list(key)) ** power
+    return out
+
+
+class _Quotient:
+    """num / (the product of the multiset ``den``), with an int polynomial
+    num and int polynomial factors in n (coefficient tuples), kept
+    unreduced.  Each entry of a structure relation is one, built once per
+    spec with rational data (``families.quotient_in_n``), and the compiled
+    Theorem-1 entries of ``structure`` are composed from them.
+
+    A product adds the multisets, and a sum puts both terms over the
+    union (the larger power of each factor), so no gcd is ever taken and
+    the denominator vanishes exactly where one of its factors does.  A
+    quotient divides by the divisor's numerator as one new factor.
+    Equality compares the unreduced forms.
+    """
+
+    __slots__ = ("num", "den", "_horner")
+
+    def __init__(self, num: _IntPoly, den: Counter):
+        self.num, self.den = num, den
+        self._horner = None  # num and the expanded den, highest degree first
+
+    @staticmethod
+    def of_factors(top: Iterable, bottom: Iterable) -> "_Quotient":
+        """The product of ``top`` over the product of ``bottom``, each factor
+        an int, a Fraction or a rational Polynomial in n, built from their
+        integer views: each bottom factor stays a factor of its own, and
+        the denominators of the top factors make one constant factor."""
+        top, bottom = ([f._int_view() if isinstance(f, Polynomial)
+                        else _integer_view((Fraction(f),)) for f in side] for side in (top, bottom))
+        num, scale, den = [1], 1, Counter()
+        for nums, d in top:
+            num, scale = _convolve(num, nums), scale * d
+        for nums, d in bottom:
+            num = [d * c for c in num]
+            den[tuple(nums)] += 1
+        if scale != 1:
+            den[(scale,)] += 1
+        return _Quotient(_IntPoly(num), den)
+
+    @staticmethod
+    def of(value) -> "_Quotient":
+        """A quotient from a quotient, an int, a Fraction or a rational Polynomial."""
+        return value if type(value) is _Quotient else _Quotient.of_factors((value,), ())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not _Quotient:
+            return NotImplemented
+        return self.num.c == other.num.c and self.den == other.den
+
+    def __add__(self, other):
+        other = _Quotient.of(other)
+        den = self.den | other.den
+        return _Quotient(self.num * _expand(den - self.den)
+                         + other.num * _expand(den - other.den), den)
+
+    def __neg__(self):
+        return _Quotient(-self.num, self.den)
+
+    def __sub__(self, other):
+        return self + -_Quotient.of(other)
+
+    def __mul__(self, other):
+        other = _Quotient.of(other)
+        return _Quotient(self.num * other.num, self.den + other.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _Quotient.of(other)
+        return self * _Quotient(_expand(other.den), Counter({tuple(other.num.c): 1}))
+
+    def __rtruediv__(self, other):
+        return _Quotient.of(other) / self
+
+    def shift(self, h: int) -> "_Quotient":
+        """The quotient at n + h."""
+        return _Quotient(self.num.shift(h), Counter(
+            {tuple(_taylor_shift(list(key), h)): power for key, power in self.den.items()}))
+
+    def at(self, n: FieldElement) -> FieldElement | None:
+        """The value at n, one Horner pass on the numerator and one on the
+        expanded denominator: at an int n one Fraction, at any other field
+        element (a formal n such as ``RationalFunction.parameter()``)
+        num(n)/den(n); None where the denominator vanishes."""
+        horner = self._horner
+        if horner is None:
+            horner = self._horner = (self.num.c[::-1], _expand(self.den).c[::-1])
+        top, bottom = horner
+        num = den = 0
+        for c in top:
+            num = num * n + c
+        for c in bottom:
+            den = den * n + c
+        if not den:
+            return None
+        return Fraction(num, den) if type(n) is int else num / den
 
 
 class Polynomial:
@@ -664,16 +795,9 @@ class Polynomial:
             if self.is_zero() or other.is_zero():
                 return Polynomial.zero(self.basis)
             u, v = self._int_view(), other._int_view()
-            left, right = (u[0], v[0]) if u and v else (self.coeffs, other.coeffs)
-            out: list = [0] * (len(left) + len(right) - 1)
-            for i, a in enumerate(left):
-                if a == 0:
-                    continue
-                for j, b in enumerate(right, i):
-                    out[j] = out[j] + a * b
             if u and v:
-                return _from_ints(out, u[1] * v[1], MONOMIAL)
-            return Polynomial(out, self.basis)
+                return _from_ints(_convolve(u[0], v[0]), u[1] * v[1], MONOMIAL)
+            return Polynomial(_convolve(self.coeffs, other.coeffs), self.basis)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -728,14 +852,8 @@ class Polynomial:
         """p(x + h), exactly, in the same basis."""
         if self.basis == FALLING:
             return self.to_basis(MONOMIAL).shift(h).to_basis(FALLING)
-        # Taylor shift in place: pass i is a synthetic division by (x - h)
-        # that leaves the i-th Taylor coefficient at h in cs[i].  An integer
-        # h keeps the numerators integral over the same denominator.
         u = self._int_view() if isinstance(h, int) else ()
-        cs = list(u[0] if u else self.coeffs)
-        for i in range(len(cs) - 1):
-            for j in range(len(cs) - 2, i - 1, -1):
-                cs[j] += h * cs[j + 1]
+        cs = _taylor_shift(list(u[0] if u else self.coeffs), h)
         return _from_ints(cs, u[1], MONOMIAL) if u else Polynomial(cs, MONOMIAL)
 
     def delta(self) -> "Polynomial":

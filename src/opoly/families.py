@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -31,6 +30,7 @@ from .algebra import (
     Polynomial,
     _from_ints,
     _IntPoly,
+    _Quotient,
     as_field,
     factorial,
     format_field,
@@ -112,39 +112,30 @@ def quotient_in_n(fn: Callable) -> Callable:
 
     The body runs once per spec with the indeterminate in place of n and
     returns (numerator factors, denominator factors): brackets, n itself and
-    constants; at a ``Polynomial`` n the call returns those factors.  For
-    rational data the two products are expanded once (kept in ``spec``'s
-    memo, under fn and the arguments after n; the brackets are already
-    integer polynomials over one denominator), and at an integer n Horner
-    on their integer views builds one Fraction.  Dual and rational-function
-    data, and a formal n, multiply the factors' values instead: no product
-    over dual numbers is expanded.  Returns None where the denominator
-    vanishes, so that each caller raises its own message.
+    constants.  For rational data the factors' integer views make one
+    ``algebra._Quotient`` (the brackets are already integer polynomials
+    over one denominator), kept in ``spec``'s memo under fn and the
+    arguments after n; a call evaluates it at n (``_Quotient.at``: one
+    Horner pass on each side and one Fraction at an integer n), and at a
+    ``Polynomial`` n returns the quotient itself.  Dual-number data keep
+    the factors and multiply their values at n: no product over dual
+    numbers is expanded.  Returns None where the denominator vanishes, so
+    that each caller raises its own message.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):
         key = (fn, *rest)
-        parts = spec._memo.get(key)
-        if parts is None:
+        entry = spec._memo.get(key)
+        if entry is None:
             factors = fn(spec, Polynomial.x(), *rest)
-            expanded = [(None, 1), (None, 1)]
-            if spec._rational:  # highest degree first, for Horner
-                expanded = [(nums[::-1], den) for nums, den in (
-                    functools.reduce(operator.mul, f, Polynomial.const(1))._int_view()
-                    for f in factors)]
-            parts = spec._memo[key] = (*expanded, factors)
-        (top, top_den), (bottom, bottom_den), factors = parts
+            entry = spec._memo[key] = (_Quotient.of_factors(*factors) if spec._rational
+                                       else factors)
         if isinstance(n, Polynomial):
-            return factors
-        if top is not None and type(n) is int:
-            num = den = 0
-            for c in top:
-                num = num * n + c
-            for c in bottom:
-                den = den * n + c
-            return Fraction(num * bottom_den, den * top_den) if den else None
+            return entry
+        if spec._rational:
+            return entry.at(n)
         num, den = (math.prod((f(n) if isinstance(f, Polynomial) else f for f in side),
-                              start=Fraction(1)) for side in factors)
+                              start=Fraction(1)) for side in entry)
         return num / den if den != 0 else None
 
     return evaluated

@@ -20,25 +20,26 @@ n - 1), beta_n, and the lower entries C_n, gamma_n and the starred lo over the
 rho they carry.  Its numerator and denominator are products of brackets
 whose coefficients depend on the spec alone; each bracket is expanded once
 per spec (``families.polynomial_in_n``, on the integer data of a rational
-spec), each product too, and at each degree the two are evaluated in
-integer arithmetic into one Fraction (``families.quotient_in_n``).  rho_n
-and the recurrence, xpn, derivative-rule and starred triples are kept in
+spec), and each entry is one unreduced ``algebra._Quotient`` of integer
+polynomials in n, built once per spec and evaluated at each degree by one
+Horner pass on each side (``families.quotient_in_n``).  rho_n and the
+recurrence, xpn, derivative-rule, starred and Theorem-1 triples are kept in
 the spec's memo (``families.per_degree``), so each is computed once per spec
 and degree however many formulas or callers read it.
 
 The starred, primed and hatted triples of ``theorem1_coeffs`` and
 ``formula_triple`` are compiled once per spec with rational data and a rule
-with a ratio: each of their nine entries becomes one unreduced quotient of
-integer polynomials in n (``_compile_theorem1``), and from n = 2 on each
-degree evaluates the entries it is asked for, one Horner pass and one
-Fraction each, wherever the per-degree checks would pass.  Elsewhere, at
-n = 1, and for ``starred_coeffs`` (which connection rows read at few
-degrees), the triples are computed at the degree, the primed and hatted
-ones from the starred and derivative-rule triples by the same elimination
-(``_eliminated``).  ``RELATIONS`` names the relations once for tabulate,
-verify and the oracle comparison.  A formula raises AdmissibilityError
-where one of its denominators vanishes (that is never memoized), and
-``admissibility`` evaluates the formulas to report those degrees.
+with a ratio: each of their nine entries is composed from the spec's entry
+quotients into one more (``_compile_theorem1``), and from n = 2 on each
+degree evaluates the entries it is asked for wherever the per-degree checks
+would pass.  Elsewhere, at n = 1, and for ``starred_coeffs`` (which
+connection rows read at few degrees), the triples are computed at the
+degree, the primed and hatted ones from the starred and derivative-rule
+triples by the same elimination (``_eliminated``).  ``RELATIONS`` names the
+relations once for tabulate, verify and the oracle comparison.  A formula
+raises AdmissibilityError where one of its denominators vanishes (that is
+never memoized), and ``admissibility`` evaluates the formulas to report
+those degrees.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -58,6 +59,7 @@ from .algebra import (
     Polynomial,
     _int_combination,
     _IntPoly,
+    _Quotient,
     as_field,
     expand_over,
     factorial,
@@ -301,6 +303,7 @@ def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
 THEOREM1_KINDS = ("starred", "primed", "hatted")
 
 
+@per_degree
 def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """The starred, primed and hatted triples for degree n >= 1.
 
@@ -316,7 +319,7 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     (``_theorem1``); they are the same values.  At n = 1 the lo components
     multiply D p_0 = 0; the values reported there are the closed forms in n
     (the ones the antiderivative tables print), not the arbitrary
-    convention 0.
+    convention 0.  The dict is kept in the spec's memo; callers only read it.
     """
     return _theorem1(spec, n)
 
@@ -334,9 +337,14 @@ def _theorem1(spec: FamilySpec, n: int, kinds: tuple[str, ...] = THEOREM1_KINDS
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
     compiled = _compiled_theorem1(spec) if n > 1 and type(n) is int else None
-    served = compiled.at(spec, n, kinds) if compiled else None
-    if served is not None:
-        return served
+    if compiled:
+        try:  # a failing k_j is raised below, in the per-degree order
+            spec.k(n), spec.k(n + 1), spec.k(n - 1)
+        except AdmissibilityError:
+            compiled = None
+    if compiled and compiled[0].at(n) is not None:
+        return {kind: CoefficientTriple(*[entry.at(n) for entry in compiled[1][kind]])
+                for kind in kinds}
     rule = derivative_rule_coeffs(spec, n)
     starred = starred_coeffs(spec, n)
     lam = lambda_n(spec, n)
@@ -361,163 +369,43 @@ def _eliminated(spec: FamilySpec, rule: CoefficientTriple, starred: CoefficientT
                                      (primed.lo + d * starred.lo) * scale)
 
 
-def _expand(factors: Counter) -> _IntPoly:
-    """The product of a multiset of factors (coefficient tuples)."""
-    out = _IntPoly([1])
-    for key, power in factors.items():
-        out = out * _IntPoly(list(key)) ** power
-    return out
-
-
-class _Quotient:
-    """num / (the product of the multiset ``den``), with an int polynomial
-    num and int polynomial factors in n, kept unreduced.
-
-    A product adds the multisets, and a sum puts both terms over the
-    union (the larger power of each factor), so no gcd is ever taken and
-    the denominator vanishes exactly where one of its factors does.  A
-    quotient divides by the divisor's numerator as one new factor.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: _IntPoly, den: Counter | None = None):
-        self.num, self.den = num, Counter() if den is None else den
-
-    @staticmethod
-    def of(value) -> "_Quotient":
-        """A quotient from a quotient, an int, a Fraction or a rational Polynomial."""
-        if type(value) is _Quotient:
-            return value
-        if isinstance(value, Polynomial):
-            nums, den = value._int_view()
-        else:
-            value = Fraction(value)
-            nums, den = [value.numerator], value.denominator
-        return _Quotient(_IntPoly(list(nums)), Counter({(den,): 1} if den != 1 else ()))
-
-    def __add__(self, other):
-        other = _Quotient.of(other)
-        den = self.den | other.den
-        return _Quotient(self.num * _expand(den - self.den)
-                         + other.num * _expand(den - other.den), den)
-
-    def __neg__(self):
-        return _Quotient(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + -_Quotient.of(other)
-
-    def __mul__(self, other):
-        other = _Quotient.of(other)
-        return _Quotient(self.num * other.num, self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _Quotient.of(other)
-        return self * _Quotient(_expand(other.den), Counter({tuple(other.num.c): 1}))
-
-    def __rtruediv__(self, other):
-        return _Quotient.of(other) / self
-
-
-def _quotient(factors, shift: int = 0) -> _Quotient:
-    """The ``quotient_in_n`` body's (numerator, denominator) factors as a
-    ``_Quotient`` in n, each denominator factor kept apart; at n + shift."""
-    value = _Quotient.of(1)
-    for sign, side in zip((1, -1), factors):
-        for f in side:
-            f = _Quotient.of(f.shift(shift) if isinstance(f, Polynomial) else f)
-            value = value * f if sign > 0 else value / f
-    return value
-
-
-@dataclass(frozen=True)
-class _CompiledTheorem1:
-    """The starred, primed and hatted entries of one spec as quotients in n.
-
-    ``factors`` holds every denominator factor of the entries, highest
-    degree first for Horner: n + 1, D(n), the denominators of beta_n and
-    B*_{n-1}, lambda_n, rho_n's numerator and the factors of rho_{n-1}'s
-    denominator.  ``triples`` holds (kind, entries), each entry (numerator,
-    ((factor index, power), ...)).  Where the k reads pass and no factor
-    vanishes, every check of the per-degree route passes and both rho come
-    from the rule (a rho_n with a vanishing denominator, or a rho_{n-1}
-    with a vanishing numerator, would make k_{n+1} a pole or k_n zero), so
-    each entry takes the per-degree value there.
-    """
-
-    factors: tuple[tuple[int, ...], ...]
-    triples: tuple
-
-    def at(self, spec: FamilySpec, n: int, kinds: tuple[str, ...]
-           ) -> dict[str, CoefficientTriple] | None:
-        """The triples named in ``kinds`` at n, each entry one Horner pass and
-        one Fraction; None where a k read fails or a factor vanishes, where
-        the per-degree route decides."""
-        try:
-            spec.k(n), spec.k(n + 1), spec.k(n - 1)
-        except AdmissibilityError:
-            return None
-        values = []
-        for factor in self.factors:
-            value = 0
-            for c in factor:
-                value = value * n + c
-            if not value:
-                return None
-            values.append(value)
-        out = {}
-        for kind, entries in self.triples:
-            if kind in kinds:
-                triple = []
-                for num, den in entries:
-                    top, bottom = 0, 1
-                    for c in num:
-                        top = top * n + c
-                    for i, power in den:
-                        bottom *= values[i] ** power
-                    triple.append(Fraction(top, bottom))
-                out[kind] = CoefficientTriple(*triple)
-        return out
-
-
-def _compiled_theorem1(spec: FamilySpec) -> _CompiledTheorem1 | None:
-    """The spec's compiled Theorem-1 entries, built on the first read and
-    kept in its memo; None for data that are not rational, a rule without
-    a ratio, or d + 2a = 0 (the derivatives' tau is constant)."""
+def _compiled_theorem1(spec: FamilySpec) -> tuple | None:
+    """The spec's compiled Theorem-1 entries (``_compile_theorem1``), built
+    on the first read and kept in its memo; None for data that are not
+    rational, a rule without a ratio, or d + 2a = 0 (the derivatives' tau
+    is constant)."""
     compiled = spec._memo.get(_compiled_theorem1)
     if compiled is None:
         compiled = spec._memo[_compiled_theorem1] = _compile_theorem1(spec) or ()
     return compiled or None
 
 
-def _compile_theorem1(spec: FamilySpec) -> _CompiledTheorem1 | None:
-    """Each Theorem-1 entry as one unreduced quotient in n: the formulas of
-    ``starred_coeffs`` and ``derivative_rule_coeffs`` with rho_n and
-    rho_{n-1} from the rule's ratio, then ``_eliminated``."""
+def _compile_theorem1(spec: FamilySpec) -> tuple | None:
+    """(guard, triples): the nine Theorem-1 entries, by kind, each one
+    ``_Quotient`` in n composed from the spec's own entries (rho_{n-1} and
+    B*_{n-1} by a shift) by the formulas of ``starred_coeffs``,
+    ``derivative_rule_coeffs`` and ``_eliminated``; ``guard`` is 1 over
+    every distinct denominator factor of the nine: n + 1, D(n), the
+    denominators of beta_n and B*_{n-1}, lambda_n, rho_n's numerator and
+    rho_{n-1}'s denominator factors.  Where the k reads pass and the guard
+    is defined, every per-degree check passes and both rho come from the
+    rule (a rho_n with a vanishing denominator, or a rho_{n-1} with a
+    vanishing numerator, would make k_{n+1} a pole or k_n zero), so each
+    entry takes the per-degree value there."""
     if not spec._rational or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
         return None
     x = Polynomial.x()
-    n = _Quotient(_IntPoly([0, 1]))
-    rho, rho_prev = _quotient(_rule_ratio(spec, x)), _quotient(_rule_ratio(spec, x), -1)
-    starred = CoefficientTriple(n / (n + 1) / rho,
-                                -_quotient(_b_quotient(spec, x, True), -1),
-                                _quotient(_lower_entry(spec, x, -1, (1,))) * rho_prev)
-    rule = CoefficientTriple(spec.a * n / rho, _quotient(_beta(spec, x)),
-                             _quotient(_lower_entry(spec, x, 1, (1, 2))) * rho_prev)
+    n = _Quotient.of(x)
+    rho = _rule_ratio(spec, x)
+    rho_prev = rho.shift(-1)
+    starred = CoefficientTriple(n / (n + 1) / rho, -_b_quotient(spec, x, True).shift(-1),
+                                _lower_entry(spec, x, -1, (1,)) * rho_prev)
+    rule = CoefficientTriple(spec.a * n / rho, _beta(spec, x),
+                             _lower_entry(spec, x, 1, (1, 2)) * rho_prev)
     triples = dict(zip(THEOREM1_KINDS, (starred, *_eliminated(
         spec, rule, starred, _Quotient.of(lambda_n(spec, x))))))
-    keys = list(dict.fromkeys(
-        key for triple in triples.values() for entry in triple for key in entry.den))
-    index = {key: i for i, key in enumerate(keys)}
-    return _CompiledTheorem1(
-        tuple(key[::-1] for key in keys),
-        tuple((kind, tuple((tuple(entry.num.c[::-1]),
-                            tuple((index[key], power) for key, power in entry.den.items()))
-                           for entry in triple))
-              for kind, triple in triples.items()))
+    factors = {key: 1 for triple in triples.values() for entry in triple for key in entry.den}
+    return _Quotient(_IntPoly([1]), Counter(factors)), triples
 
 
 def antiderivative(spec: FamilySpec, n: int) -> CoefficientTriple:

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction as F
 from functools import cache
-from math import comb, gcd
+from math import comb, gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +13,9 @@ from opoly.algebra import (
     Dual,
     Polynomial,
     RationalFunction,
+    _IntPoly,
     _pseudo_divmod,
+    _Quotient,
     binomial,
     expand_over,
     format_rational,
@@ -378,6 +380,44 @@ class TestIntegerKernels:
                 return c.evaluate(point) if isinstance(c, RationalFunction) else c
 
             assert [at(v) for v in got] == expand_over(Polynomial(map(at, p)), parts)
+
+
+class TestQuotient:
+    # (n - 3)(2n + 1/2)(-2/3) over (n - 7)^2 (3/5)(n^2/4 - 25/4): the top
+    # vanishes at n = 3, the bottom at n = 5 and n = 7 (and at n = -5)
+    TOP = (Polynomial([-3, 1]), Polynomial([F(1, 2), 2]), F(-2, 3))
+    BOTTOM = (Polynomial([-7, 1]), F(3, 5), Polynomial([F(-25, 4), 0, F(1, 4)]),
+              Polynomial([-7, 1]))
+
+    @staticmethod
+    def product(factors, n):
+        return prod((f(n) if isinstance(f, Polynomial) else f for f in factors), start=F(1))
+
+    def test_of_factors_is_the_quotient_of_the_factor_values(self):
+        q = _Quotient.of_factors(self.TOP, self.BOTTOM)
+        for n in range(41):
+            bottom = self.product(self.BOTTOM, n)
+            want = self.product(self.TOP, n) / bottom if bottom else None
+            got = q.at(n)
+            assert got == want and (got is None or type(got) is F), n
+        assert [n for n in range(41) if q.at(n) is None] == [5, 7]
+        assert q.at(3) == 0
+        t = RationalFunction.parameter()
+        formal = q.at(t)
+        assert type(formal) is RationalFunction
+        assert formal == self.product(self.TOP, t) / self.product(self.BOTTOM, t)
+
+    def test_shift(self):
+        q = _Quotient.of_factors(self.TOP, self.BOTTOM)
+        for h in (-7, -1, 0, 2, 5):
+            shifted = q.shift(h)
+            for n in range(41):
+                assert shifted.at(n) == q.at(n + h), (h, n)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(c=st.lists(st.integers(-30, 30), max_size=7), h=st.integers(-3, 3))
+    def test_int_poly_shift_matches_polynomial_shift(self, c, h):
+        assert Polynomial(_IntPoly(c).shift(h).c) == Polynomial(c).shift(h)
 
 
 class TestScalarOperations:

@@ -1,11 +1,13 @@
+import sys
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from opoly import structure
-from opoly.algebra import Dual, Polynomial, RationalFunction
+from opoly.algebra import Dual, Polynomial, RationalFunction, _Quotient
 from opoly.connection import connect_oracle, connect_recurrence
-from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, catalog
+from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, _rule_ratio, catalog
 from opoly.structure import (
     antiderivative,
     antidifference,
@@ -336,10 +338,10 @@ class TestPerDegreeMemo:
 
     def test_bracket_polynomials_are_built_once_per_spec_instance(self):
         def built(spec):
-            # bracket polynomials, and the expanded numerator and denominator
-            # of each entry (a tuple); per-degree values are neither
+            # bracket polynomials and entry quotients; per-degree values
+            # are neither
             return {key: value for key, value in spec._memo.items()
-                    if isinstance(value, (Polynomial, tuple))}
+                    if isinstance(value, (Polynomial, _Quotient))}
 
         def shifted_hermite():
             # a = b = 0: the derivatives' tau data (d + 2a, e + b) equal (d, e)
@@ -352,7 +354,7 @@ class TestPerDegreeMemo:
         # nine brackets and lambda_n; B_n/A_n plain and starred, beta_n, the
         # three lower entries and the rule's term ratio
         assert sum(isinstance(v, Polynomial) for v in first.values()) == 10
-        assert sum(isinstance(v, tuple) for v in first.values()) == 7
+        assert sum(isinstance(v, _Quotient) for v in first.values()) == 7
         for n in range(3, 12):
             formula_triples(spec, n)
         assert built(spec).keys() == first.keys()
@@ -367,6 +369,29 @@ class TestPerDegreeMemo:
         formula_triples(twin, 2)
         assert built(twin).keys() == first.keys()
         assert all(built(twin)[key] is not value for key, value in first.items())
+
+    def test_each_entry_body_runs_once_per_spec(self):
+        # the compile composes the spec's own entries: each body runs once,
+        # however many degrees and routes read its entry
+        bodies = {body.__wrapped__.__code__: body.__name__ for body in (
+            structure._lower_entry, structure._b_quotient, structure._beta, _rule_ratio)}
+        calls = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in bodies:
+                calls[bodies[frame.f_code]] += 1
+
+        spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for n in range(1, 12):
+                formula_triples(spec, n)
+                starred_coeffs(spec, n)
+        finally:
+            sys.setprofile(previous)
+        assert spec._memo[structure._compiled_theorem1]
+        assert calls == {"_lower_entry": 3, "_b_quotient": 2, "_beta": 1, "_rule_ratio": 1}
 
     def test_equal_specs_keep_their_own_values(self):
         def spec(base):

@@ -8,8 +8,8 @@ package is relative, so each copy imports only itself), builds the seeded
 operation list of the workload with this checkout's ``bench/workloads.py``
 (the timed list of a ``RUN_SECONDS`` run), and runs every operation on both
 sides through ``cli.run(argv)``, alternating which side goes first.  The
-process CPU time of each call is summed per side; the exit code and stdout
-of the two sides must be equal for every operation.
+process CPU time of each call is summed per side; the exit code, stdout
+and stderr of the two sides must be equal for every operation.
 
 Prints, per round, each side's operations per CPU second and the ratio
 change/parent (above 1: the change is faster), then the same over all
@@ -41,14 +41,14 @@ def load(src: Path, package: str, into: Path):
     return importlib.import_module(f"{package}.cli")
 
 
-def run_op(cli, argv: list[str]) -> tuple[float, object, str]:
-    """(CPU seconds, exit code, stdout) of one CLI call."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def run_op(cli, argv: list[str]) -> tuple[float, object, str, str]:
+    """(CPU seconds, exit code, stdout, stderr) of one CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         start = time.process_time()
         code = cli.run(argv)
         cpu = time.process_time() - start
-    return cpu, code, out.getvalue()
+    return cpu, code, out.getvalue(), err.getvalue()
 
 
 def main(argv=None) -> int:
@@ -75,9 +75,9 @@ def main(argv=None) -> int:
                 order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
                 seen = {}
                 for side in order:
-                    seconds, code, out = run_op(clis[side], op.argv())
+                    seconds, *outputs = run_op(clis[side], op.argv())
                     cpu[side] += seconds
-                    seen[side] = (code, out)
+                    seen[side] = outputs
                 if seen[0] != seen[1]:
                     raise SystemExit(f"outputs differ on {' '.join(op.argv())}")
             totals = [t + c for t, c in zip(totals, cpu)]
