@@ -28,8 +28,9 @@ pseudo-remainder-sequence gcd, in integers, keeps it in lowest terms.
 
 Each entry of a structure relation is an unreduced quotient of bare int
 polynomials in n (``_Quotient`` of ``_IntPoly``), evaluated by one Horner
-pass on each side (``_Quotient.at``).  ``_IntPoly`` and ``Polynomial``
-share one product loop and one Taylor shift.
+pass on each side (``_Quotient.at``); other data put field elements in the
+same lists.  ``_IntPoly`` and ``Polynomial`` share one product loop and one
+Taylor shift.
 """
 
 from __future__ import annotations
@@ -502,8 +503,9 @@ class _IntPoly:
     """A polynomial with int coefficients ``c``, lowest degree first, and
     nothing else: no basis, no denominator, no content reduction.  It is the
     indeterminate n the bracket bodies of ``families.polynomial_in_n`` run
-    on for rational data, and ``_Quotient``s are quotients of it.  Supports
-    +, -, * and ** with ints and with itself, and the shift n -> n + h."""
+    on, and ``_Quotient``s are quotients of it; non-rational data put field
+    elements in the same list.  Supports +, -, * and ** with scalars and
+    with itself, and the shift n -> n + h."""
 
     __slots__ = ("c",)
 
@@ -559,9 +561,10 @@ def _expand(factors: Counter) -> _IntPoly:
 class _Quotient:
     """num / (the product of the multiset ``den``), with an int polynomial
     num and int polynomial factors in n (coefficient tuples), kept
-    unreduced.  Each entry of a structure relation is one, built once per
-    spec with rational data (``families.quotient_in_n``), and the compiled
-    Theorem-1 entries of ``structure`` are composed from them.
+    unreduced; non-rational data put their field elements in the same
+    lists.  Each entry of a structure relation is one, built once per spec
+    (``families.quotient_in_n``), and the compiled Theorem-1 entries of
+    ``structure`` are composed from them.
 
     A product adds the multisets, and a sum puts both terms over the
     union (the larger power of each factor), so no gcd is ever taken and
@@ -579,11 +582,13 @@ class _Quotient:
     @staticmethod
     def of_factors(top: Iterable, bottom: Iterable) -> "_Quotient":
         """The product of ``top`` over the product of ``bottom``, each factor
-        an int, a Fraction or a rational Polynomial in n, built from their
-        integer views: each bottom factor stays a factor of its own, and
-        the denominators of the top factors make one constant factor."""
-        top, bottom = ([f._int_view() if isinstance(f, Polynomial)
-                        else _integer_view((Fraction(f),)) for f in side] for side in (top, bottom))
+        a field element or a Polynomial in n, built from their integer
+        views: each bottom factor stays a factor of its own, and the
+        denominators of the top factors make one constant factor.  A factor
+        with no integer view contributes its own coefficients over 1."""
+        top, bottom = ([f._int_view() or (list(f.coeffs), 1) if isinstance(f, Polynomial)
+                        else _integer_view((as_field(f),)) or ([f], 1) for f in side]
+                       for side in (top, bottom))
         num, scale, den = [1], 1, Counter()
         for nums, d in top:
             num, scale = _convolve(num, nums), scale * d
@@ -636,9 +641,10 @@ class _Quotient:
 
     def at(self, n: FieldElement) -> FieldElement | None:
         """The value at n, one Horner pass on the numerator and one on the
-        expanded denominator: at an int n one Fraction, at any other field
-        element (a formal n such as ``RationalFunction.parameter()``)
-        num(n)/den(n); None where the denominator vanishes."""
+        expanded denominator: one Fraction where both are ints, else
+        num(n)/den(n), the same for dual data at an int n as at a formal n
+        such as ``RationalFunction.parameter()``; None where the denominator
+        vanishes (a dual one of value 0 raises ZeroDivisionError)."""
         horner = self._horner
         if horner is None:
             horner = self._horner = (self.num.c[::-1], _expand(self.den).c[::-1])
@@ -650,7 +656,7 @@ class _Quotient:
             den = den * n + c
         if not den:
             return None
-        return Fraction(num, den) if type(n) is int else num / den
+        return Fraction(num, den) if type(num) is int and type(den) is int else num / den
 
 
 class Polynomial:

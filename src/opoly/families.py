@@ -12,7 +12,8 @@ rationals or dual numbers (a ``Dual`` carrying the derivative in one
 parameter), which is how parameter derivatives are verified.  A spec with
 rational data also keeps them cleared of denominators (``IntegerData``):
 every formula is homogeneous in the data, so the brackets and the series
-recurrences run on those integers.
+recurrences run on those integers; other data run the same kernels on
+their own field elements.
 """
 
 from __future__ import annotations
@@ -80,12 +81,13 @@ def polynomial_in_n(degree: int) -> Callable:
     ``**``, and may branch only on ``spec.kind`` and the arguments after n,
     never on n.
 
-    ``degree`` is the body's homogeneous degree w in the data (a, ..., e):
-    scaling every datum by t scales the value by t^w.  For rational data
-    the body runs once on the spec's integer data ``L (a, ..., e)`` with a
-    plain int polynomial in n (``algebra._IntPoly``), and the result is its
+    The indeterminate is a bare coefficient list (``algebra._IntPoly``),
+    and the body reads ``spec.scaled()``.  ``degree`` is the body's
+    homogeneous degree w in the data (a, ..., e): scaling every datum by t
+    scales the value by t^w.  For rational data the body runs on the
+    spec's integer data ``L (a, ..., e)``, and the result is its int
     coefficients over L^w, reduced once; no Fraction is made while it
-    runs.  Dual-number data take ``Polynomial.x()`` in Fraction arithmetic.
+    runs.  Other data put their field elements in the same list.
     """
     def decorate(fn: Callable) -> Callable:
         @functools.wraps(fn)
@@ -93,13 +95,9 @@ def polynomial_in_n(degree: int) -> Callable:
             key = (fn, *rest)
             poly = spec._memo.get(key)
             if poly is None:
-                ints = spec._ints
-                if ints is None:
-                    poly = fn(spec, Polynomial.x(), *rest)
-                else:
-                    poly = _from_ints(fn(ints, _IntPoly([0, 1]), *rest).c,
-                                      ints.scale ** degree, MONOMIAL)
-                spec._memo[key] = poly
+                c = fn(spec.scaled(), _IntPoly([0, 1]), *rest).c
+                poly = spec._memo[key] = (Polynomial(c) if spec._ints is None
+                                          else _from_ints(c, spec._ints.scale ** degree, MONOMIAL))
             return poly if isinstance(n, Polynomial) else poly(n)
 
         return evaluated
@@ -112,31 +110,21 @@ def quotient_in_n(fn: Callable) -> Callable:
 
     The body runs once per spec with the indeterminate in place of n and
     returns (numerator factors, denominator factors): brackets, n itself and
-    constants.  For rational data the factors' integer views make one
-    ``algebra._Quotient`` (the brackets are already integer polynomials
-    over one denominator), kept in ``spec``'s memo under fn and the
-    arguments after n; a call evaluates it at n (``_Quotient.at``: one
-    Horner pass on each side and one Fraction at an integer n), and at a
-    ``Polynomial`` n returns the quotient itself.  Dual-number data keep
-    the factors and multiply their values at n: no product over dual
-    numbers is expanded.  Returns None where the denominator vanishes, so
-    that each caller raises its own message.
+    constants.  The factors make one ``algebra._Quotient`` (for rational
+    data the brackets' integer views: integer polynomials over one
+    denominator), kept in ``spec``'s memo under fn and the arguments after
+    n; a call evaluates it at n (``_Quotient.at``: one Horner pass on each
+    side, and one Fraction at an integer n for rational data), and at a
+    ``Polynomial`` n returns the quotient itself.  Returns None where the
+    denominator vanishes, so that each caller raises its own message.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):
         key = (fn, *rest)
         entry = spec._memo.get(key)
         if entry is None:
-            factors = fn(spec, Polynomial.x(), *rest)
-            entry = spec._memo[key] = (_Quotient.of_factors(*factors) if spec._rational
-                                       else factors)
-        if isinstance(n, Polynomial):
-            return entry
-        if spec._rational:
-            return entry.at(n)
-        num, den = (math.prod((f(n) if isinstance(f, Polynomial) else f for f in side),
-                              start=Fraction(1)) for side in entry)
-        return num / den if den != 0 else None
+            entry = spec._memo[key] = _Quotient.of_factors(*fn(spec, Polynomial.x(), *rest))
+        return entry if isinstance(n, Polynomial) else entry.at(n)
 
     return evaluated
 
@@ -168,10 +156,12 @@ def _rule_ratio(spec: "FamilySpec", n: int):
     return spec.leading.ratio(n)
 
 
+@per_degree
 def _term_ratio(spec: "FamilySpec", n: int) -> FieldElement | None:
-    """rho_n = k_{n+1}/k_n from the rule's ratio; None where the rule has
-    none, the data are not rational or a factor of rho_n vanishes."""
-    if spec.leading.ratio is None or not spec._rational:
+    """rho_n = k_{n+1}/k_n from the rule's ratio; None (asked again) where the
+    rule has none, the data are not rational or a factor of rho_n vanishes."""
+    # rational data only: a dual rho may carry a factor 0 + eps that k_n lacks
+    if spec.leading.ratio is None or spec._ints is None:
         return None
     return _rule_ratio(spec, n) or None
 
@@ -236,9 +226,8 @@ class FamilySpec:
     # per-degree values of this instance (see ``per_degree``); equal specs
     # do not share it
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-    # every datum and parameter is a Fraction (see ``quotient_in_n``)
-    _rational: bool = field(default=False, init=False, compare=False, repr=False)
-    # the data cleared of denominators, for rational specs only
+    # the data cleared of denominators; set exactly when every datum and
+    # parameter is a Fraction
     _ints: IntegerData | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -248,9 +237,7 @@ class FamilySpec:
             object.__setattr__(self, attr, as_field(getattr(self, attr)))
         if self.d == 0:
             raise ValueError("tau must have degree exactly 1 (d != 0)")
-        object.__setattr__(self, "_rational", all(
-            type(v) is Fraction for v in (*self.abcde(), *(v for _, v in self.params))))
-        if self._rational:
+        if all(type(v) is Fraction for v in (*self.abcde(), *(v for _, v in self.params))):
             scale = math.lcm(*(v.denominator for v in self.abcde()))
             object.__setattr__(self, "_ints", IntegerData(
                 self.kind, *(v.numerator * (scale // v.denominator) for v in self.abcde()),

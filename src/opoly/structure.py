@@ -21,11 +21,12 @@ rho they carry.  Its numerator and denominator are products of brackets
 whose coefficients depend on the spec alone; each bracket is expanded once
 per spec (``families.polynomial_in_n``, on the integer data of a rational
 spec), and each entry is one unreduced ``algebra._Quotient`` of integer
-polynomials in n, built once per spec and evaluated at each degree by one
-Horner pass on each side (``families.quotient_in_n``).  rho_n and the
-recurrence, xpn, derivative-rule, starred and Theorem-1 triples are kept in
-the spec's memo (``families.per_degree``), so each is computed once per spec
-and degree however many formulas or callers read it.
+polynomials in n (of field elements for other data), built once per spec
+and evaluated at each degree by one Horner pass on each side
+(``families.quotient_in_n``).  rho_n and the recurrence, xpn,
+derivative-rule, starred and Theorem-1 triples are kept in the spec's memo
+(``families.per_degree``), so each is computed once per spec and degree
+however many formulas or callers read it.
 
 The starred, primed and hatted triples of ``theorem1_coeffs`` and
 ``formula_triple`` are compiled once per spec with rational data and a rule
@@ -392,7 +393,8 @@ def _compile_theorem1(spec: FamilySpec) -> tuple | None:
     rule (a rho_n with a vanishing denominator, or a rho_{n-1} with a
     vanishing numerator, would make k_{n+1} a pole or k_n zero), so each
     entry takes the per-degree value there."""
-    if not spec._rational or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
+    # rational data only: the entries take rho from the rule, as ``_term_ratio`` does
+    if spec._ints is None or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
         return None
     x = Polynomial.x()
     n = _Quotient.of(x)

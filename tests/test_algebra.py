@@ -407,6 +407,27 @@ class TestQuotient:
         assert type(formal) is RationalFunction
         assert formal == self.product(self.TOP, t) / self.product(self.BOTTOM, t)
 
+    # the same with dual coefficients, and one factor without: the bottom is
+    # 0 + 2.4 eps at n = 5 and exactly 0 at n = 7, the top 0 + eps at n = 3
+    DUAL_TOP = (Polynomial([Dual(-3, 1), 1]), Polynomial([F(1, 2), 2]), Dual(F(-2, 3), 4))
+    DUAL_BOTTOM = (Polynomial([Dual(-5, 2), 1]), Dual(F(3, 5), -1), Polynomial([-7, 1]))
+
+    def test_of_dual_factors_is_the_quotient_of_the_factor_values(self):
+        q = _Quotient.of_factors(self.DUAL_TOP, self.DUAL_BOTTOM)
+        for n in range(41):
+            top, bottom = self.product(self.DUAL_TOP, n), self.product(self.DUAL_BOTTOM, n)
+            if n == 5:  # no dual-number value: both raise
+                assert bottom == Dual(0, F(-12, 5))
+                for quotient in (lambda: q.at(n), lambda: top / bottom):
+                    with pytest.raises(ZeroDivisionError):
+                        quotient()
+                continue
+            want = top / bottom if bottom else None
+            got = q.at(n)
+            assert got == want and (got is None or type(got) is Dual), n
+        assert [n for n in range(41) if n != 5 and q.at(n) is None] == [7]
+        assert q.at(3) == Dual(0, q.at(3).d) != 0
+
     def test_shift(self):
         q = _Quotient.of_factors(self.TOP, self.BOTTOM)
         for h in (-7, -1, 0, 2, 5):
