@@ -334,9 +334,7 @@ def closed_form(spec: FamilySpec) -> HypergeometricDescriptor:
         if b != 0:
             lower = (Entry("const", 0, e / b),)
             den_scalar: FieldElement = b
-        else:
-            if e == 0:
-                raise UnsupportedRepresentation("p_n is the single term k_n x^n")
+        else:  # e != 0: b = e = 0 took the even/odd form above
             lower = ()
             den_scalar = e
         desc = HypergeometricDescriptor(

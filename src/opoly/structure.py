@@ -28,15 +28,16 @@ derivative-rule, starred and Theorem-1 triples are kept in the spec's memo
 (``families.per_degree``), so each is computed once per spec and degree
 however many formulas or callers read it.
 
-The starred, primed and hatted triples of ``theorem1_coeffs`` and
-``formula_triple`` are compiled once per spec with rational data and a rule
-with a ratio: each of their nine entries is composed from the spec's entry
-quotients into one more (``_compile_theorem1``), and from n = 2 on each
-degree evaluates the entries it is asked for wherever the per-degree checks
-would pass.  Elsewhere, at n = 1, and for ``starred_coeffs`` (which
-connection rows read at few degrees), the triples are computed at the
-degree, the primed and hatted ones from the starred and derivative-rule
-triples by the same elimination (``_eliminated``).  ``RELATIONS`` names the
+The starred, primed and hatted triples have two routes, one per reader.
+``theorem1_coeffs`` computes them at the degree, the primed and hatted ones
+from the starred and derivative-rule triples (``_eliminated``); verify and
+the oracle comparison (``formula_triples``), ``admissibility`` and the
+antiderivative read it at few degrees, and the connection rows read
+``starred_coeffs`` alone.  ``formula_triple``, tabulate's reader, serves
+one kind from n = 2 on from entries compiled once per spec with rational
+data and a rule with a ratio (``_compile_theorem1``: the same elimination
+on the spec's entry quotients), wherever the per-degree checks would pass,
+and reads ``theorem1_coeffs`` elsewhere.  ``RELATIONS`` names the
 relations once for tabulate, verify and the oracle comparison.  A formula
 raises AdmissibilityError where one of its denominators vanishes (that is
 never memoized), and ``admissibility`` evaluates the formulas to report
@@ -315,37 +316,14 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     where D is d/dx (continuous) or the forward difference (discrete), and
     D' p_n means p_n'' resp. Delta nabla p_n.  The starred triple is
     ``starred_coeffs``; the primed and hatted ones follow from it and the
-    derivative rule by exact elimination (``_eliminated``).  From n = 2 on
-    the values are read from the spec's compiled entries where it has them
-    (``_theorem1``); they are the same values.  At n = 1 the lo components
-    multiply D p_0 = 0; the values reported there are the closed forms in n
-    (the ones the antiderivative tables print), not the arbitrary
-    convention 0.  The dict is kept in the spec's memo; callers only read it.
+    derivative rule by exact elimination (``_eliminated``), at this degree.
+    At n = 1 the lo components multiply D p_0 = 0; the values reported there
+    are the closed forms in n (the ones the antiderivative tables print),
+    not the arbitrary convention 0.  The dict is kept in the spec's memo;
+    callers only read it.
     """
-    return _theorem1(spec, n)
-
-
-def _theorem1(spec: FamilySpec, n: int, kinds: tuple[str, ...] = THEOREM1_KINDS
-              ) -> dict[str, CoefficientTriple]:
-    """The Theorem-1 triples named in ``kinds``, by kind; every check of all
-    three comes first, so each raises where ``theorem1_coeffs`` does.
-
-    From n = 2 on, a spec with rational data whose rule has a ratio reads
-    its compiled entries (``_compiled_theorem1``) wherever the k reads pass
-    and no unreduced denominator vanishes.  Everywhere else, n = 1 included
-    (B_0 is the reduced e'/d' there), the triples are computed at this
-    degree, and each check raises its own message in its own order."""
     if n < 1:
         raise ValueError("theorem1 triples need n >= 1")
-    compiled = _compiled_theorem1(spec) if n > 1 and type(n) is int else None
-    if compiled:
-        try:  # a failing k_j is raised below, in the per-degree order
-            spec.k(n), spec.k(n + 1), spec.k(n - 1)
-        except AdmissibilityError:
-            compiled = None
-    if compiled and compiled[0].at(n) is not None:
-        return {kind: CoefficientTriple(*[entry.at(n) for entry in compiled[1][kind]])
-                for kind in kinds}
     rule = derivative_rule_coeffs(spec, n)
     starred = starred_coeffs(spec, n)
     lam = lambda_n(spec, n)
@@ -447,9 +425,19 @@ RELATION_NAMES = ("equation", *(r.check for r in RELATIONS.values() if r.check))
 
 def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
     """``formula_triples(spec, n)[key]``, in value and in every exception of
-    its formula, computing only the Theorem-1 triples ``key`` is read off."""
+    its formula.  From n = 2 on, a Theorem-1 key evaluates only its own
+    compiled entries (``_compiled_theorem1``) where the k reads pass and the
+    guard does not vanish; elsewhere it is read off ``theorem1_coeffs``."""
     if RELATIONS[key].theorem1:
-        return _theorem1(spec, n, (key,))[key]
+        compiled = _compiled_theorem1(spec) if n > 1 and type(n) is int else None
+        if compiled:
+            try:  # a failing k_j is raised by theorem1_coeffs, in the per-degree order
+                spec.k(n), spec.k(n + 1), spec.k(n - 1)
+            except AdmissibilityError:
+                compiled = None
+        if compiled and compiled[0].at(n) is not None:
+            return CoefficientTriple(*[entry.at(n) for entry in compiled[1][key]])
+        return theorem1_coeffs(spec, n)[key]
     return {"recurrence": recurrence_coeffs, "xpn": xpn_coeffs,
             "derivative": derivative_rule_coeffs, "delta": delta_rule_coeffs}[key](spec, n)
 
@@ -460,12 +448,11 @@ def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     The triples the others are read off come from the spec's memo, so a
     second call for the same spec and n computes no bracket again.
     """
-    out, theorem1 = {}, {}
+    out = {}
     for key, relation in RELATIONS.items():
         if n >= relation.start and spec.kind in relation.kinds:
-            if relation.theorem1:  # the three Theorem-1 triples from one call
-                theorem1 = theorem1 or theorem1_coeffs(spec, n)
-            out[key] = theorem1[key] if relation.theorem1 else formula_triple(spec, key, n)
+            out[key] = (theorem1_coeffs(spec, n)[key] if relation.theorem1
+                        else formula_triple(spec, key, n))
     return out
 
 

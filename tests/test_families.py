@@ -204,6 +204,11 @@ class TestAdmissibility:
         report = admissibility(catalog("gegenbauer", alpha=F(0)), 6)
         assert not report.ok
         assert any(formula == "leading" for (formula, _, _) in report.failures)
+        # a raw rule with k_0 = 0: the series group is evaluated from n = 0
+        spec = FamilySpec("continuous", 0, 1, 0, -1, F(3, 2),
+                          LeadingRule(lambda n: F(n), "k_n = n"), "raw")
+        assert admissibility(spec, 2, ("series",)).failures == (
+            ("series", 0, "k_0 = 0 for family raw"), ("leading", 0, "k_0"))
 
     def test_failures_carry_the_formula_message(self, capsys):
         # Chebyshev T: C_1 of the recurrence is a 0/0 on the alpha + beta = -1 line
@@ -226,6 +231,11 @@ class TestAdmissibility:
                 ("theorem1", 2, "beta_2 denominator vanishes"),
                 *(("theorem1", n, "tau must have degree exactly 1 (d != 0)")
                   for n in (3, 4, 5)),
+            ), kind
+            # the derivative group is evaluated from n = 1
+            assert admissibility(spec, 5, ("derivative",)).failures == (
+                ("derivative", 1, "beta_1 denominator vanishes"),
+                ("derivative", 2, "beta_2 denominator vanishes"),
             ), kind
 
     def test_standardization_pole_reported(self):

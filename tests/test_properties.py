@@ -15,6 +15,7 @@ from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
     ConnectionRow,
     UnsupportedConnection,
+    compat,
     connect_oracle,
     connect_recurrence,
 )
@@ -333,17 +334,20 @@ def test_integer_data_routes_match_fraction_arithmetic(spec, shrink):
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(spec=raw_specs())
 def test_compiled_theorem1_matches_the_per_degree_route(spec):
-    # raw specs reach the removable zeros, d + 2a = 0 and lambda_n = 0
-    per_degree = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
-    per_degree._memo[structure._compiled_theorem1] = ()
+    # raw specs reach the removable zeros, d + 2a = 0 and lambda_n = 0;
+    # formula_triple serves the compiled entries, theorem1_coeffs computes
+    # at the degree
+    twin = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
     for n in range(1, 9):
-        outcomes = []
-        for s in (spec, per_degree):
-            try:
-                outcomes.append({k: tuple(t) for k, t in structure.theorem1_coeffs(s, n).items()})
-            except AdmissibilityError as exc:
-                outcomes.append(str(exc))
-        assert outcomes[0] == outcomes[1], n
+        for kind in structure.THEOREM1_KINDS:
+            outcomes = []
+            for read in (lambda: structure.formula_triple(spec, kind, n),
+                         lambda: structure.theorem1_coeffs(twin, n)[kind]):
+                try:
+                    outcomes.append(tuple(read()))
+                except AdmissibilityError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], (n, kind)
 
 
 def _k_or_error(spec, n):
@@ -400,9 +404,17 @@ def test_k_stepped_by_the_term_ratio_matches_the_closed_form(name, data, order):
 @st.composite
 def raw_pairs(draw):
     """Monic raw pairs for the recurrence route: a shared sigma (both kinds)
-    or, discrete only, a shared sigma + tau."""
+    or, discrete only, a shared sigma + tau.  About a third of the discrete
+    pairs have a, c != 0, generic slopes and, for a shared sigma + tau,
+    g = q.c - p.c != 0: the catalog has no such pair, and only there is
+    every monomial of the printed discrete m-recurrences live."""
     p = draw(raw_specs())
-    d, e = draw(tau_slope(p.a)), draw(small_rationals)
+    if p.kind == "discrete" and draw(st.integers(0, 2)) == 0:
+        a, c, d = (draw(nonzero_rationals) for _ in range(3))
+        p = FamilySpec(p.kind, a, p.b, c, d, p.e, MONIC, "raw")
+        d, e = draw(nonzero_rationals), draw(small_rationals.filter(lambda v: v != p.e))
+    else:
+        d, e = draw(tau_slope(p.a)), draw(small_rationals)
     if p.kind == "discrete" and draw(st.booleans()):  # q.b + q.d = p.b + p.d, same for c, e
         return p, FamilySpec(p.kind, p.a, p.b + p.d - d, p.c + p.e - e, d, e, MONIC, "raw")
     return p, FamilySpec(p.kind, p.a, p.b, p.c, d, e, MONIC, "raw")
@@ -421,6 +433,10 @@ def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
     except AdmissibilityError:  # generate(p) meets a removable 0/0 below degree n
         want = ConnectionRow(n, tuple(expand_over(solve_equation(p, n), generate(q, n))))
     assert row == want
+    # the printed m-recurrence of the pair's kind and mode vanishes on the row
+    printed = (("theorem2-m-recurrence", diagnostics._theorem2_terms) if p.kind == "continuous"
+               else diagnostics._DISCRETE_M_RECURRENCES[compat(p, q)])
+    assert diagnostics._m_recurrence_mismatches(*printed, p, q, want) == []
 
 
 # --- CLI contract: exit codes 0-3 and a message, never a traceback -----------

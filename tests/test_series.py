@@ -145,6 +145,10 @@ class TestClosedForms:
     def test_k_family_unsupported(self):
         with pytest.raises(UnsupportedRepresentation):
             closed_form(catalog("k-family", alpha=F(3), beta=F(1, 2)))
+        # falling factorials: a = b + d = e = 0, so p_n is one term
+        with pytest.raises(UnsupportedRepresentation,
+                           match=r"^p_n is the single term k_n x\^\(falling n\)$"):
+            closed_form(catalog("falling-factorial"))
 
     def test_jacobi_shifted_representation(self):
         alpha, beta = F(1, 2), F(2)
@@ -241,6 +245,14 @@ class TestInverseSeries:
         for name, spec in discrete_specs():
             for n in range(9):
                 assert falling_in_basis(spec, n).coeffs == _in_basis_oracle(spec, n), (name, n)
+        # raw discrete specs with a, c != 0, which no catalog family has: every
+        # monomial of the three-term route is live
+        from opoly.families import FamilySpec, MONIC
+        for data in ((1, F(1, 2), F(1, 3), 3, F(2, 3)), (2, -1, F(-2, 3), F(1, 3), F(1, 2)),
+                     (F(1, 3), F(-5, 4), 2, F(-7, 2), 1)):
+            spec = FamilySpec("discrete", *data, MONIC, "raw")
+            for n in range(9):
+                assert falling_in_basis(spec, n).coeffs == _in_basis_oracle(spec, n), (data, n)
 
     def test_route_agreement(self):
         # (34) == (33), and (35) where a*b != 0 (shifted-Jacobi-like spec)

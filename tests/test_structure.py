@@ -198,31 +198,29 @@ class TestTheorem1:
             assert lhs == rhs
 
 
-def _per_degree(spec):
-    """The spec with its compile marked as unavailable, so every Theorem-1
-    read takes the per-degree route."""
-    spec._memo[structure._compiled_theorem1] = ()
-    return spec
-
-
-def _theorem1_outcome(call):
-    """The triples as tuples by kind, or the exception's type and message."""
-    try:
-        return {kind: tuple(t) for kind, t in call().items()}
-    except (AdmissibilityError, ValueError) as exc:
-        return type(exc), str(exc)
+def _theorem1_outcomes(read, kinds=structure.THEOREM1_KINDS):
+    """Each kind's triple ``read(kind)`` as a tuple, or the exception's type
+    and message."""
+    out = {}
+    for kind in kinds:
+        try:
+            out[kind] = tuple(read(kind))
+        except (AdmissibilityError, ValueError) as exc:
+            out[kind] = type(exc), str(exc)
+    return out
 
 
 class TestCompiledTheorem1:
-    """The compiled entries serve exactly what the per-degree route computes:
-    the same value at every degree, or the same message in the same order."""
+    """The compiled entries ``formula_triple`` serves are exactly what the
+    per-degree route ``theorem1_coeffs`` computes: the same value at every
+    degree, or the same message in the same order."""
 
     def test_every_catalog_family_matches_the_per_degree_route(self):
         for name, params in (*iter_specs(), *iter_specs(monic=True)):
-            compiled, per_degree = catalog(name, params), _per_degree(catalog(name, params))
+            compiled, twin = catalog(name, params), catalog(name, params)
             for n in range(1, 61):
-                got = _theorem1_outcome(lambda: theorem1_coeffs(compiled, n))
-                assert got == _theorem1_outcome(lambda: theorem1_coeffs(per_degree, n)), (
+                got = _theorem1_outcomes(lambda kind: formula_triple(compiled, kind, n))
+                assert got == _theorem1_outcomes(lambda kind: theorem1_coeffs(twin, n)[kind]), (
                     name, params, n)
             assert compiled._memo[structure._compiled_theorem1], name  # built by the reads
 
@@ -238,18 +236,29 @@ class TestCompiledTheorem1:
                   ("gegenbauer", {"alpha": F(-3, 2)})]
         for name, params in points:
             for kinds in (("starred",), ("primed",), ("hatted",), structure.THEOREM1_KINDS):
-                compiled, per_degree = catalog(name, params), _per_degree(catalog(name, params))
+                compiled, twin = catalog(name, params), catalog(name, params)
                 for n in range(1, 9):
-                    def read(spec):
-                        return lambda: {kind: formula_triple(spec, kind, n) for kind in kinds}
-                    assert _theorem1_outcome(read(compiled)) == \
-                        _theorem1_outcome(read(per_degree)), (name, params, kinds, n)
-        # the compile is built past the failing degree, on the first read at n = 2
+                    got = _theorem1_outcomes(lambda kind: formula_triple(compiled, kind, n), kinds)
+                    assert got == _theorem1_outcomes(
+                        lambda kind: theorem1_coeffs(twin, n)[kind], kinds), (
+                        name, params, kinds, n)
+        # formula_triple builds the compile past the failing degree, on its
+        # first read at n = 2
         spec = catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2))
         with pytest.raises(AdmissibilityError, match="gamma_1 denominator vanishes"):
-            theorem1_coeffs(spec, 1)
+            formula_triple(spec, "hatted", 1)
         assert structure._compiled_theorem1 not in spec._memo
-        theorem1_coeffs(spec, 2)
+        formula_triple(spec, "hatted", 2)
+        assert spec._memo[structure._compiled_theorem1]
+
+    def test_only_formula_triple_builds_the_compile(self):
+        # verify_structure and formula_triples read few degrees and compute
+        # at the degree; formula_triple, tabulate's reader, builds the compile
+        spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
+        assert verify_structure(spec, 8).ok
+        formula_triples(spec, 8)
+        assert structure._compiled_theorem1 not in spec._memo
+        formula_triple(spec, "starred", 2)
         assert spec._memo[structure._compiled_theorem1]
 
 
@@ -388,6 +397,8 @@ class TestPerDegreeMemo:
             for n in range(1, 12):
                 formula_triples(spec, n)
                 starred_coeffs(spec, n)
+                for kind in structure.THEOREM1_KINDS:
+                    formula_triple(spec, kind, n)
         finally:
             sys.setprofile(previous)
         assert spec._memo[structure._compiled_theorem1]
