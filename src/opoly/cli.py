@@ -157,10 +157,12 @@ def cmd_verify(args) -> tuple[str, int]:
     if not args.skip_crosschecks:
         from . import diagnostics  # only this branch and cmd_diagnostics need it
         # equation solver and series round-trip against generate's p_n, then
-        # every explicit triple against the oracle (as opoly diagnostics does),
-        # the oracle's triple read from a zero residual where the bases agree
+        # every explicit triple against the oracle (as opoly diagnostics does);
+        # the oracle basis is generate's own where every equation residual,
+        # p_{n_max+1}'s too, proved it (else solved), and the oracle's triple
+        # is read from a zero residual where the bases agree
         polys = report.polys
-        basis = structure.oracle_basis(spec, args.n_max + 1)
+        basis = structure.equation_basis(spec, report)
         for n in range(args.n_max + 1):
             if basis[n] != polys[n]:
                 mismatches.append({"check": "equation-solver", "n": n})

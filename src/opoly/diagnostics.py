@@ -13,8 +13,10 @@ re-derived by an independent route and compared exactly:
 
 ``structure_mismatches`` compares each explicit structure triple of one spec
 (``structure.RELATIONS``) with the oracle; ``opoly verify`` runs it on its
-family, with the verdicts of its residual checks, ``check_structure_formulas``
-over ``SAMPLE_SPECS``, solving every triple.
+family, with the verdicts of its residual checks, over the basis
+``structure.equation_basis`` gives (generate's own where the equation
+residuals proved it, else solved); ``check_structure_formulas`` runs it over
+``SAMPLE_SPECS``, solving every basis and every triple.
 
 ``transcription_report`` runs the whole battery and returns machine-readable
 results; the shipped catalog must produce zero unresolved mismatches.

@@ -86,7 +86,10 @@ def descend(n: int, seed: FieldElement, failure: str,
     Iterated down from C_n = seed, C_{n+1} = 0; a two-term recurrence has no
     ``top``.  All multipliers at m are read before lead(m) is tested, and a
     vanishing lead(m) raises ``AdmissibilityError(failure.format(m=m))``.
+    Raises ValueError for n < 0.
     """
+    if n < 0:
+        raise ValueError("series recurrence needs n >= 0")
     coeffs: list[FieldElement] = [Fraction(0)] * (n + 2)
     coeffs[n] = seed
     for m in range(n - 1, -1, -1):

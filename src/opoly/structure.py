@@ -46,7 +46,10 @@ those degrees.
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
 coefficient-wise and extracts triples by exact linear solves.  The shipped
-formulas are required to match the oracle (see ``diagnostics``).
+formulas are required to match the oracle (see ``diagnostics``).  Where
+``verify_structure`` found every equation residual of the generated basis
+zero, that basis is the solver's, and ``equation_basis`` returns it in
+place of a solve.
 """
 
 from __future__ import annotations
@@ -571,15 +574,21 @@ def oracle_basis(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     return [solve_equation(spec, m) for m in range(n_max + 1)]
 
 
-def _relation_sides(spec: FamilySpec, polys: list[Polynomial], n: int
+def _difference(spec: FamilySpec, p: Polynomial) -> Polynomial:
+    """D p: d/dx (continuous) or the forward difference (discrete)."""
+    return p.derivative() if spec.kind == CONTINUOUS else p.delta()
+
+
+def _relation_sides(spec: FamilySpec, polys: list[Polynomial], diffs, n: int
                     ) -> dict[str, tuple[Polynomial, tuple[Polynomial, Polynomial, Polynomial]]]:
     """Each structure relation at degree n as lhs = t.hi*hi + t.mid*mid + t.lo*lo.
 
     Returns ``{key: (lhs, (hi, mid, lo))}`` under the keys of
     ``formula_triples`` (xpn, the flipped recurrence, excepted), built from
-    ``polys[n - 1]``, ``polys[n]`` and ``polys[n + 1]``.  The recurrence is
-    p_{n+1} over (x p_n, p_n, -p_{n-1}), so its triple is (A_n, B_n, C_n).
-    D is d/dx (continuous) or the forward difference (discrete).
+    ``polys[n - 1]``, ``polys[n]`` and ``polys[n + 1]`` and, for n >= 1,
+    their D p = ``diffs[n - 1]``, ``diffs[n]`` and ``diffs[n + 1]``
+    (``_difference``).  The recurrence is p_{n+1} over
+    (x p_n, p_n, -p_{n-1}), so its triple is (A_n, B_n, C_n).
     """
     x = Polynomial.x()
     pp, pn = polys[n + 1], polys[n]
@@ -588,12 +597,11 @@ def _relation_sides(spec: FamilySpec, polys: list[Polynomial], n: int
     if n < 1:
         return sides
     sig, near = spec.sigma(), (pp, pn, pm)
+    diff = (diffs[n + 1], diffs[n], diffs[n - 1])
     if spec.kind == CONTINUOUS:
-        diff = tuple(p.derivative() for p in near)
         sides["derivative"] = (sig * diff[1], near)
         second = diff[1].derivative()
     else:
-        diff = tuple(p.delta() for p in near)
         sides["derivative"] = (sig * pn.nabla(), near)
         sides["delta"] = ((sig + spec.tau()) * diff[1], near)
         second = diff[1].nabla()
@@ -603,6 +611,15 @@ def _relation_sides(spec: FamilySpec, polys: list[Polynomial], n: int
     return sides
 
 
+def _equation_residual(spec: FamilySpec, sides: dict, n: int) -> Polynomial:
+    """L_n p_n = sigma D' p_n + tau D p_n + lambda_n p_n from the relation
+    sides at n >= 1: the primed lhs is sigma D' p_n, and the hatted one is
+    p_n over (D p_{n+1}, D p_n, D p_{n-1}).  ``spec.apply_operator`` without
+    a second derivative."""
+    pn, (_, dpn, _) = sides["hatted"]
+    return sides["primed"][0] + spec.tau() * dpn + pn.scale(lambda_n(spec, n))
+
+
 def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
                    n: int) -> dict[str, CoefficientTriple]:
     """All structure triples for degree n solved from oracle polynomials.
@@ -610,8 +627,9 @@ def oracle_triples(spec: FamilySpec, basis: list[Polynomial],
     ``basis`` is ``oracle_basis(spec, m)`` for some m >= n + 1; only its
     entries n - 1, n and n + 1 are read.
     """
+    diffs = {m: _difference(spec, basis[m]) for m in range(n - 1, n + 2)} if n else {}
     out = {key: CoefficientTriple(*expand_over(lhs, parts))
-           for key, (lhs, parts) in _relation_sides(spec, basis, n).items()}
+           for key, (lhs, parts) in _relation_sides(spec, basis, diffs, n).items()}
     return {"xpn": _flip(out["recurrence"]), **out}
 
 
@@ -630,7 +648,7 @@ class RelationCheck:
 @dataclass(frozen=True)
 class StructureReport:
     """The residual checks of ``verify_structure``, the generated basis they
-    were computed from, and what each triple's residual proved.
+    were computed from, and what its residuals proved.
 
     ``verdicts`` maps (relation key, n) to (the triple checked, the triple a
     zero residual proves or None).  On a basis whose p_n have degree n, a
@@ -638,12 +656,17 @@ class StructureReport:
     the relation, except on a zero part (the recurrence lo at n = 0
     multiplies p_{-1} = 0, a Theorem-1 lo at n = 1 multiplies D p_0 = 0),
     where the proved entry is 0, the value ``expand_over`` gives there.
+    ``solves_equation`` is True where the equation was checked and its
+    residual is zero for every p_m, m <= n_max + 1 (the last one unrecorded
+    in ``checks``): then ``equation_basis`` takes ``polys`` as the oracle
+    basis.
     """
     spec_name: str
     n_max: int
     checks: tuple[RelationCheck, ...]
     polys: tuple[Polynomial, ...] = field(repr=False)  # generate's p_0 .. p_{n_max+1}
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
+    solves_equation: bool = field(default=False, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -658,11 +681,14 @@ def verify_structure(spec: FamilySpec, n_max: int,
     """Exact residuals of every structure relation for 1 <= n <= n_max - 1.
 
     The equation and recurrence residuals are checked from n = 0.  A zero
-    residual polynomial means the relation holds identically.  The report
+    residual polynomial means the relation holds identically.  Each D p_m
+    is computed once, and for 1 <= n <= n_max - 1 the equation residual is
+    built from the relation sides (``_equation_residual``).  The report
     keeps the generated p_0 .. p_{n_max+1} the residuals were computed from,
-    and the verdict of each relation triple it checked (``StructureReport``),
-    which ``diagnostics.structure_mismatches`` reads in place of an oracle
-    solve where the oracle's basis is this one.
+    the verdict of each relation triple it checked, and, where the equation
+    is checked, whether p_{n_max+1} solves it too (``StructureReport``):
+    ``diagnostics.structure_mismatches`` reads the verdicts in place of an
+    oracle solve, and ``equation_basis`` the basis.
     """
     if n_max < 2:
         raise ValueError("verify_structure needs n_max >= 2")
@@ -670,6 +696,7 @@ def verify_structure(spec: FamilySpec, n_max: int,
     if unknown:
         raise KeyError(f"unknown relations: {sorted(unknown)}")
     polys = generate(spec, n_max + 1)
+    diffs = [_difference(spec, p) for p in polys[:n_max + 1]]
     checks: list[RelationCheck] = []
     verdicts = {}
 
@@ -678,12 +705,13 @@ def verify_structure(spec: FamilySpec, n_max: int,
                                     "" if residual.is_zero() else repr(residual)))
 
     for n in range(n_max + 1):
+        sides = _relation_sides(spec, polys, diffs, n) if n < n_max else {}
         if "equation" in relations:
-            record("equation", n, spec.apply_operator(polys[n], n))
-        if n > n_max - 1:
+            record("equation", n, _equation_residual(spec, sides, n) if 1 <= n < n_max
+                   else spec.apply_operator(polys[n], n))
+        if n == n_max:
             continue
         triples = formula_triples(spec, n)
-        sides = _relation_sides(spec, polys, n)
         for key, relation in RELATIONS.items():
             if relation.check not in relations or key not in sides:
                 continue
@@ -704,8 +732,35 @@ def verify_structure(spec: FamilySpec, n_max: int,
                 proved = CoefficientTriple(*(Fraction(0) if part.is_zero() else t
                                              for t, part in zip(triple, parts)))
             verdicts[key, n] = triple, proved
+    solves = ("equation" in relations and all(c.ok for c in checks if c.relation == "equation")
+              and spec.apply_operator(polys[n_max + 1], n_max + 1).is_zero())
     return StructureReport(spec.name or str(spec.abcde()), n_max, tuple(checks),
-                           tuple(polys), verdicts)
+                           tuple(polys), verdicts, solves)
+
+
+def equation_basis(spec: FamilySpec, report: StructureReport) -> list[Polynomial]:
+    """``oracle_basis(spec, report.n_max + 1)``, solved only where the report
+    lacks the proof that its own basis is that one.
+
+    generate's p_m has degree m and leading coefficient k_m, and L_m is
+    triangular on monomials with diagonal lambda_m - lambda_j.  So where
+    L_m p_m = 0 for every m <= n_max + 1 (``report.solves_equation``) and
+    no lambda_j, j < m, equals lambda_m, p_m is the one solution
+    ``solve_equation`` finds: ``report.polys`` is returned, after the
+    distinctness check of ``solve_equation``, in its (m, j) order and with
+    its message.  That needs rational data, on which a nonzero diagonal
+    entry is invertible; other data, and a report without the proof, are
+    solved.
+    """
+    top = report.n_max + 1
+    if not report.solves_equation or spec._ints is None:
+        return oracle_basis(spec, top)
+    lams = [lambda_n(spec, m) for m in range(top + 1)]
+    for m in range(top + 1):
+        for j in range(m - 1, -1, -1):
+            if lams[j] == lams[m]:
+                raise AdmissibilityError(f"degenerate equation: lambda_{j} = lambda_{m}")
+    return list(report.polys)
 
 
 # ---------------------------------------------------------------------------

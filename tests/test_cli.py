@@ -13,6 +13,8 @@ from opoly.families import catalog
 from opoly.structure import CoefficientTriple, generate
 from opoly import cli, diagnostics, structure
 
+from conftest import FAMILY_POINTS
+
 
 def run_cli(capsys, *argv):
     code = run(list(argv))
@@ -380,6 +382,82 @@ class TestExitCodes:
         assert all(c["ok"] for c in data["checks"])
         assert {"check": "derivative-vs-oracle", "n": 3} in data["oracle_mismatches"]
         assert all(set(m) == {"check", "n"} for m in data["oracle_mismatches"])
+
+
+def _solve_calls(monkeypatch):
+    calls = []
+    original = structure.solve_equation
+
+    def counted(spec, n):
+        calls.append(n)
+        return original(spec, n)
+
+    monkeypatch.setattr(structure, "solve_equation", counted)
+    return calls
+
+
+def _family_arg(name, params):
+    pairs = ",".join(f"{key}={format_rational(value)}" for key, value in params.items())
+    return f"{name}:{pairs}" if pairs else name
+
+
+class TestVerifyBasis:
+    """Where every equation residual is zero, p_{n_max+1}'s too, the oracle
+    basis is generate's own; elsewhere it is solved."""
+
+    def test_default_verify_solves_nothing(self, capsys, monkeypatch):
+        calls = _solve_calls(monkeypatch)
+        for name, points in FAMILY_POINTS.items():
+            code, _, _ = run_cli(capsys, "verify", "--family", _family_arg(name, points[0]),
+                                 "--n-max", "6")
+            assert code == 0, name
+        assert calls == []
+
+    def test_verify_without_the_equation_solves_it(self, capsys, monkeypatch):
+        # the output digests are the ones printed before the basis was taken
+        # from the residuals
+        pinned = {
+            "jacobi:alpha=1/2,beta=-1/3":
+                "df759e9a3f739794dc68a6b6e5e12e5f3b797f460ae01ba7cc0af50c736ff881",
+            "hahn:alpha=1/2,beta=1/3,N=14":
+                "7c2b1f765a3275d52fc3620cf3141f34577f8f8261ac0cf91426fb23383d7cd4",
+        }
+        calls = _solve_calls(monkeypatch)
+        for family, digest in pinned.items():
+            del calls[:]
+            code, out, _ = run_cli(capsys, "verify", "--family", family, "--n-max", "8",
+                                   "--relations", "recurrence,derivative_rule")
+            assert code == 0, family
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, family
+            assert calls == list(range(10)), family
+
+    @pytest.mark.parametrize("family", ["hermite", "charlier:mu=2",
+                                        "jacobi:alpha=1/2,beta=-1/3"])
+    @pytest.mark.parametrize("wrong", [2, 5])
+    def test_corrupted_recurrence_reports_as_the_solved_basis(self, capsys, monkeypatch,
+                                                              family, wrong):
+        # a wrong B_wrong makes generate's p_{wrong+1} on wrong; the recurrence
+        # residuals, computed from the same triples, stay zero.  At wrong =
+        # n_max only p_{n_max+1} is wrong, which no recorded check reads.
+        original = structure.recurrence_coeffs
+
+        def broken(spec, n):
+            t = original(spec, n)
+            return CoefficientTriple(t.hi, t.mid + 1, t.lo) if n == wrong else t
+
+        monkeypatch.setattr(structure, "recurrence_coeffs", broken)
+        argv = ("verify", "--family", family, "--n-max", "5")
+        calls = _solve_calls(monkeypatch)
+        got = run_cli(capsys, *argv)
+        assert calls == list(range(7))
+        monkeypatch.setattr(structure, "equation_basis",
+                            lambda spec, report: structure.oracle_basis(spec, report.n_max + 1))
+        assert run_cli(capsys, *argv) == got
+        code, out, _ = got
+        assert code == VERIFY_FAILED
+        found = {(m["check"], m["n"]) for m in json.loads(out)["oracle_mismatches"]}
+        assert ("recurrence-vs-oracle", wrong) in found
+        assert (("equation-solver", wrong + 1) in found) == (wrong < 5)
 
 
 class TestParser:

@@ -193,6 +193,70 @@ def test_a_basis_that_differs_takes_the_oracle_route(monkeypatch):
     assert calls[n_max + 1:] == list(range(n_max + 1)) * 2
 
 
+def _basis_or_error(route):
+    try:
+        return route()
+    except (AdmissibilityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(spec=raw_specs(), n_max=st.integers(2, 7))
+def test_verify_takes_the_oracle_basis(spec, n_max):
+    # where verify_structure gets past generate and the formulas, the
+    # equation residuals prove its basis to be the solved one
+    try:
+        generate(spec, n_max + 1)
+    except AdmissibilityError:
+        return
+    try:
+        report = structure.verify_structure(spec, n_max)
+    except AdmissibilityError:
+        return  # a formula fails: verify stops before it reads a basis
+    assert report.solves_equation
+    assert _basis_or_error(lambda: structure.equation_basis(spec, report)) == \
+        _basis_or_error(lambda: oracle_basis(spec, n_max + 1))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(spec=raw_specs(), m=st.integers(0, 6), gap=st.integers(1, 6))
+def test_degenerate_eigenvalues_stop_generate_first(spec, m, gap):
+    # lambda_m = lambda_n, m < n, is a(m + n - 1) + d = 0: a factor of the
+    # denominator of B_j (m + n - 1 = 2j) or of C_j (m + n = 2j) for some
+    # 1 <= j <= n - 1, so generate fails before the solver's check is read
+    n = m + gap
+    if spec.a == 0 or n == 1:  # lambda_0 = lambda_1 needs d = 0
+        return
+    spec = FamilySpec(spec.kind, spec.a, spec.b, spec.c, -spec.a * (m + n - 1), spec.e,
+                      MONIC, "raw")
+    assert lambda_n(spec, m) == lambda_n(spec, n)
+    with pytest.raises(AdmissibilityError, match=r"^degenerate equation: "
+                       rf"lambda_{m} = lambda_{n}$"):
+        solve_equation(spec, n)
+    with pytest.raises(AdmissibilityError):
+        generate(spec, n)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(spec=raw_specs(), n=st.integers(1, 6),
+       perturbation=st.lists(small_rationals, max_size=8))
+def test_equation_residual_from_the_sides_is_the_operator(spec, n, perturbation):
+    # sigma D' p_n + tau D p_n + lambda_n p_n, with sigma D' p_n the primed
+    # lhs, on generate's p_n and on a perturbed one whose residual is nonzero
+    try:
+        polys = generate(spec, n + 1)
+    except AdmissibilityError:
+        return
+    for p in (polys[n], polys[n] + Polynomial(perturbation)):
+        near = [*polys[:n], p, polys[n + 1]]
+        diffs = [structure._difference(spec, q) for q in near]
+        sides = structure._relation_sides(spec, near, diffs, n)
+        got = structure._equation_residual(spec, sides, n)
+        want = spec.apply_operator(p, n)
+        assert got == want and repr(got) == repr(want)
+        assert got.is_zero() == (p == polys[n] or want.is_zero())
+
+
 def _generate_by_polynomials(spec, n_max):
     """``generate`` with each step the Polynomial expression (A x + B) p_n - C p_{n-1}."""
     polys = [Polynomial.const(spec.k(0))]

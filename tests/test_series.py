@@ -7,6 +7,7 @@ from opoly.families import affine_transform, catalog
 from opoly.series import (
     UnsupportedRepresentation,
     closed_form,
+    descend,
     descriptor_to_json,
     expand_descriptor,
     falling_coeffs,
@@ -14,6 +15,7 @@ from opoly.series import (
     falling_in_basis,
     power_coeffs,
     power_in_basis,
+    series_polynomial,
     _falling_in_monic_three_term,
     _falling_in_monic_two_term,
     _power_in_monic_closed,
@@ -81,6 +83,25 @@ class TestForwardSeries:
             for n in range(11):
                 assert falling_coeffs(spec, n).coeffs == \
                     falling_coeffs_three_term(spec, n).coeffs, (name, n)
+
+    def test_negative_degree_is_value_error(self):
+        # n = -1 gave empty coefficients and n = -2 a bare IndexError; a k_n
+        # rule that rejects a negative n itself raises its own ValueError first
+        for name, params in iter_specs():
+            spec = catalog(name, params)
+            fns = ((power_coeffs,) if spec.kind == "continuous"
+                   else (falling_coeffs, falling_coeffs_three_term))
+            for fn in (*fns, series_polynomial):
+                for n in (-1, -2):
+                    with pytest.raises(ValueError):
+                        fn(spec, n)
+        for spec in (catalog("hermite"), catalog("charlier", mu=F(2))):
+            for n in (-1, -2):
+                with pytest.raises(ValueError, match=r"^series recurrence needs n >= 0$"):
+                    series_polynomial(spec, n)
+        with pytest.raises(ValueError, match="n >= 0"):
+            descend(-1, F(1), "", lambda m: 1, lambda m: 1)
+        assert descend(0, F(3), "", lambda m: 1, lambda m: 1) == [3]
 
     def test_even_odd_structure(self):
         # b = e = 0 families have C_m = 0 whenever n - m is odd
