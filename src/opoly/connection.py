@@ -10,10 +10,20 @@ Three independent routes produce the row C_m(n) with P_n = sum_m C_m(n) Q_m:
 * ``closed_form_connection``: the catalog of printed hypergeometric-term
   formulas for the classical shift pairs.
 
-Parameter derivatives expand d p_n / d theta over the same family.  Each
-printed formula is verified against a fully exact oracle: the family is
-instantiated with dual numbers in the parameter, generated, and the
-derivative of each coefficient read off its dual part.
+``connect_recurrence`` reads the Q side at each index j >= 2 off Q's entry
+quotients in n (``structure``'s B, B*, C, lo*, beta and gamma), weighted
+fraction-free; j < 2 and an index where a denominator vanishes go through
+the per-degree rules, so every failure keeps its message and its order.
+
+Parameter derivatives expand d p_n / d theta over the same family.  A
+printed row is checked by a certificate (``matches_exact_derivative``):
+with q the row's sum over the rational basis, p_n + eps q must solve the
+defining equation of the family with the parameter seeded as v + eps, and
+have its k_n.  That holds exactly when the row is the derivative.  Where a
+premise of that proof is missing, the fully exact oracle decides
+(``exact_parameter_derivative``): the family is instantiated with dual
+numbers in the parameter, generated, and the derivative of each
+coefficient read off its dual part.
 """
 
 from __future__ import annotations
@@ -24,9 +34,11 @@ from functools import cache
 from typing import Callable, Mapping
 
 from .algebra import (
+    MONOMIAL,
     Dual,
     FieldElement,
     Polynomial,
+    _int_combination,
     as_field,
     binomial,
     expand_over,
@@ -34,9 +46,21 @@ from .algebra import (
     format_rational,
     pochhammer,
 )
-from .families import DISCRETE, AdmissibilityError, FamilySpec, catalog, catalog_params
+from .families import (
+    CONTINUOUS,
+    DISCRETE,
+    MONIC,
+    AdmissibilityError,
+    FamilySpec,
+    catalog,
+    catalog_params,
+    lambda_n,
+)
 from .series import descend
 from .structure import (
+    _b_quotient,
+    _beta,
+    _lower_entry,
     delta_rule_coeffs,
     derivative_rule_coeffs,
     generate,
@@ -133,10 +157,17 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
     if all(v == 0 for v in mu):
         raise UnsupportedConnection("cross rules are degenerate for this pair")
     y_total = mu[0] * y1 + mu[1] * y2 + mu[2] * y3
+    from_entries = _weighted_entries(q, mode, mu)
 
     @cache
     def weighted(j: int) -> list[FieldElement]:
-        """sum_i mu_i g_i(q, j), componentwise."""
+        """sum_i mu_i g_i(q, j), componentwise: from q's entry quotients at
+        j >= 2 where none of their denominators vanishes, else through the
+        per-degree rules, which raise their own messages."""
+        if from_entries and j >= 2:
+            total = from_entries(j)
+            if total:
+                return total
         total = [Fraction(0)] * 3
         for mu_i, rule in zip(mu, rules if j >= 1 else rules[:1]):
             total = [s + mu_i * t for s, t in zip(total, rule(q, j))]
@@ -151,6 +182,54 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
                      lambda m: weighted(m + 1)[1] - y_total,
                      lambda m: weighted(m + 2)[2])
     return ConnectionRow(n, tuple(coeffs))
+
+
+def _weighted_entries(q: FamilySpec, mode: str, mu) -> Callable | None:
+    """j -> sum_i mu_i g_i(q, j) for j >= 2, fraction-free, or None there
+    where a denominator vanishes; None for a q whose rule is not ``MONIC``
+    or whose data are not rational, for d + 2a = 0 and for a weight that is
+    not a Fraction.
+
+    On a monic q every rho and k is 1, so each component is a sum of q's
+    entry quotients at j: -B_j, -B*_{j-1} and beta_j (minus lambda_j for the
+    Delta rule) in the mid, C_j, lo*_j and gamma_j in the lo, and 1, j/(j+1)
+    and a j in the hi.  With mu cleared to ints over one scale, each
+    quotient's numerator and denominator are Horner ints and each component
+    is one Fraction.  These are the quotients the per-degree rules evaluate
+    at j, so where none vanishes they give the same values.
+    """
+    if q.leading is not MONIC or q._ints is None or q.d + 2 * q.a == 0 \
+            or not all(type(v) is Fraction for v in mu):
+        return None
+    scale = mu[0].denominator * mu[1].denominator * mu[2].denominator
+    w_xpn, w_star, w_rule = (v.numerator * (scale // v.denominator) for v in mu)
+    x = Polynomial.x()
+    b, c, b_star, lo_star = (_b_quotient(q, x, False), _lower_entry(q, x, -1, (2,)),
+                             _b_quotient(q, x, True), _lower_entry(q, x, -1, (1,)))
+    beta, gamma = _beta(q, x), _lower_entry(q, x, 1, (1, 2))
+    delta = mode == SAME_SIGMA_PLUS_TAU
+
+    def total(*terms: tuple[int, int, int]) -> Fraction:
+        top, bottom = 0, 1
+        for w, num, den in terms:
+            top, bottom = top * den + w * num * bottom, bottom * den
+        return Fraction(top, bottom * scale)
+
+    def at(j: int) -> list[Fraction] | None:
+        (nb, db), (nc, dc), (nbs, dbs), (nls, dls), (nbeta, dbeta), (ng, dg) = (
+            b.values(j), c.values(j), b_star.values(j - 1), lo_star.values(j),
+            beta.values(j), gamma.values(j))
+        if not (db and dc and dbs and dls and dbeta and dg):
+            return None
+        if delta:
+            lam = lambda_n(q, j)
+            nbeta, dbeta = nbeta * lam.denominator - lam.numerator * dbeta, dbeta * lam.denominator
+        return [total((w_xpn, 1, 1), (w_star, j, j + 1),
+                      (w_rule, q.a.numerator * j, q.a.denominator)),
+                total((w_xpn, -nb, db), (w_star, -nbs, dbs), (w_rule, nbeta, dbeta)),
+                total((w_xpn, nc, dc), (w_star, nls, dls), (w_rule, ng, dg))]
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +840,9 @@ def parameter_derivative(family: str, param: str, n: int,
 
 def exact_parameter_derivative(family: str, param: str, n: int,
                                at: Mapping[str, Fraction]) -> ConnectionRow:
-    """Oracle: differentiate p_n exactly with dual numbers.
+    """Oracle: differentiate p_n exactly with dual numbers.  ``param-deriv``
+    runs it only where the certificate of ``matches_exact_derivative`` lacks
+    a premise; the tests compare the certificate with it.
 
     The family is generated with the chosen parameter as Dual(v, 1) and the
     others as Dual(v, 0): the dual part of each monomial coefficient of p_n
@@ -791,3 +872,76 @@ def exact_parameter_derivative(family: str, param: str, n: int,
         basis = generate(spec, n)  # raises the numeric route's message
     d_coeffs = [c.d if isinstance(c, Dual) else Fraction(0) for c in duals[n].coeffs]
     return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), basis)))
+
+
+def _eps(value: FieldElement) -> Fraction:
+    """The eps part of a datum of a dual spec: 0 for a plain Fraction."""
+    return value.d if isinstance(value, Dual) else Fraction(0)
+
+
+def _vanishes(*terms: tuple[Polynomial, Fraction | int]) -> bool:
+    """Whether sum s p over the (p, s) terms, rational monomial polynomials, is 0."""
+    return _int_combination(MONOMIAL, *((p._int_view(), s) for p, s in terms)).is_zero()
+
+
+def _certificate(family: str, param: str, at: Mapping[str, Fraction],
+                 row: ConnectionRow) -> bool | None:
+    """Whether ``row`` is the exact derivative, proved on the dual equation;
+    None where the proof lacks a premise.
+
+    With p_n generated at the rational point and q = sum_m D_m p_m, the row
+    is d p_n / d param exactly when p_n + eps q solves the equation of the
+    dual spec (the parameter seeded as v + eps) and has its k_n: q's x^n
+    coefficient is the eps part of the dual k_n (0 for a plain Fraction),
+    and L_n q + (d sigma D'D + d tau D + d lambda_n) p_n = 0, the eps part
+    of the equation, with L_n the rational operator and d the eps parts of
+    the dual data.  L_n is triangular on degree <= n with diagonal
+    lambda_n - lambda_j, so the premises are: n >= 1, the rational
+    ``generate``, the dual spec and its k_n succeed, L_n p_n = 0, and no
+    lambda_j, j < n, equals lambda_n.
+    """
+    n = row.n
+    if n < 1 or param not in at or not all(type(c) is Fraction for c in row.coeffs):
+        return None
+    try:
+        spec = catalog(family, {k: Fraction(v) for k, v in at.items()})
+        basis = generate(spec, n)
+        dual = catalog(family, {k: Dual(v, 1 if k == param else 0) for k, v in at.items()})
+        d_lead = _eps(dual.k(n))
+    except (ArithmeticError, LookupError, ValueError):  # the oracle raises it again
+        return None
+    lams = [lambda_n(spec, j) for j in range(n + 1)]
+    if lams[n] in lams[:n]:
+        return None
+
+    def second_and_first(y: Polynomial) -> tuple[Polynomial, Polynomial]:
+        if spec.kind == CONTINUOUS:
+            first = y.derivative()
+            return first.derivative(), first
+        first = y.delta()
+        return first.nabla(), first
+
+    sigma, tau, p_n = spec.sigma(), spec.tau(), basis[n]
+    second, first = second_and_first(p_n)
+    if not _vanishes((sigma * second, 1), (tau * first, 1), (p_n, lams[n])):
+        return None
+    q = _int_combination(MONOMIAL, *((p._int_view(), c) for p, c in zip(basis, row.coeffs)))
+    if q.coeff(n) != d_lead:
+        return False
+    da, db, dc, dd, de = map(_eps, dual.abcde())
+    q_second, q_first = second_and_first(q)
+    return _vanishes((sigma * q_second, 1), (tau * q_first, 1), (q, lams[n]),
+                     (Polynomial([dc, db, da]) * second, 1), (Polynomial([de, dd]) * first, 1),
+                     (p_n, -(da * n * (n - 1) + dd * n)))
+
+
+def matches_exact_derivative(family: str, param: str, at: Mapping[str, Fraction],
+                             row: ConnectionRow) -> bool:
+    """Whether ``row`` equals ``exact_parameter_derivative(family, param,
+    row.n, at)``.  The certificate on the dual equation decides
+    (``_certificate``); where it lacks a premise, the dual-number oracle is
+    run and compared, and raises what it raises."""
+    verdict = _certificate(family, param, at, row)
+    if verdict is None:
+        verdict = row.coeffs == exact_parameter_derivative(family, param, row.n, at).coeffs
+    return verdict

@@ -6,14 +6,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from opoly.algebra import format_rational
+from opoly.algebra import Dual, format_rational
 from opoly.cli import USAGE_ERROR, INADMISSIBLE, VERIFY_FAILED, parse_family, run
 from opoly.connection import PARAMETER_DERIVATIVE_PAIRS
 from opoly.families import catalog
 from opoly.structure import CoefficientTriple, generate
-from opoly import cli, diagnostics, structure
+from opoly import cli, connection, diagnostics, structure
 
-from conftest import FAMILY_POINTS
+from conftest import FAMILY_POINTS, PD_POINTS
 
 
 def run_cli(capsys, *argv):
@@ -458,6 +458,72 @@ class TestVerifyBasis:
         found = {(m["check"], m["n"]) for m in json.loads(out)["oracle_mismatches"]}
         assert ("recurrence-vs-oracle", wrong) in found
         assert (("equation-solver", wrong + 1) in found) == (wrong < 5)
+
+
+def _oracle_calls(monkeypatch):
+    """The calls of the dual-number oracle, and of generate on dual data
+    (which only the oracle makes), during a test."""
+    calls = []
+    generate_, oracle = connection.generate, connection.exact_parameter_derivative
+
+    def counted_generate(spec, n_max):
+        if spec._ints is None:  # dual-number data
+            calls.append(("dual generate", spec.name, n_max))
+        return generate_(spec, n_max)
+
+    def counted_oracle(*args):
+        calls.append(("oracle", *args))
+        return oracle(*args)
+
+    monkeypatch.setattr(connection, "generate", counted_generate)
+    monkeypatch.setattr(connection, "exact_parameter_derivative", counted_oracle)
+    return calls
+
+
+def _param_deriv(capsys, family, param, at, n=5):
+    text = ",".join(f"{k}={format_rational(v)}" for k, v in at.items())
+    code, out, _ = run_cli(capsys, "param-deriv", "--family", family, "--param", param,
+                           "--n", str(n), "--at", text)
+    return code, json.loads(out)["matches_exact_derivative"]
+
+
+class TestParamDerivCertificate:
+    """A default ``param-deriv`` decides by the certificate: the dual-number
+    oracle, and with it the generate on dual data, runs only on fallback."""
+
+    def test_default_param_deriv_runs_no_oracle(self, capsys, monkeypatch):
+        calls = _oracle_calls(monkeypatch)
+        plain_k = set()
+        for family, param in PARAMETER_DERIVATIVE_PAIRS:
+            at = PD_POINTS[family.removesuffix("-monic")][0]
+            assert _param_deriv(capsys, family, param, at) == (0, True), family
+            seeded = {k: Dual(v, 1 if k == param else 0) for k, v in at.items()}
+            if not isinstance(catalog(family, seeded).k(5), Dual):
+                plain_k.add(family)
+        assert calls == []
+        # every monic row, and Laguerre and Krawtchouk, have a k_n without the
+        # parameter: the certificate checks its eps part 0 as the lead
+        monic = {family for family, _ in PARAMETER_DERIVATIVE_PAIRS if family.endswith("-monic")}
+        assert monic | {"laguerre", "krawtchouk"} <= plain_k
+
+    def test_equal_eigenvalues_run_the_oracle(self, capsys, monkeypatch):
+        # lambda_1 read as lambda_5: every other check of the certificate holds
+        calls = _oracle_calls(monkeypatch)
+        lambda_n = connection.lambda_n
+        monkeypatch.setattr(connection, "lambda_n",
+                            lambda spec, j: lambda_n(spec, 5 if j == 1 else j))
+        assert _param_deriv(capsys, "laguerre", "alpha", {"alpha": F(2)}) == (0, True)
+        assert [call[0] for call in calls] == ["oracle", "dual generate"]
+
+    def test_a_basis_off_the_equation_runs_the_oracle(self, capsys, monkeypatch):
+        # p_n + 1 does not solve the equation; the oracle differentiates the
+        # same p_n + 1, whose derivative is that of p_n, and D_n = 0 here
+        generate_ = connection.generate
+        monkeypatch.setattr(connection, "generate",
+                            lambda spec, n: [*generate_(spec, n)[:-1], generate_(spec, n)[-1] + 1])
+        calls = _oracle_calls(monkeypatch)
+        assert _param_deriv(capsys, "laguerre", "alpha", {"alpha": F(2)}) == (0, True)
+        assert [call[0] for call in calls] == ["oracle", "dual generate"]
 
 
 class TestParser:

@@ -1,8 +1,12 @@
+import contextlib
+import io
 from fractions import Fraction as F
 
 import pytest
 
+from opoly import connection
 from opoly.algebra import Polynomial, RationalFunction, expand_over
+from opoly.cli import run
 from opoly.families import AdmissibilityError, catalog
 from opoly.structure import generate, theorem1_coeffs, xpn_coeffs
 from opoly.connection import (
@@ -14,6 +18,7 @@ from opoly.connection import (
     closed_form_connection,
     compat,
     connect_oracle,
+    ConnectionRow,
     connect_recurrence,
     exact_parameter_derivative,
     parameter_derivative,
@@ -118,6 +123,29 @@ class TestRecurrenceRoute:
             got = connect_recurrence(p, q, n)
             want = closed_form_connection("charlier-monic", n, mu=mu, nu=nu)
             assert got.coeffs == want.coeffs
+
+
+def _cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestRowFromEntries:
+    """The Q side read off the entry quotients raises the per-degree messages."""
+
+    @pytest.mark.parametrize("src, dst, n, message", [
+        ("raw:kind=continuous,a=1,b=0,c=0,d=-1,e=1,k=monic",
+         "raw:kind=continuous,a=1,b=0,c=0,d=-3,e=0,k=monic", 4,
+         "C_3 denominator vanishes for raw"),
+        ("raw:kind=continuous,a=1,b=0,c=1,d=3,e=1,k=monic",
+         "raw:kind=continuous,a=1,b=0,c=1,d=-5,e=0,k=monic", 6,
+         "C_4 denominator vanishes for raw"),
+    ])
+    def test_a_vanishing_q_denominator_keeps_its_message(self, src, dst, n, message):
+        code, out, err = _cli("connect", "--from", src, "--to", dst, "--n", str(n))
+        assert (code, out, err) == (2, "", f"opoly: inadmissible spec: {message}\n")
 
 
 class TestCrossRules:
@@ -243,6 +271,23 @@ class TestParameterDerivatives:
         with pytest.raises(AdmissibilityError) as exc:
             exact_parameter_derivative(family, param, 4, at)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("family, param, at, message", [
+        ("jacobi", "alpha", "alpha=-1/2,beta=-1/2", "C_1 denominator vanishes for jacobi"),
+        ("hahn", "beta", "alpha=-1/3,beta=-2/3,N=10", "C_1 denominator vanishes for hahn"),
+        ("bessel", "alpha", "alpha=-1", "C_1 denominator vanishes for bessel"),
+        ("hahn-q", "alpha", "alpha=1,beta=2,N=2",
+         "k_3 has a vanishing denominator for family hahn-q"),
+    ])
+    def test_the_certificate_falls_back_to_the_numeric_message(self, monkeypatch, family,
+                                                               param, at, message):
+        # the first three printed rows have a pole there; a zero row in their
+        # place reaches the certificate, which falls back to the oracle
+        monkeypatch.setattr(connection, "parameter_derivative",
+                            lambda family, param, n, at: ConnectionRow(n, (F(0),) * (n + 1)))
+        code, out, err = _cli("param-deriv", "--family", family, "--param", param,
+                              "--n", "4", "--at", at)
+        assert (code, out, err) == (2, "", f"opoly: inadmissible spec: {message}\n")
 
     def test_laguerre_dalpha_n3(self):
         row = parameter_derivative("laguerre", "alpha", 3, {"alpha": F(2)})

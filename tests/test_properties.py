@@ -2,15 +2,17 @@
 random command lines against the CLI contract."""
 
 import contextlib
+import importlib
 import io
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from opoly import diagnostics, series, structure
-from opoly.algebra import Dual, Polynomial, RationalFunction, expand_over
-from opoly.cli import run
+from opoly import connection, diagnostics, series, structure
+from opoly.algebra import Dual, Polynomial, RationalFunction, expand_over, format_rational
+from opoly.cli import parse_family, run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
     ConnectionRow,
@@ -501,6 +503,92 @@ def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
     printed = (("theorem2-m-recurrence", diagnostics._theorem2_terms) if p.kind == "continuous"
                else diagnostics._DISCRETE_M_RECURRENCES[compat(p, q)])
     assert diagnostics._m_recurrence_mismatches(*printed, p, q, want) == []
+
+
+def _row_or_error(p, q, n, per_degree=False):
+    """``connect_recurrence``'s row or what it raises; ``per_degree`` reads
+    every Q index through the per-degree rules instead of the entries."""
+    with pytest.MonkeyPatch.context() as patch:
+        if per_degree:
+            patch.setattr(connection, "_weighted_entries", lambda *args: None)
+        try:
+            return connect_recurrence(p, q, n)
+        except (AdmissibilityError, UnsupportedConnection) as exc:
+            return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=raw_pairs(), n=st.integers(1, 7))
+def test_raw_pair_rows_from_the_entries_match_the_per_degree_rules(pair, n):
+    p, q = pair
+    assert _row_or_error(p, q, n) == _row_or_error(p, q, n, per_degree=True)
+
+
+def test_workload_rows_from_the_entries_match_the_per_degree_rules(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    argvs = [op.argv() for op in importlib.import_module("workloads").build("connect", 5, 30.0).ops
+             if op.verb == "connect" and op.what == "auto"]
+    assert len(argvs) > 100
+    for argv in argvs:  # fresh specs for each route
+        rows = [_row_or_error(parse_family(argv[2]), parse_family(argv[4]), int(argv[6]), flag)
+                for flag in (False, True)]
+        assert rows[0] == rows[1], argv
+
+
+@st.composite
+def pairs_with_a_q_root(draw):
+    """A monic raw pair with a shared sigma (a != 0) whose Q has a
+    denominator of B_j, B*_{j-1} or C_j vanish at some 2 <= j <= n + 1:
+    d = -2aj, -2a(j - 1), a(3 - 2j) or a(1 - 2j)."""
+    p, n = draw(raw_specs().filter(lambda spec: spec.a != 0)), draw(st.integers(1, 7))
+    j = draw(st.integers(2, n + 1))
+    d = p.a * draw(st.sampled_from((-2 * j, -2 * (j - 1), 3 - 2 * j, 1 - 2 * j)))
+    return p, FamilySpec(p.kind, p.a, p.b, p.c, d, draw(small_rationals), MONIC, "raw"), n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=pairs_with_a_q_root())
+def test_a_vanishing_q_denominator_raises_the_per_degree_message(case):
+    p, q, n = case
+    assert _row_or_error(p, q, n) == _row_or_error(p, q, n, per_degree=True)
+
+
+def _param_deriv(argv, oracle=False, wrong=None):
+    """(exit code, stdout, stderr) of ``param-deriv``; ``oracle`` runs the
+    dual-number oracle in place of the certificate, and ``wrong`` adds 1 to
+    that entry (mod n + 1) of the printed row."""
+    printed = connection.parameter_derivative
+
+    def corrupted(family, param, n, at):
+        row = printed(family, param, n, at)
+        m = wrong % (n + 1)
+        return ConnectionRow(n, row.coeffs[:m] + (row.coeffs[m] + 1,) + row.coeffs[m + 1:])
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if oracle:
+            patch.setattr(connection, "_certificate", lambda *args: None)
+        if wrong is not None:
+            patch.setattr(connection, "parameter_derivative", corrupted)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@st.composite
+def param_deriv_argv(draw):
+    family, param = draw(st.sampled_from(PARAMETER_DERIVATIVE_PAIRS))
+    at = ",".join(f"{key}={format_rational(draw(small_rationals))}"
+                  for key in catalog_params(family))
+    return ["param-deriv", "--family", family, "--param", param,
+            "--n", str(draw(st.integers(0, 9))), "--at", at]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(argv=param_deriv_argv(), wrong=st.none() | st.integers(0, 9))
+def test_the_certificate_decides_as_the_oracle(argv, wrong):
+    # exit code, stdout and stderr, with the printed row or one entry off
+    assert _param_deriv(argv, wrong=wrong) == _param_deriv(argv, oracle=True, wrong=wrong)
 
 
 # --- CLI contract: exit codes 0-3 and a message, never a traceback -----------
