@@ -642,7 +642,10 @@ class _Quotient:
     def values(self, n: FieldElement) -> tuple:
         """(num(n), den(n)) unreduced, ints at an int n for rational data:
         one Horner pass on the numerator and one on the expanded denominator."""
-        top, bottom = self._horner or self._horners()
+        horner = self._horner
+        if horner is None:
+            horner = self._horner = (self.num.c[::-1], _expand(self.den).c[::-1])
+        top, bottom = horner
         num = den = 0
         for c in top:
             num = num * n + c
@@ -650,25 +653,12 @@ class _Quotient:
             den = den * n + c
         return num, den
 
-    def _horners(self) -> tuple:
-        """num and the expanded den, highest degree first, kept on first use."""
-        self._horner = (self.num.c[::-1], _expand(self.den).c[::-1])
-        return self._horner
-
     def at(self, n: FieldElement) -> FieldElement | None:
-        """The value at n, by the two Horner passes of ``values``: one
-        Fraction where both are ints, else num(n)/den(n), the same for dual
-        data at an int n as at a formal n such as
-        ``RationalFunction.parameter()``; None where the denominator vanishes
-        (a dual one of value 0 raises ZeroDivisionError).  The passes are
-        written out again here: calling ``values`` read 0.98-0.99 on
-        ``tables`` in ``tools/ab_cpu.py``."""
-        top, bottom = self._horner or self._horners()
-        num = den = 0
-        for c in top:
-            num = num * n + c
-        for c in bottom:
-            den = den * n + c
+        """The value at n from ``values``: one Fraction where both are ints,
+        else num(n)/den(n), the same for dual data at an int n as at a formal
+        n such as ``RationalFunction.parameter()``; None where the
+        denominator vanishes (a dual one of value 0 raises ZeroDivisionError)."""
+        num, den = self.values(n)
         if not den:
             return None
         return Fraction(num, den) if type(num) is int and type(den) is int else num / den

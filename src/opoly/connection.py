@@ -10,19 +10,14 @@ Three independent routes produce the row C_m(n) with P_n = sum_m C_m(n) Q_m:
 * ``closed_form_connection``: the catalog of printed hypergeometric-term
   formulas for the classical shift pairs.
 
-``connect_recurrence`` reads the Q side at each index j >= 2 off Q's entry
-quotients in n (``structure``'s B, B*, C, lo*, beta and gamma), weighted
-fraction-free; j < 2 and an index where a denominator vanishes go through
-the per-degree rules, so every failure keeps its message and its order.
+``connect_recurrence`` reads the Q side off Q's entry quotients
+(``_weighted_entries``), and the per-degree rules where those cannot serve.
 
 Parameter derivatives expand d p_n / d theta over the same family.  A
-printed row is checked by a certificate (``matches_exact_derivative``):
-with q the row's sum over the rational basis, p_n + eps q must solve the
-defining equation of the family with the parameter seeded as v + eps, and
-have its k_n.  That holds exactly when the row is the derivative.  Where a
-premise of that proof is missing, the fully exact oracle decides
-(``exact_parameter_derivative``): the family is instantiated with dual
-numbers in the parameter, generated, and the derivative of each
+printed row is checked by a certificate on the dual equation
+(``_certificate``); where the certificate lacks a premise, the fully exact
+oracle ``exact_parameter_derivative`` decides: the family is instantiated
+with dual numbers in the parameter, generated, and the derivative of each
 coefficient read off its dual part.
 """
 
@@ -47,7 +42,6 @@ from .algebra import (
     pochhammer,
 )
 from .families import (
-    CONTINUOUS,
     DISCRETE,
     MONIC,
     AdmissibilityError,
@@ -838,11 +832,15 @@ def parameter_derivative(family: str, param: str, n: int,
                                   for m in range(n + 1)))
 
 
+def _eps(value: FieldElement) -> Fraction:
+    """The eps part of a dual datum: 0 for a plain Fraction."""
+    return value.d if isinstance(value, Dual) else Fraction(0)
+
+
 def exact_parameter_derivative(family: str, param: str, n: int,
                                at: Mapping[str, Fraction]) -> ConnectionRow:
     """Oracle: differentiate p_n exactly with dual numbers.  ``param-deriv``
-    runs it only where the certificate of ``matches_exact_derivative`` lacks
-    a premise; the tests compare the certificate with it.
+    runs it only where ``_certificate`` lacks a premise.
 
     The family is generated with the chosen parameter as Dual(v, 1) and the
     others as Dual(v, 0): the dual part of each monomial coefficient of p_n
@@ -870,13 +868,8 @@ def exact_parameter_derivative(family: str, param: str, n: int,
     basis = [Polynomial(c.v if isinstance(c, Dual) else c for c in p.coeffs) for p in duals]
     if any(p.degree() != m for m, p in enumerate(basis)):
         basis = generate(spec, n)  # raises the numeric route's message
-    d_coeffs = [c.d if isinstance(c, Dual) else Fraction(0) for c in duals[n].coeffs]
+    d_coeffs = [_eps(c) for c in duals[n].coeffs]
     return ConnectionRow(n, tuple(expand_over(Polynomial(d_coeffs), basis)))
-
-
-def _eps(value: FieldElement) -> Fraction:
-    """The eps part of a datum of a dual spec: 0 for a plain Fraction."""
-    return value.d if isinstance(value, Dual) else Fraction(0)
 
 
 def _vanishes(*terms: tuple[Polynomial, Fraction | int]) -> bool:
@@ -891,14 +884,15 @@ def _certificate(family: str, param: str, at: Mapping[str, Fraction],
 
     With p_n generated at the rational point and q = sum_m D_m p_m, the row
     is d p_n / d param exactly when p_n + eps q solves the equation of the
-    dual spec (the parameter seeded as v + eps) and has its k_n: q's x^n
-    coefficient is the eps part of the dual k_n (0 for a plain Fraction),
-    and L_n q + (d sigma D'D + d tau D + d lambda_n) p_n = 0, the eps part
-    of the equation, with L_n the rational operator and d the eps parts of
-    the dual data.  L_n is triangular on degree <= n with diagonal
-    lambda_n - lambda_j, so the premises are: n >= 1, the rational
-    ``generate``, the dual spec and its k_n succeed, L_n p_n = 0, and no
-    lambda_j, j < n, equals lambda_n.
+    dual spec (the parameter seeded as v + eps) and has its k_n: q's x^n coefficient is the eps part of the dual k_n (0 for a plain
+    Fraction), and the eps part of the equation vanishes,
+    L_n q + (d sigma D'D + d tau D + d lambda_n) p_n = 0, with L_n the
+    rational operator and d the eps parts of the dual data.  The derivative
+    satisfies both.  L_n is triangular on degree <= n with diagonal
+    lambda_n - lambda_j, so where L_n p_n = 0 and no lambda_j, j < n, equals
+    lambda_n, its kernel there is spanned by p_n, and the lead fixes q.  The
+    premises are those, n >= 1, and that the rational ``generate``, the dual
+    spec and its k_n succeed.
     """
     n = row.n
     if n < 1 or param not in at or not all(type(c) is Fraction for c in row.coeffs):
@@ -913,23 +907,15 @@ def _certificate(family: str, param: str, at: Mapping[str, Fraction],
     lams = [lambda_n(spec, j) for j in range(n + 1)]
     if lams[n] in lams[:n]:
         return None
-
-    def second_and_first(y: Polynomial) -> tuple[Polynomial, Polynomial]:
-        if spec.kind == CONTINUOUS:
-            first = y.derivative()
-            return first.derivative(), first
-        first = y.delta()
-        return first.nabla(), first
-
     sigma, tau, p_n = spec.sigma(), spec.tau(), basis[n]
-    second, first = second_and_first(p_n)
+    second, first = spec.differences(p_n)
     if not _vanishes((sigma * second, 1), (tau * first, 1), (p_n, lams[n])):
         return None
     q = _int_combination(MONOMIAL, *((p._int_view(), c) for p, c in zip(basis, row.coeffs)))
     if q.coeff(n) != d_lead:
         return False
     da, db, dc, dd, de = map(_eps, dual.abcde())
-    q_second, q_first = second_and_first(q)
+    q_second, q_first = spec.differences(q)
     return _vanishes((sigma * q_second, 1), (tau * q_first, 1), (q, lams[n]),
                      (Polynomial([dc, db, da]) * second, 1), (Polynomial([de, dd]) * first, 1),
                      (p_n, -(da * n * (n - 1) + dd * n)))
@@ -938,9 +924,8 @@ def _certificate(family: str, param: str, at: Mapping[str, Fraction],
 def matches_exact_derivative(family: str, param: str, at: Mapping[str, Fraction],
                              row: ConnectionRow) -> bool:
     """Whether ``row`` equals ``exact_parameter_derivative(family, param,
-    row.n, at)``.  The certificate on the dual equation decides
-    (``_certificate``); where it lacks a premise, the dual-number oracle is
-    run and compared, and raises what it raises."""
+    row.n, at)``: ``_certificate`` decides, and where it returns None the
+    oracle is run and compared, raising what it raises."""
     verdict = _certificate(family, param, at, row)
     if verdict is None:
         verdict = row.coeffs == exact_parameter_derivative(family, param, row.n, at).coeffs

@@ -281,14 +281,22 @@ class FamilySpec:
         """Natural series basis: monomials (continuous) or falling factorials."""
         return MONOMIAL if self.kind == CONTINUOUS else FALLING
 
+    def differences(self, y: Polynomial) -> tuple[Polynomial, Polynomial]:
+        """(D'D y, D y) of a monomial-basis y: (y'', y') for a continuous
+        family, (nabla delta y, delta y) for a discrete one."""
+        if self.kind == CONTINUOUS:
+            first = y.derivative()
+            return first.derivative(), first
+        first = y.delta()
+        return first.nabla(), first
+
     def apply_operator(self, y: Polynomial, n: int) -> Polynomial:
         """sigma y'' + tau y' + lambda_n y (or the DeltaNabla analogue)."""
         p = y.to_basis(MONOMIAL)
         sig, tau = self.sigma(), self.tau()
         lam = lambda_n(self, n)
-        if self.kind == CONTINUOUS:
-            return sig * p.derivative().derivative() + tau * p.derivative() + p.scale(lam)
-        return sig * p.delta().nabla() + tau * p.delta() + p.scale(lam)
+        second, first = self.differences(p)
+        return sig * second + tau * first + p.scale(lam)
 
 
 @polynomial_in_n(1)

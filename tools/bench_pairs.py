@@ -2,11 +2,12 @@
 
     python3 tools/bench_pairs.py --parent ../parent-checkout --label connect_certified \\
         --change "what the change does" --claim connect:ops_per_s \\
-        --pairs connect:4099:10 --pairs tables:4099:5 --ab connect:5:3 --digest-seeds 5 7
+        --pairs connect:4099:10 --pairs tables:4099:10 --ab connect:5:3 --digest-seeds 5 7
 
 For each ``--pairs WORKLOAD:SEED:N`` it runs ``bench/run.py --workload
-WORKLOAD --seed SEED --seconds S --trace 0`` N times in the parent checkout
-and in this one, one after the other, alternating which side goes first
+WORKLOAD --seed SEED --seconds S --trace 0``, S the ``run_seconds`` of
+``BENCHMARK.json``, N times in the parent checkout (a git checkout, whose
+``HEAD`` is recorded) and in this one, one after the other, alternating which side goes first
 (pair 0 parent first), and keeps each run's end-to-end metrics.  Per
 workload and seed it records each side's quartiles (``statistics.quantiles``,
 inclusive) of every metric ``BENCHMARK.json`` lists, the pairs the change
@@ -14,11 +15,12 @@ wins on each (better in the direction ``BENCHMARK.json`` gives), the failed
 counts and the checker's verdicts.  Each ``--ab WORKLOAD:SEED:ROUNDS`` runs
 ``tools/ab_cpu.py`` and records its ratio.  ``--digest-seeds`` runs
 ``tools/stdout_digest.py`` in both checkouts for every workload at those
-seeds, and records each checkout's ``opoly diagnostics`` stdout digest; each
+seeds, and records each checkout's ``opoly diagnostics`` stdout digest;
 ``--trace WORKLOAD:SEED`` records the ``--trace-metric`` counts of one
 traced run per side.
 
-Runs go one at a time, so each has the machine to itself as far as this
+Every run has ``PYTHONDONTWRITEBYTECODE=1``, so each compiles the source as
+the benchmark does.  Runs go one at a time, so each has the machine to itself as far as this
 tool can arrange; single runs on a shared machine drift, so only the pairs
 are comparable.  The file is written to the repository root.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -47,8 +50,9 @@ def _fields(text: str, count: int) -> list[str]:
     return parts
 
 
-def _run(cwd: Path, argv: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run([sys.executable, *argv], cwd=cwd, capture_output=True, text=True)
+def _run(cwd: Path, argv: list[str], program: str = sys.executable) -> subprocess.CompletedProcess:
+    return subprocess.run([program, *argv], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
 
 
 def bench_run(cwd: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
@@ -121,10 +125,11 @@ def same_output(parent: Path, workloads: list[str], seeds: list[int]) -> dict:
                 lines[side].append(done.stdout.strip() or done.stderr.strip()[-300:])
     diagnostics = {side: hashlib.sha256(_run(cwd, ["-c", DIAGNOSTICS]).stdout.encode())
                    .hexdigest() for side, cwd in zip(SIDES, (parent, ROOT))}
-    return {"stdout_digest_equal": lines["parent"] == lines["change"],
-            "tools/stdout_digest.py": lines,
-            "diagnostics_stdout_equal": diagnostics["parent"] == diagnostics["change"],
-            "opoly diagnostics stdout sha256": diagnostics}
+    if lines["parent"] != lines["change"] or diagnostics["parent"] != diagnostics["change"]:
+        return {"tools/stdout_digest.py (parent and change differ)": lines,
+                "opoly diagnostics stdout sha256": diagnostics}
+    return {"tools/stdout_digest.py (parent and change equal)": lines["parent"],
+            "opoly diagnostics stdout sha256": diagnostics["parent"]}
 
 
 def main(argv=None) -> int:
@@ -133,23 +138,23 @@ def main(argv=None) -> int:
                         help="root of the checkout to compare against")
     parser.add_argument("--label", required=True, help="the file is BENCH_<label>.json")
     parser.add_argument("--change", required=True, help="one line: what the change does")
-    parser.add_argument("--parent-rev", help="the parent's commit, recorded as given")
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--pairs", action="append", default=[], metavar="WORKLOAD:SEED:N")
     parser.add_argument("--ab", action="append", default=[], metavar="WORKLOAD:SEED:ROUNDS")
     parser.add_argument("--digest-seeds", type=int, nargs="*", default=[])
-    parser.add_argument("--trace", action="append", default=[], metavar="WORKLOAD:SEED")
+    parser.add_argument("--trace", metavar="WORKLOAD:SEED")
     parser.add_argument("--trace-metric", action="append", default=[])
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--machine", default="", help="a note on the machine")
     args = parser.parse_args(argv)
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in declared["end_to_end"]}
-    seconds = args.seconds or declared["run_seconds"]
+    seconds = declared["run_seconds"]
     parent = args.parent.resolve()
-    out = {"label": args.label, "change": args.change, "parent": args.parent_rev}
+    head = _run(parent, ["rev-parse", "HEAD"], "git")
+    if head.returncode != 0:
+        raise SystemExit(f"bench_pairs: --parent is not a git checkout: {head.stderr.strip()}")
+    out = {"label": args.label, "change": args.change, "parent": head.stdout.strip()}
     if args.claim:
         workload, metric = _fields(args.claim, 2)
         out["claim"] = {"workload": workload, "metric": metric, "better": better[metric],
@@ -177,15 +182,13 @@ def main(argv=None) -> int:
                          "outputs_differ": any("outputs differ" in run.get("error", "")
                                                for run in runs)}
     if args.trace:
-        out["trace"] = {"command": f"python3 bench/run.py --workload W --seed S --seconds "
-                                   f"{seconds:g} --trace 1", "runs": []}
-        for spec in args.trace:
-            workload, seed = _fields(spec, 2)
-            entry = {"workload": workload, "seed": int(seed)}
-            for side, cwd in zip(SIDES, (parent, ROOT)):
-                metrics = bench_run(cwd, workload, int(seed), seconds, trace=1)["metrics"]
-                entry[side] = {m: metrics[m]["value"] for m in args.trace_metric if m in metrics}
-            out["trace"]["runs"].append(entry)
+        workload, seed = _fields(args.trace, 2)
+        out["trace"] = {"command": f"python3 bench/run.py --workload {workload} --seed {seed} "
+                                   f"--seconds {seconds:g} --trace 1"}
+        for side, cwd in zip(SIDES, (parent, ROOT)):
+            metrics = bench_run(cwd, workload, int(seed), seconds, trace=1)["metrics"]
+            out["trace"][side] = {m: metrics[m]["value"] for m in args.trace_metric
+                                  if m in metrics}
     if args.digest_seeds:
         out["same_output"] = same_output(parent, [w["name"] for w in declared["workloads"]],
                                          args.digest_seeds)
