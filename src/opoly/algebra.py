@@ -438,8 +438,8 @@ def as_field(value: FieldElement) -> FieldElement:
 def _integer_view(coeffs: Sequence[FieldElement]) -> tuple:
     """(nums, den) with coeffs[i] = nums[i]/den, nums a list that is never
     changed and den the least common denominator; () when a coefficient is
-    not rational."""
-    if not all(type(c) is Fraction for c in coeffs):
+    not rational (an int or a Fraction)."""
+    if not all(type(c) is Fraction or type(c) is int for c in coeffs):
         return ()
     den = lcm(*(c.denominator for c in coeffs))
     return [c.numerator * (den // c.denominator) for c in coeffs], den
@@ -502,10 +502,10 @@ def _taylor_shift(cs: list, h) -> list:
 class _IntPoly:
     """A polynomial with int coefficients ``c``, lowest degree first, and
     nothing else: no basis, no denominator, no content reduction.  It is the
-    indeterminate n the bracket bodies of ``families.polynomial_in_n`` run
-    on, and ``_Quotient``s are quotients of it; non-rational data put field
-    elements in the same list.  Supports +, -, * and ** with scalars and
-    with itself, and the shift n -> n + h."""
+    indeterminate n the bodies of ``families.polynomial_in_n`` and
+    ``families.quotient_in_n`` run on, and ``_Quotient``s are quotients of
+    it; non-rational data put field elements in the same list.  Supports
+    +, -, * and ** with scalars and with itself, and the shift n -> n + h."""
 
     __slots__ = ("c",)
 
@@ -551,11 +551,13 @@ class _IntPoly:
 
 
 def _expand(factors: Counter) -> _IntPoly:
-    """The product of a multiset of factors (coefficient tuples)."""
-    out = _IntPoly([1])
+    """The product of a multiset of factors (coefficient tuples), from the
+    first factor on, one product loop per further factor."""
+    out = None
     for key, power in factors.items():
-        out = out * _IntPoly(list(key)) ** power
-    return out
+        for _ in range(power):
+            out = list(key) if out is None else _convolve(out, key)
+    return _IntPoly([1] if out is None else out)
 
 
 class _Quotient:
@@ -582,13 +584,19 @@ class _Quotient:
     @staticmethod
     def of_factors(top: Iterable, bottom: Iterable) -> "_Quotient":
         """The product of ``top`` over the product of ``bottom``, each factor
-        a field element or a Polynomial in n, built from their integer
-        views: each bottom factor stays a factor of its own, and the
-        denominators of the top factors make one constant factor.  A factor
-        with no integer view contributes its own coefficients over 1."""
-        top, bottom = ([f._int_view() or (list(f.coeffs), 1) if isinstance(f, Polynomial)
-                        else _integer_view((as_field(f),)) or ([f], 1) for f in side]
-                       for side in (top, bottom))
+        a field element, an ``_IntPoly`` in n (int, Fraction or field
+        coefficients) or a bracket ``Polynomial`` of ``polynomial_in_n``,
+        built from their integer views: each bottom factor stays a factor of
+        its own, and the denominators of the top factors make one constant
+        factor.  A factor with no integer view contributes its own
+        coefficients over 1."""
+        def view(f) -> tuple:
+            if isinstance(f, Polynomial):
+                return f._int_view() or (list(f.coeffs), 1)
+            cs = f.c if type(f) is _IntPoly else [f]
+            return _integer_view(cs) or (cs, 1)
+
+        top, bottom = ([view(f) for f in side] for side in (top, bottom))
         num, scale, den = [1], 1, Counter()
         for nums, d in top:
             num, scale = _convolve(num, nums), scale * d
@@ -601,7 +609,7 @@ class _Quotient:
 
     @staticmethod
     def of(value) -> "_Quotient":
-        """A quotient from a quotient, an int, a Fraction or a rational Polynomial."""
+        """A quotient from a quotient or from one factor of ``of_factors``."""
         return value if type(value) is _Quotient else _Quotient.of_factors((value,), ())
 
     def __eq__(self, other) -> bool:

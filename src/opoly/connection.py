@@ -34,6 +34,7 @@ from .algebra import (
     FieldElement,
     Polynomial,
     _int_combination,
+    _IntPoly,
     as_field,
     binomial,
     expand_over,
@@ -197,7 +198,7 @@ def _weighted_entries(q: FamilySpec, mode: str, mu) -> Callable | None:
         return None
     scale = mu[0].denominator * mu[1].denominator * mu[2].denominator
     w_xpn, w_star, w_rule = (v.numerator * (scale // v.denominator) for v in mu)
-    x = Polynomial.x()
+    x = _IntPoly([0, 1])
     b, c, b_star, lo_star = (_b_quotient(q, x, False), _lower_entry(q, x, -1, (2,)),
                              _b_quotient(q, x, True), _lower_entry(q, x, -1, (1,)))
     beta, gamma = _beta(q, x), _lower_entry(q, x, 1, (1, 2))

@@ -76,10 +76,11 @@ def polynomial_in_n(degree: int) -> Callable:
     The first call runs the body with an indeterminate in place of n and
     keeps the polynomial in ``spec``'s memo, under fn and the arguments
     after n; each call returns its value at n, in integer arithmetic when
-    the spec's data are rational (at a ``Polynomial`` n, the polynomial
-    itself).  So the body may combine n only by ``+``, ``-``, ``*`` and
-    ``**``, and may branch only on ``spec.kind`` and the arguments after n,
-    never on n.
+    the spec's data are rational.  At the indeterminate itself (an
+    ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) or a
+    ``Polynomial`` n it returns the kept polynomial.  So the body may
+    combine n only by ``+``, ``-``, ``*`` and ``**``, and may branch only
+    on ``spec.kind`` and the arguments after n, never on n.
 
     The indeterminate is a bare coefficient list (``algebra._IntPoly``),
     and the body reads ``spec.scaled()``.  ``degree`` is the body's
@@ -98,7 +99,7 @@ def polynomial_in_n(degree: int) -> Callable:
                 c = fn(spec.scaled(), _IntPoly([0, 1]), *rest).c
                 poly = spec._memo[key] = (Polynomial(c) if spec._ints is None
                                           else _from_ints(c, spec._ints.scale ** degree, MONOMIAL))
-            return poly if isinstance(n, Polynomial) else poly(n)
+            return poly if isinstance(n, (_IntPoly, Polynomial)) else poly(n)
 
         return evaluated
 
@@ -108,23 +109,28 @@ def polynomial_in_n(degree: int) -> Callable:
 def quotient_in_n(fn: Callable) -> Callable:
     """Evaluate ``fn(spec, n, ...)`` as one quotient of polynomials in n.
 
-    The body runs once per spec with the indeterminate in place of n and
-    returns (numerator factors, denominator factors): brackets, n itself and
-    constants.  The factors make one ``algebra._Quotient`` (for rational
-    data the brackets' integer views: integer polynomials over one
-    denominator), kept in ``spec``'s memo under fn and the arguments after
-    n; a call evaluates it at n (``_Quotient.at``: one Horner pass on each
-    side, and one Fraction at an integer n for rational data), and at a
-    ``Polynomial`` n returns the quotient itself.  Returns None where the
-    denominator vanishes, so that each caller raises its own message.
+    The body runs once per spec with the bare indeterminate ``_IntPoly([0,
+    1])`` in place of n and returns (numerator factors, denominator
+    factors): brackets (the polynomials ``polynomial_in_n`` keeps), linear
+    factors of n such as ``sign * n`` or a rule ratio's ``alpha + n + 1``
+    (``_IntPoly``s, on bare int or Fraction lists for rational data), and
+    constants.  The factors make one ``algebra._Quotient`` from their
+    integer views (integer polynomials over one denominator, for rational
+    data), kept in ``spec``'s memo under fn and the arguments after n; a
+    call evaluates it at n (``_Quotient.at``: one Horner pass on each side,
+    and one Fraction at an integer n for rational data), and at an
+    ``_IntPoly`` n returns the quotient itself, whose Horner ints
+    (``_Quotient.values``) ``structure.generate`` steps on.  Returns None
+    where the denominator vanishes, so that each caller raises its own
+    message.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):
         key = (fn, *rest)
         entry = spec._memo.get(key)
         if entry is None:
-            entry = spec._memo[key] = _Quotient.of_factors(*fn(spec, Polynomial.x(), *rest))
-        return entry if isinstance(n, Polynomial) else entry.at(n)
+            entry = spec._memo[key] = _Quotient.of_factors(*fn(spec, _IntPoly([0, 1]), *rest))
+        return entry if type(n) is _IntPoly else entry.at(n)
 
     return evaluated
 

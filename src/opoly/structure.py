@@ -57,11 +57,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .algebra import (
     MONOMIAL,
     FieldElement,
     Polynomial,
+    _from_ints,
     _int_combination,
     _IntPoly,
     _Quotient,
@@ -151,7 +153,7 @@ def _lower_entry(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...]):
         lo*_n / rho_{n-1}   = -(an + d - a) n S(n) / D(n)          (lo*_n = -(an + d - a) Q_n).
     """
     linear = tuple(_linear_factor(spec, n, shift) for shift in shifts)
-    return (*linear, sign * n * _sum_factor(spec, n)), (_cn_denominator(spec, n),)
+    return (*linear, sign * n, _sum_factor(spec, n)), (_cn_denominator(spec, n),)
 
 
 def _lower(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...],
@@ -377,7 +379,7 @@ def _compile_theorem1(spec: FamilySpec) -> tuple | None:
     # rational data only: the entries take rho from the rule, as ``_term_ratio`` does
     if spec._ints is None or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
         return None
-    x = Polynomial.x()
+    x = _IntPoly([0, 1])
     n = _Quotient.of(x)
     rho = _rule_ratio(spec, x)
     rho_prev = rho.shift(-1)
@@ -521,23 +523,58 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     first ``recurrence_coeffs`` step that fails; those steps are the ones
     ``admissibility(spec, n_max - 1, ("recurrence",))`` evaluates.
 
-    With rational data a step is one integer combination of the integer
-    views, A (x p_n) + B p_n - C p_{n-1}, where x p_n is the numerators of
-    p_n shifted by one place; dual-number data take the ``Polynomial``
-    expression (A x + B) p_n - C p_{n-1}.
+    For rational data whose rule has a ratio, the basis is stepped on the
+    Horner ints of the entries (``_Quotient.values``): with rho_n = r/s from
+    ``_rule_ratio``, B_n/A_n = b from ``_b_quotient`` (e/d at n = 0) and
+    C_n/(rho_{n-1} rho_n) = L from ``_lower_entry`` (0 at n = 0), the step
+
+        p_{n+1} = rho_n (x + b) p_n - rho_n rho_{n-1} L p_{n-1}
+
+    is one integer combination of the integer views of p_n and p_{n-1}
+    over one denominator, and makes no Fraction.  These are the values
+    ``recurrence_coeffs`` reads wherever every factor of rho_n and rho_{n-1},
+    and the denominators of b and L, are nonzero; there its k reads pass
+    too (k_{n+1} = k_n rho_n, and each catalog rule's closed form is
+    defined and nonzero wherever the factors of its rho are).  At any other
+    degree, and for every degree of other data, the step is the per-degree
+    route: ``recurrence_coeffs`` (the k reads first, then B_n, then C_n,
+    each raising its own message) and the field expression
+    (A x + B) p_n - C p_{n-1}.
     """
     polys = [Polynomial.const(spec.k(0))]
-    if n_max == 0:
-        return polys
-    prev = Polynomial.zero()
+    ints = spec._ints if spec.leading.ratio is not None else None
+    if ints is not None:
+        x = _IntPoly([0, 1])
+        rho, b, low = _rule_ratio(spec, x), _b_quotient(spec, x, False), \
+            _lower_entry(spec, x, -1, (2,))
+    prev, r1, s1 = Polynomial.zero(), 1, 1  # p_{n-1}, and rho_{n-1} = r1/s1
     for n in range(n_max):
-        triple = A, B, C = recurrence_coeffs(spec, n)
         pn = polys[-1]
-        u, v = pn._int_view(), prev._int_view()
-        if u and v and all(type(t) is Fraction for t in triple):
-            nxt = _int_combination(MONOMIAL, (([0, *u[0]], u[1]), A), (u, B), (v, -C))
+        if ints is not None:
+            r, s = rho.values(n)
+            (bn, bd), (ln, ld) = (b.values(n), low.values(n)) if n else ((ints.e, ints.d), (0, 1))
+        if ints is not None and r and s and r1 and s1 and bd and ld:
+            # p_n = u/du and p_{n-1} = v/dv over m = lcm(du, dv): p_{n+1} is
+            # r [s1 ld (m/du) (bd x + bn) u - r1 ln bd (m/dv) v] / (s s1 ld bd m)
+            (u, du), (v, dv) = pn._int_view(), prev._int_view()
+            m = lcm(du, dv)
+            f, g = r * s1 * ld * (m // du), r * r1 * ln * bd * (m // dv)
+            den = s * s1 * ld * bd * m
+            if den < 0:
+                f, g, den = -f, -g, -den
+            fb, fd = f * bn, f * bd
+            out = [0] * (len(u) + 1)
+            for i, c in enumerate(u):
+                out[i] += fb * c
+                out[i + 1] += fd * c
+            for i, c in enumerate(v):
+                out[i] -= g * c
+            nxt = _from_ints(out, den, MONOMIAL)
         else:
+            A, B, C = recurrence_coeffs(spec, n)
             nxt = (Polynomial.x().scale(A) + B) * pn - prev.scale(C)
+        if ints is not None:
+            r1, s1 = r, s
         prev = pn
         polys.append(nxt)
     return polys

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from opoly.algebra import Dual, format_rational
+from opoly.algebra import Dual, _IntPoly, _Quotient, format_rational
 from opoly.cli import USAGE_ERROR, INADMISSIBLE, VERIFY_FAILED, parse_family, run
 from opoly.connection import PARAMETER_DERIVATIVE_PAIRS
 from opoly.families import catalog
@@ -439,13 +439,24 @@ class TestVerifyBasis:
         # a wrong B_wrong makes generate's p_{wrong+1} on wrong; the recurrence
         # residuals, computed from the same triples, stay zero.  At wrong =
         # n_max only p_{n_max+1} is wrong, which no recorded check reads.
-        original = structure.recurrence_coeffs
+        # B_n/A_n is made one more at n = wrong in its entry quotient, which
+        # generate steps on and recurrence_coeffs evaluates
+        original = structure._b_quotient
 
-        def broken(spec, n):
-            t = original(spec, n)
-            return CoefficientTriple(t.hi, t.mid + 1, t.lo) if n == wrong else t
+        class Corrupted(_Quotient):
+            __slots__ = ()
 
-        monkeypatch.setattr(structure, "recurrence_coeffs", broken)
+            def values(self, n):
+                num, den = super().values(n)
+                return (num + den, den) if n == wrong else (num, den)
+
+        def broken(spec, n, starred):
+            entry = original(spec, _IntPoly([0, 1]), starred)
+            if not starred:
+                entry = Corrupted(entry.num, entry.den)
+            return entry if type(n) is _IntPoly else entry.at(n)
+
+        monkeypatch.setattr(structure, "_b_quotient", broken)
         argv = ("verify", "--family", family, "--n-max", "5")
         calls = _solve_calls(monkeypatch)
         got = run_cli(capsys, *argv)

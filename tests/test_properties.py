@@ -27,12 +27,15 @@ from opoly.families import (
     MONIC,
     AdmissibilityError,
     FamilySpec,
+    LeadingRule,
     affine_transform,
     catalog,
     catalog_params,
     lambda_n,
 )
 from opoly.structure import admissibility, generate, oracle_basis, solve_equation
+
+from conftest import FAMILY_POINTS
 
 small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
@@ -271,19 +274,30 @@ def _generate_by_polynomials(spec, n_max):
 
 
 def _generated(route, spec, n_max):
+    """route(spec, n_max): the coefficient tuples, or the type and message
+    of what it raises."""
     try:
         return [p.coeffs for p in route(spec, n_max)]
-    except AdmissibilityError as exc:
-        return str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _same_generated(build, n_max):
+    """generate on one spec from ``build`` and the per-degree route
+    (``recurrence_coeffs`` and the field expression) on another, at every
+    n <= n_max in turn: equal, polynomial for polynomial and message for
+    message.  Returns generate's outcomes."""
+    got, want = ([_generated(route, spec, n) for n in range(n_max + 1)]
+                 for route, spec in ((generate, build()), (_generate_by_polynomials, build())))
+    assert got == want
+    return got
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
 @given(spec=raw_specs(), shrink=st.sampled_from((1, 6, 35)), n_max=st.integers(0, 12))
 def test_generate_steps_on_integer_views_as_on_polynomials(spec, shrink, n_max):
     data = [v / shrink for v in spec.abcde()]
-    fresh = [FamilySpec(spec.kind, *data, MONIC, "raw") for _ in range(2)]
-    assert _generated(generate, fresh[0], n_max) == \
-        _generated(_generate_by_polynomials, fresh[1], n_max)
+    _same_generated(lambda: FamilySpec(spec.kind, *data, MONIC, "raw"), n_max)
 
 
 @pytest.mark.parametrize("name, params", [
@@ -295,12 +309,34 @@ def test_generate_steps_on_integer_views_as_on_polynomials(spec, shrink, n_max):
     ("jacobi", {"alpha": F(-1, 3), "beta": F(-2, 3)}),
     ("hahn", {"alpha": F(-1, 4), "beta": F(-3, 4), "N": F(80)}),
     ("bessel", {"alpha": F(-1)}),
+    # d + 2a = 0: the B_1 denominator vanishes
+    ("gegenbauer", {"alpha": F(-3, 2)}),
+    # rho_N has the factor n - N in its denominator, and k_{N+1} fails
+    ("hahn-q", {"alpha": F(1, 2), "beta": F(1, 3), "N": F(3)}),
 ])
 def test_generate_matches_the_polynomial_steps(name, params):
-    outcomes = [_generated(route, catalog(name, params), 10)
-                for route in (generate, _generate_by_polynomials)]
-    assert outcomes[0] == outcomes[1]
-    assert isinstance(outcomes[0], str) == all(type(v) is F for v in params.values())
+    outcomes = _same_generated(lambda: catalog(name, params), 10)
+    assert isinstance(outcomes[-1], tuple) == all(type(v) is F for v in params.values())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+@pytest.mark.parametrize("monic", [False, True])
+def test_generate_is_the_per_degree_route_on_the_catalog(name, monic):
+    for params in FAMILY_POINTS[name]:
+        _same_generated(lambda: catalog(name + "-monic" if monic else name, params), 30)
+
+
+@pytest.mark.parametrize("spec", [
+    # d = -2a n at n = 3: the B_3 denominator vanishes, of both kinds
+    lambda: FamilySpec("continuous", 1, 0, 1, -6, 1, MONIC, "raw"),
+    lambda: FamilySpec("discrete", 1, F(1, 2), 0, -6, 1, MONIC, "raw"),
+    # k_n = 2^n with the ratio 2 (n - 2)/(n - 2): rho_2 is 0/0, so steps 2
+    # and 3 read k_3/k_2, and the steps from 4 on take the entries again
+    lambda: FamilySpec("continuous", 0, 1, 0, -1, 1, LeadingRule(
+        lambda n: F(2) ** n, "2^n, rho 0/0 at n = 2", lambda n: ((2, n - 2), (n - 2,))), "raw"),
+])
+def test_generate_is_the_per_degree_route_where_a_factor_vanishes(spec):
+    _same_generated(spec, 10)
 
 
 # each bracket that is a polynomial in n, with its arguments after n

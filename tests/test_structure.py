@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from opoly import structure
-from opoly.algebra import Dual, Polynomial, RationalFunction, _Quotient
+from opoly.algebra import Dual, Polynomial, RationalFunction, _IntPoly, _Quotient
 from opoly.connection import connect_oracle, connect_recurrence
 from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, _rule_ratio, catalog
 from opoly.structure import (
@@ -27,7 +27,7 @@ from opoly.structure import (
 )
 from opoly.diagnostics import SAMPLE_SPECS
 
-from conftest import iter_specs
+from conftest import FAMILY_POINTS, iter_specs
 
 
 class TestRecurrenceCoeffs:
@@ -289,7 +289,7 @@ class TestPerDegreeMemo:
         # no bracket is read at a degree: only an entry's body reads them, at
         # the indeterminate, once per spec
         assert {spec for spec, *_ in calls} == {id(p), id(q)}
-        assert all(kind is Polynomial for *_, kind in calls)
+        assert all(kind is _IntPoly for *_, kind in calls)
         built = list(calls)
         assert connect_recurrence(p, q, 20).coeffs == connect_oracle(p, q, 20).coeffs
         assert calls == built  # four more degrees on each side, no more reads
@@ -300,7 +300,7 @@ class TestPerDegreeMemo:
         spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
         formula_triples(spec, 2)  # reads every entry: the starred B at n - 1 = 1 too
         at_two = list(calls)
-        assert all(kind is Polynomial for *_, kind in at_two)
+        assert all(kind is _IntPoly for *_, kind in at_two)
         first = [formula_triples(spec, n) for n in range(1, 9)]
         memo = dict(spec._memo)
         again = [formula_triples(spec, n) for n in range(1, 9)]
@@ -431,6 +431,35 @@ class TestGenerate:
     def test_charlier_n2(self):
         polys = generate(catalog("charlier", mu=F(1)), 2)
         assert polys[2] == Polynomial([1, -3, 1])
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_POINTS))
+    def test_generate_steps_on_the_entries_alone(self, monkeypatch, name):
+        # at a generic point every step is one integer combination of the
+        # entries' Horner ints: no recurrence_coeffs read, and, once the
+        # entries are built, no Fraction made
+        calls = []
+        original = structure.recurrence_coeffs
+        monkeypatch.setattr(structure, "recurrence_coeffs",
+                            lambda spec, n: calls.append(n) or original(spec, n))
+        params = dict(FAMILY_POINTS[name][0])
+        if name == "hahn-q":  # (-N)_n vanishes from n = N + 1 on
+            params["N"] = F(24)
+        spec = catalog(name, params)
+        generate(spec, 1)
+        made = Counter()
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code is F.__new__.__code__:
+                made["Fraction"] += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            polys = generate(spec, 20)
+        finally:
+            sys.setprofile(previous)
+        assert calls == [] and not made
+        assert [p.degree() for p in polys] == list(range(21))
 
     def test_generate_matches_equation_solver(self):
         for name, params in iter_specs():
