@@ -77,8 +77,8 @@ def polynomial_in_n(degree: int) -> Callable:
     keeps the polynomial in ``spec``'s memo, under fn and the arguments
     after n; each call returns its value at n, in integer arithmetic when
     the spec's data are rational.  At the indeterminate itself (an
-    ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) or a
-    ``Polynomial`` n it returns the kept polynomial.  So the body may
+    ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) it returns the
+    kept polynomial.  So the body may
     combine n only by ``+``, ``-``, ``*`` and ``**``, and may branch only
     on ``spec.kind`` and the arguments after n, never on n.
 
@@ -99,7 +99,7 @@ def polynomial_in_n(degree: int) -> Callable:
                 c = fn(spec.scaled(), _IntPoly([0, 1]), *rest).c
                 poly = spec._memo[key] = (Polynomial(c) if spec._ints is None
                                           else _from_ints(c, spec._ints.scale ** degree, MONOMIAL))
-            return poly if isinstance(n, (_IntPoly, Polynomial)) else poly(n)
+            return poly if type(n) is _IntPoly else poly(n)
 
         return evaluated
 

@@ -555,7 +555,8 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
             (bn, bd), (ln, ld) = (b.values(n), low.values(n)) if n else ((ints.e, ints.d), (0, 1))
         if ints is not None and r and s and r1 and s1 and bd and ld:
             # p_n = u/du and p_{n-1} = v/dv over m = lcm(du, dv): p_{n+1} is
-            # r [s1 ld (m/du) (bd x + bn) u - r1 ln bd (m/dv) v] / (s s1 ld bd m)
+            # r [s1 ld (m/du) (bd x + bn) u - r1 ln bd (m/dv) v] / (s s1 ld bd m),
+            # in one pass over u (as three _int_combination terms, ~3% slower on connect)
             (u, du), (v, dv) = pn._int_view(), prev._int_view()
             m = lcm(du, dv)
             f, g = r * s1 * ld * (m // du), r * r1 * ln * bd * (m // dv)

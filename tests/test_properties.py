@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from opoly import connection, diagnostics, series, structure
-from opoly.algebra import Dual, Polynomial, RationalFunction, expand_over, format_rational
+from opoly.algebra import Dual, Polynomial, RationalFunction, _IntPoly, expand_over, format_rational
 from opoly.cli import parse_family, run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
@@ -275,10 +275,10 @@ def _generate_by_polynomials(spec, n_max):
 
 def _generated(route, spec, n_max):
     """route(spec, n_max): the coefficient tuples, or the type and message
-    of what it raises."""
+    of the AdmissibilityError it raises."""
     try:
         return [p.coeffs for p in route(spec, n_max)]
-    except Exception as exc:
+    except AdmissibilityError as exc:
         return type(exc), str(exc)
 
 
@@ -356,11 +356,16 @@ def _quotient_at(num, den, n):
     """The quotient of the factors' values at n, None where the denominator
     is 0; a dual denominator of value 0 raises ZeroDivisionError, as in the
     formulas."""
+    def value(factor):
+        if type(factor) is _IntPoly:
+            factor = Polynomial(factor.c)
+        return factor(n) if isinstance(factor, Polynomial) else factor
+
     top = bottom = F(1)
     for factor in num:
-        top = top * (factor(n) if isinstance(factor, Polynomial) else factor)
+        top = top * value(factor)
     for factor in den:
-        bottom = bottom * (factor(n) if isinstance(factor, Polynomial) else factor)
+        bottom = bottom * value(factor)
     return top / bottom if bottom != 0 else None
 
 
@@ -388,7 +393,7 @@ def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
         # an entry is the quotient of its factors' values, or None where the
         # denominator vanishes
         for quotient, rest in QUOTIENTS:
-            num, den = quotient.__wrapped__(s, Polynomial.x(), *rest)
+            num, den = quotient.__wrapped__(s, _IntPoly([0, 1]), *rest)
             for n in range(n_max + 1):
                 assert _outcome(lambda: quotient(s, n, *rest)) == \
                     _outcome(lambda: _quotient_at(num, den, n)), (quotient, rest, n)
@@ -420,8 +425,9 @@ def test_integer_data_routes_match_fraction_arithmetic(spec, shrink):
     assert spec._ints is not None and spec._ints.scale % shrink == 0
     fractions = _on_fractions(spec)
     for bracket, rest in BRACKETS:
-        x = Polynomial.x()
-        assert bracket(spec, x, *rest) == bracket.__wrapped__(fractions, x, *rest), bracket
+        x = _IntPoly([0, 1])
+        assert bracket(spec, x, *rest) == Polynomial(bracket.__wrapped__(fractions, x, *rest).c), \
+            bracket
     for route in SERIES_ROUTES[spec.kind]:
         for n in range(7):
             def solved(s):
