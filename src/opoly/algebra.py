@@ -565,8 +565,8 @@ class _Quotient:
     num and int polynomial factors in n (coefficient tuples), kept
     unreduced; non-rational data put their field elements in the same
     lists.  Each entry of a structure relation is one, built once per spec
-    (``families.quotient_in_n``), and the compiled Theorem-1 entries of
-    ``structure`` are composed from them.
+    (``families.quotient_in_n``), and ``generate``, ``formula_triple`` and
+    the connection rows read their Horner integers (``values``).
 
     A product adds the multisets, and a sum puts both terms over the
     union (the larger power of each factor), so no gcd is ever taken and

@@ -120,7 +120,8 @@ def quotient_in_n(fn: Callable) -> Callable:
     call evaluates it at n (``_Quotient.at``: one Horner pass on each side,
     and one Fraction at an integer n for rational data), and at an
     ``_IntPoly`` n returns the quotient itself, whose Horner ints
-    (``_Quotient.values``) ``structure.generate`` steps on.  Returns None
+    (``_Quotient.values``) ``structure.generate`` steps on and
+    ``structure.formula_triple`` combines.  Returns None
     where the denominator vanishes, so that each caller raises its own
     message.
     """

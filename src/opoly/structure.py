@@ -28,20 +28,24 @@ derivative-rule, starred and Theorem-1 triples are kept in the spec's memo
 (``families.per_degree``), so each is computed once per spec and degree
 however many formulas or callers read it.
 
-The starred, primed and hatted triples have two routes, one per reader.
-``theorem1_coeffs`` computes them at the degree, the primed and hatted ones
-from the starred and derivative-rule triples (``_eliminated``); verify and
-the oracle comparison (``formula_triples``), ``admissibility`` and the
-antiderivative read it at few degrees, and the connection rows read
-``starred_coeffs`` alone.  ``formula_triple``, tabulate's reader, serves
-one kind from n = 2 on from entries compiled once per spec with rational
-data and a rule with a ratio (``_compile_theorem1``: the same elimination
-on the spec's entry quotients), wherever the per-degree checks would pass,
-and reads ``theorem1_coeffs`` elsewhere.  ``RELATIONS`` names the
-relations once for tabulate, verify and the oracle comparison.  A formula
-raises AdmissibilityError where one of its denominators vanishes (that is
-never memoized), and ``admissibility`` evaluates the formulas to report
-those degrees.
+Each triple has two routes, one per reader.  The per-degree formulas
+(``recurrence_coeffs`` ... ``theorem1_coeffs``, the primed and hatted
+triples from the starred and derivative-rule ones by ``_eliminated``)
+serve verify and the oracle comparison (``formula_triples``),
+``admissibility``, the antiderivative and the connection rows, which read
+few degrees of a spec.  ``formula_triple``, tabulate's reader, reads one
+relation at many degrees: for rational data whose rule has a ratio it
+combines the Horner integers of the spec's entry quotients at n (rho_n and
+rho_{n-1}, b_n, b*_{n-1}, beta_n and the lower entries) into one Fraction
+per printed value (``_integer_triple``), wherever the per-degree checks
+would pass, and reads the per-degree formula elsewhere, so that every
+failure raises the same message in the same order.  Its k reads are
+answered once per spec by the prefix of degrees where every rho_j has a
+nonzero numerator and denominator (``_ratio_prefix``).  ``RELATIONS``
+names the relations once for tabulate, verify and the oracle comparison.
+A formula raises AdmissibilityError where one of its denominators
+vanishes (that is never memoized), and ``admissibility`` evaluates the
+formulas to report those degrees.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -54,7 +58,6 @@ place of a solve.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -66,7 +69,6 @@ from .algebra import (
     _from_ints,
     _int_combination,
     _IntPoly,
-    _Quotient,
     as_field,
     expand_over,
     factorial,
@@ -340,8 +342,8 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 def _eliminated(spec: FamilySpec, rule: CoefficientTriple, starred: CoefficientTriple, lam
                 ) -> tuple[CoefficientTriple, CoefficientTriple]:
     """The primed and hatted triples, eliminated from the derivative rule,
-    the starred triple and lambda_n: the same algebra over Fractions at one
-    degree and over ``_Quotient``s in n."""
+    the starred triple and lambda_n at one degree (``_integer_triple``
+    expands the same algebra in the entries' Horner integers)."""
     a, b, c, d, e = spec.abcde()
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     primed = CoefficientTriple(rule.hi - 2 * a * starred.hi,
@@ -351,46 +353,6 @@ def _eliminated(spec: FamilySpec, rule: CoefficientTriple, starred: CoefficientT
     return primed, CoefficientTriple((primed.hi + d * starred.hi) * scale,
                                      (primed.mid + d * starred.mid + e) * scale,
                                      (primed.lo + d * starred.lo) * scale)
-
-
-def _compiled_theorem1(spec: FamilySpec) -> tuple | None:
-    """The spec's compiled Theorem-1 entries (``_compile_theorem1``), built
-    on the first read and kept in its memo; None for data that are not
-    rational, a rule without a ratio, or d + 2a = 0 (the derivatives' tau
-    is constant)."""
-    compiled = spec._memo.get(_compiled_theorem1)
-    if compiled is None:
-        compiled = spec._memo[_compiled_theorem1] = _compile_theorem1(spec) or ()
-    return compiled or None
-
-
-def _compile_theorem1(spec: FamilySpec) -> tuple | None:
-    """(guard, triples): the nine Theorem-1 entries, by kind, each one
-    ``_Quotient`` in n composed from the spec's own entries (rho_{n-1} and
-    B*_{n-1} by a shift) by the formulas of ``starred_coeffs``,
-    ``derivative_rule_coeffs`` and ``_eliminated``; ``guard`` is 1 over
-    every distinct denominator factor of the nine: n + 1, D(n), the
-    denominators of beta_n and B*_{n-1}, lambda_n, rho_n's numerator and
-    rho_{n-1}'s denominator factors.  Where the k reads pass and the guard
-    is defined, every per-degree check passes and both rho come from the
-    rule (a rho_n with a vanishing denominator, or a rho_{n-1} with a
-    vanishing numerator, would make k_{n+1} a pole or k_n zero), so each
-    entry takes the per-degree value there."""
-    # rational data only: the entries take rho from the rule, as ``_term_ratio`` does
-    if spec._ints is None or spec.leading.ratio is None or spec.d + 2 * spec.a == 0:
-        return None
-    x = _IntPoly([0, 1])
-    n = _Quotient.of(x)
-    rho = _rule_ratio(spec, x)
-    rho_prev = rho.shift(-1)
-    starred = CoefficientTriple(n / (n + 1) / rho, -_b_quotient(spec, x, True).shift(-1),
-                                _lower_entry(spec, x, -1, (1,)) * rho_prev)
-    rule = CoefficientTriple(spec.a * n / rho, _beta(spec, x),
-                             _lower_entry(spec, x, 1, (1, 2)) * rho_prev)
-    triples = dict(zip(THEOREM1_KINDS, (starred, *_eliminated(
-        spec, rule, starred, _Quotient.of(lambda_n(spec, x))))))
-    factors = {key: 1 for triple in triples.values() for entry in triple for key in entry.den}
-    return _Quotient(_IntPoly([1]), Counter(factors)), triples
 
 
 def antiderivative(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -430,21 +392,119 @@ RELATION_NAMES = ("equation", *(r.check for r in RELATIONS.values() if r.check))
 
 def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
     """``formula_triples(spec, n)[key]``, in value and in every exception of
-    its formula.  From n = 2 on, a Theorem-1 key evaluates only its own
-    compiled entries (``_compiled_theorem1``) where the k reads pass and the
-    guard does not vanish; elsewhere it is read off ``theorem1_coeffs``."""
+    its formula: tabulate's reader.  At a degree n >= 1 of rational data
+    whose rule has a ratio, inside the spec's ratio prefix
+    (``_ratio_prefix``), the triple is read off the entries' Horner
+    integers (``_integer_triple``); at n = 0, past the prefix, where a read
+    denominator vanishes, and for other data, it is the per-degree
+    formula's, which raises its own message in its own order."""
+    if (type(n) is int and n >= 1 and spec._ints is not None
+            and spec.leading.ratio is not None and spec.kind in RELATIONS[key].kinds):
+        ratios = _ratio_prefix(spec, n)
+        triple = ratios and _integer_triple(spec, key, n, ratios[n], ratios[n - 1])
+        if triple:
+            return triple
+    return _per_degree_triple(spec, key, n)
+
+
+def _per_degree_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
+    """The relation's triple from its per-degree formula."""
     if RELATIONS[key].theorem1:
-        compiled = _compiled_theorem1(spec) if n > 1 and type(n) is int else None
-        if compiled:
-            try:  # a failing k_j is raised by theorem1_coeffs, in the per-degree order
-                spec.k(n), spec.k(n + 1), spec.k(n - 1)
-            except AdmissibilityError:
-                compiled = None
-        if compiled and compiled[0].at(n) is not None:
-            return CoefficientTriple(*[entry.at(n) for entry in compiled[1][key]])
         return theorem1_coeffs(spec, n)[key]
     return {"recurrence": recurrence_coeffs, "xpn": xpn_coeffs,
             "derivative": derivative_rule_coeffs, "delta": delta_rule_coeffs}[key](spec, n)
+
+
+def _ratio_prefix(spec: FamilySpec, n: int) -> list | None:
+    """The Horner integers (r_j, s_j) of rho_j = r_j / s_j from
+    ``_rule_ratio``, for j = 0, 1, ..., kept in the spec's memo and grown one
+    degree at a time; None unless k_0 passes and r_j s_j != 0 for every
+    j <= n.  Where it is a list, every k_j with j <= n + 1 is finite and
+    nonzero, by the closed form (on a fresh spec) as by the step k_{j+1} =
+    k_j rho_j, so each per-degree k read passes and every k_{j+1} / k_j a
+    formula reads is rho_j."""
+    prefix = spec._memo.get(_ratio_prefix)
+    if prefix is None:
+        try:
+            spec.k(0)
+            prefix = []
+        except AdmissibilityError:
+            prefix = [None]
+        spec._memo[_ratio_prefix] = prefix
+    while len(prefix) <= n and (not prefix or prefix[-1]):
+        r, s = _rule_ratio(spec, _IntPoly([0, 1])).values(len(prefix))
+        prefix.append((r, s) if r and s else None)
+    return prefix if len(prefix) > n and prefix[n] else None
+
+
+def _integer_triple(spec: FamilySpec, key: str, n: int, rho: tuple, rho_prev: tuple
+                    ) -> CoefficientTriple | None:
+    """The relation's triple at n >= 1 from the Horner integers of the
+    spec's entries, one Fraction per value; None where a denominator the
+    per-degree formula checks vanishes (or d + 2a = 0, or lambda_n = 0, for
+    a Theorem-1 key).  rho = (r, s) and rho_prev = (r1, s1) are rho_n and
+    rho_{n-1}.  With the integer data a, b, d, e over the scale L, and
+    Lambda = L lambda_n:
+
+        recurrence  (rho_n, b_n rho_n, L_n rho_{n-1} rho_n); xpn its flip
+        derivative  (a n / rho_n, beta_n, G_n rho_{n-1}); delta the same
+                    with mid beta_n - lambda_n
+        starred     (n / ((n+1) rho_n), -b*_{n-1}, H_n rho_{n-1})
+        primed      (a n (n-1) / ((n+1) rho_n),
+                     beta_n + 2a b*_{n-1} - sigma_delta,
+                     (G_n - 2a H_n) rho_{n-1})
+        hatted      (1 / ((n+1) rho_n),
+                     -(beta_n + (2a - d) b*_{n-1} + e - sigma_delta) L / Lambda,
+                     -(G_n + (d - 2a) H_n) rho_{n-1} L / Lambda)
+
+    with b_n = B_n/A_n and b*_{n-1} from ``_b_quotient``,
+    L_n, G_n and H_n the ``_lower_entry``s with shifts (2,), (1, 2) and
+    (1,), and sigma_delta = b, or a + b for a discrete family; primed and
+    hatted are ``_eliminated`` expanded."""
+    x, (r, s), (r1, s1) = _IntPoly([0, 1]), rho, rho_prev
+    if key in ("recurrence", "xpn"):
+        (bn, bd), (ln, ld) = _b_quotient(spec, x, False).values(n), \
+            _lower_entry(spec, x, -1, (2,)).values(n)
+        if not (bd and ld):
+            return None
+        if key == "recurrence":
+            return _fractions((r, s), (bn * r, bd * s), (ln * r1 * r, ld * s1 * s))
+        return _fractions((s, r), (-bn, bd), (ln * r1, ld * s1))
+    ints = spec._ints
+    a, b, _, d, e = ints.abcde()
+    scale = ints.scale
+    (tn, td), (gn, gd) = _beta(spec, x).values(n), _lower_entry(spec, x, 1, (1, 2)).values(n)
+    if not (td and gd):
+        return None
+    lam = -(a * n * (n - 1) + d * n)  # L lambda_n
+    if key == "derivative":
+        return _fractions((a * n * s, scale * r), (tn, td), (gn * r1, gd * s1))
+    if key == "delta":
+        return _fractions((a * n * s, scale * r), (tn * scale - td * lam, td * scale),
+                          (gn * r1, gd * s1))
+    if d + 2 * a == 0 or lam == 0:
+        return None
+    # cd and hd vanish with td and gd (``starred_coeffs``); at n = 1, cn/cd
+    # is e' d / (d' d), the reduced e'/d' of ``_b_ratio`` since d != 0
+    (cn, cd), (hn, hd) = _b_quotient(spec, x, True).values(n - 1), \
+        _lower_entry(spec, x, -1, (1,)).values(n)
+    if key == "starred":
+        return _fractions((n * s, (n + 1) * r), (-cn, cd), (hn * r1, hd * s1))
+    sig_delta = b if spec.kind == CONTINUOUS else a + b
+    if key == "primed":
+        return _fractions((a * n * (n - 1) * s, scale * (n + 1) * r),
+                          (tn * scale * cd + 2 * a * cn * td - sig_delta * td * cd,
+                           td * scale * cd),
+                          ((gn * scale * hd - 2 * a * hn * gd) * r1, gd * scale * hd * s1))
+    return _fractions((s, (n + 1) * r),
+                      (-(tn * scale * cd + (2 * a - d) * cn * td + (e - sig_delta) * td * cd),
+                       td * cd * lam),
+                      (-(gn * scale * hd + (d - 2 * a) * hn * gd) * r1, gd * hd * s1 * lam))
+
+
+def _fractions(hi: tuple[int, int], mid: tuple[int, int], lo: tuple[int, int]
+               ) -> CoefficientTriple:
+    return CoefficientTriple(Fraction(*hi), Fraction(*mid), Fraction(*lo))
 
 
 def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
@@ -456,8 +516,7 @@ def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     out = {}
     for key, relation in RELATIONS.items():
         if n >= relation.start and spec.kind in relation.kinds:
-            out[key] = (theorem1_coeffs(spec, n)[key] if relation.theorem1
-                        else formula_triple(spec, key, n))
+            out[key] = _per_degree_triple(spec, key, n)
     return out
 
 
@@ -719,9 +778,11 @@ def verify_structure(spec: FamilySpec, n_max: int,
     """Exact residuals of every structure relation for 1 <= n <= n_max - 1.
 
     The equation and recurrence residuals are checked from n = 0.  A zero
-    residual polynomial means the relation holds identically.  Each D p_m
-    is computed once, and for 1 <= n <= n_max - 1 the equation residual is
-    built from the relation sides (``_equation_residual``).  The report
+    residual polynomial means the relation holds identically.  Only the
+    requested relations' triples are computed, by the per-degree formulas
+    (``_per_degree_triple``).  Each D p_m is computed once, and for
+    1 <= n <= n_max - 1 the equation residual is built from the relation
+    sides (``_equation_residual``).  The report
     keeps the generated p_0 .. p_{n_max+1} the residuals were computed from,
     the verdict of each relation triple it checked, and, where the equation
     is checked, whether p_{n_max+1} solves it too (``StructureReport``):
@@ -749,12 +810,11 @@ def verify_structure(spec: FamilySpec, n_max: int,
                    else spec.apply_operator(polys[n], n))
         if n == n_max:
             continue
-        triples = formula_triples(spec, n)
         for key, relation in RELATIONS.items():
             if relation.check not in relations or key not in sides:
                 continue
             lhs, parts = sides[key]
-            triple = triples[key]
+            triple = _per_degree_triple(spec, key, n)
             views = [p._int_view() for p in (lhs, *parts)]
             if all(views) and all(type(t) is Fraction for t in triple):
                 # lhs - sum t * part, in one integer combination

@@ -2,7 +2,8 @@
 
 Parameter points are chosen inside every formula's admissible range for the
 degrees the tests use (no vanishing denominators, nonzero k_n), with three
-points per parametrized family.
+points per parametrized family; ``DEGENERATE_POINTS`` are the exceptions,
+chosen where a formula fails.
 """
 
 from fractions import Fraction as F
@@ -36,6 +37,19 @@ FAMILY_POINTS: dict[str, list[dict]] = {
                  {"alpha": F(-2), "beta": F(1)}],
     "falling-factorial": [{}],
 }
+
+# points where a formula or k_n fails, or a removable 0/0 lies: the
+# alpha + beta = -1 line (Chebyshev T, Jacobi and Hahn at alpha = -1/3),
+# Gegenbauer alpha = -3/2 (lambda_m = lambda_n), Jacobi alpha = -3/2,
+# beta = -5/2 (k_2 = k_3 = 0), Hahn-Q beyond N and Bessel alpha = -1
+DEGENERATE_POINTS = [("jacobi", {"alpha": F(-1, 2), "beta": F(-1, 2)}),
+                     ("jacobi", {"alpha": F(-1, 3), "beta": F(-2, 3)}),
+                     ("hahn", {"alpha": F(-1, 3), "beta": F(-2, 3), "N": F(80)}),
+                     ("gegenbauer", {"alpha": F(-3, 2)}),
+                     ("jacobi", {"alpha": F(-3, 2), "beta": F(-5, 2)}),
+                     ("hahn-q", {"alpha": F(1, 2), "beta": F(1, 3), "N": F(5)}),
+                     ("hahn-q", {"alpha": F(2), "beta": F(1), "N": F(3)}),
+                     ("bessel", {"alpha": F(-1)})]
 
 # family name (without -monic) -> the parameter-derivative test points
 PD_POINTS = {

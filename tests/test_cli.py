@@ -396,6 +396,35 @@ def _solve_calls(monkeypatch):
     return calls
 
 
+class TestVerifyReads:
+    """verify computes the triples of the relations it checks, and no other."""
+
+    def test_the_equation_alone_reads_no_triple(self, capsys, monkeypatch):
+        calls = []
+        for name in ("theorem1_coeffs", "derivative_rule_coeffs"):
+            def counted(spec, n, original=getattr(structure, name), name=name):
+                calls.append(name)
+                return original(spec, n)
+
+            monkeypatch.setattr(structure, name, counted)
+        for relations, wanted in (("equation", []),
+                                  ("equation,derivative_rule", ["derivative_rule_coeffs"] * 7)):
+            del calls[:]
+            code, _, _ = run_cli(capsys, "verify", "--family", "jacobi:alpha=1/2,beta=-1/3",
+                                 "--n-max", "8", "--relations", relations, "--skip-crosschecks")
+            assert (code, calls) == (0, wanted), relations
+
+    def test_d_plus_2a_zero_fails_in_generate(self, capsys):
+        # d + 2a = 0 makes the B_1 denominator (d + 2a) d vanish, so the
+        # basis cannot be generated: verify exits before any triple is read,
+        # whichever relations it checks
+        for relations in ("equation", "equation,recurrence"):
+            code, _, err = run_cli(capsys, "verify", "--family", _raw("continuous", "1,0,1,-2,1"),
+                                   "--n-max", "4", "--relations", relations,
+                                   "--skip-crosschecks")
+            assert code == INADMISSIBLE and "B_1 denominator vanishes" in err, relations
+
+
 def _family_arg(name, params):
     pairs = ",".join(f"{key}={format_rational(value)}" for key, value in params.items())
     return f"{name}:{pairs}" if pairs else name

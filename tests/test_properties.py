@@ -28,6 +28,7 @@ from opoly.families import (
     AdmissibilityError,
     FamilySpec,
     LeadingRule,
+    _rule_ratio,
     affine_transform,
     catalog,
     catalog_params,
@@ -35,7 +36,7 @@ from opoly.families import (
 )
 from opoly.structure import admissibility, generate, oracle_basis, solve_equation
 
-from conftest import FAMILY_POINTS
+from conftest import DEGENERATE_POINTS, FAMILY_POINTS
 
 small_rationals = st.builds(F, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = small_rationals.filter(lambda v: v != 0)
@@ -443,19 +444,21 @@ def test_integer_data_routes_match_fraction_arithmetic(spec, shrink):
 @given(spec=raw_specs())
 def test_compiled_theorem1_matches_the_per_degree_route(spec):
     # raw specs reach the removable zeros, d + 2a = 0 and lambda_n = 0;
-    # formula_triple serves the compiled entries, theorem1_coeffs computes
-    # at the degree
-    twin = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
-    for n in range(1, 9):
-        for kind in structure.THEOREM1_KINDS:
+    # formula_triple, read degree after degree on one spec per relation as
+    # tabulate reads it, serves the entries' Horner integers, and the
+    # per-degree route computes each triple on a fresh twin
+    for key in structure.RELATIONS:
+        tabulated = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
+        twin = FamilySpec(spec.kind, *spec.abcde(), MONIC, "raw")
+        for n in range(1, 61):
             outcomes = []
-            for read in (lambda: structure.formula_triple(spec, kind, n),
-                         lambda: structure.theorem1_coeffs(twin, n)[kind]):
+            for read in (lambda: structure.formula_triple(tabulated, key, n),
+                         lambda: structure._per_degree_triple(twin, key, n)):
                 try:
                     outcomes.append(tuple(read()))
-                except AdmissibilityError as exc:
-                    outcomes.append(str(exc))
-            assert outcomes[0] == outcomes[1], (n, kind)
+                except (AdmissibilityError, ValueError) as exc:
+                    outcomes.append((type(exc), str(exc)))
+            assert outcomes[0] == outcomes[1], (key, n)
 
 
 def _k_or_error(spec, n):
@@ -507,6 +510,44 @@ def test_k_stepped_by_the_term_ratio_matches_the_closed_form(name, data, order):
     for n in range(30):
         if not isinstance(closed[n], str) and not isinstance(closed[n + 1], str):
             assert structure._k_ratio(spec, n) == closed[n + 1] / closed[n], n
+
+
+def _assert_k_premise(fresh, m_max=40):
+    """k_0 passing and every rho_j, j < m, with a nonzero Horner numerator
+    and denominator make the closed form k_m pass on a fresh spec, for
+    m <= m_max: the premise on which formula_triple skips the per-degree k
+    reads, inside its ratio prefix (``structure._ratio_prefix``)."""
+    spec = fresh()
+    rho = _rule_ratio(spec, _IntPoly([0, 1]))
+    for m in range(m_max + 1):
+        inside = all(all(rho.values(j)) for j in range(m))
+        assert m == 0 or (structure._ratio_prefix(spec, m - 1) is not None) == inside, m
+        if not inside:
+            return
+        twin = fresh()
+        twin._memo.clear()
+        twin.k(m)
+
+
+def test_the_ratio_prefix_makes_every_k_read_pass_at_fixed_points():
+    points = [*SAMPLE_SPECS, *DEGENERATE_POINTS,
+              *((name, params) for name, points in FAMILY_POINTS.items() for params in points)]
+    for name, params in points:
+        for variant in (name, name + "-monic"):
+            _assert_k_premise(lambda: catalog(variant, params))
+
+
+# every catalog rule (each has a ratio), and the monic one
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("hahn-q-monic",))
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(data=st.data())
+def test_the_ratio_prefix_makes_every_k_read_pass(name, data):
+    point = data.draw(catalog_points(name))
+    try:
+        _fresh_spec(*point)
+    except AdmissibilityError:
+        return
+    _assert_k_premise(lambda: _fresh_spec(*point))
 
 
 @st.composite

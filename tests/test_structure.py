@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from opoly import structure
+from opoly import cli, structure
 from opoly.algebra import Dual, Polynomial, RationalFunction, _IntPoly, _Quotient
 from opoly.connection import connect_oracle, connect_recurrence
 from opoly.families import MONIC, AdmissibilityError, FamilySpec, LeadingRule, _rule_ratio, catalog
@@ -27,7 +27,7 @@ from opoly.structure import (
 )
 from opoly.diagnostics import SAMPLE_SPECS
 
-from conftest import FAMILY_POINTS, iter_specs
+from conftest import DEGENERATE_POINTS, FAMILY_POINTS, iter_specs
 
 
 class TestRecurrenceCoeffs:
@@ -198,68 +198,112 @@ class TestTheorem1:
             assert lhs == rhs
 
 
-def _theorem1_outcomes(read, kinds=structure.THEOREM1_KINDS):
-    """Each kind's triple ``read(kind)`` as a tuple, or the exception's type
-    and message."""
-    out = {}
-    for kind in kinds:
-        try:
-            out[kind] = tuple(read(kind))
-        except (AdmissibilityError, ValueError) as exc:
-            out[kind] = type(exc), str(exc)
-    return out
+def _outcome(read):
+    """``read()`` as a tuple, or the exception's type and message."""
+    try:
+        return tuple(read())
+    except (AdmissibilityError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# the per-degree triples a spec's memo keeps, by their undecorated functions
+PER_DEGREE_TRIPLES = {fn.__wrapped__ for fn in (recurrence_coeffs, structure.xpn_coeffs,
+                                                derivative_rule_coeffs, starred_coeffs,
+                                                theorem1_coeffs)}
+
+
+def _served(spec, n):
+    """True where no per-degree triple at n is in the spec's memo."""
+    return not any(key[0] in PER_DEGREE_TRIPLES and key[1] == n
+                   for key in spec._memo if type(key) is tuple)
+
+
+def _routes_agree(fresh, degrees, label):
+    """For every relation, ``formula_triple`` on one fresh spec, read degree
+    after degree as tabulate reads it, against the per-degree route on a
+    fresh twin: the same value, or the same exception and message.  Returns
+    how many values (relation, n) the integer path served."""
+    served = 0
+    for key in structure.RELATIONS:
+        spec, twin = fresh(), fresh()
+        for n in degrees:
+            got = _outcome(lambda: formula_triple(spec, key, n))
+            assert got == _outcome(lambda: structure._per_degree_triple(twin, key, n)), (
+                label, key, n)
+            raised = isinstance(got[0], type)  # (exception type, message)
+            served += not raised and _served(spec, n)
+    return served
+
+
+# raw data (a, b, c, d, e) with a = 1: d + 2a = 0, lambda_4 = 0, d on a
+# root of the B_n denominator (d + 2an)(d - 2a + 2an) at n = 2, 3 and 5, 6,
+# and on a root of D(n) at n = 3, 4 and 4, 5
+RAW_POINTS = [(1, 0, 1, -2, 1), (1, 0, 1, -3, 0), (1, F(1, 2), 2, -4, F(1, 3)),
+              (1, -1, 3, -10, 2), (1, 2, -1, -5, F(1, 2)), (1, 0, 1, -7, -1)]
 
 
 class TestCompiledTheorem1:
-    """The compiled entries ``formula_triple`` serves are exactly what the
-    per-degree route ``theorem1_coeffs`` computes: the same value at every
-    degree, or the same message in the same order."""
+    """``formula_triple``, tabulate's reader, serves every relation from the
+    entries' Horner integers, with no compile: the same value as the
+    per-degree route at every degree, or the same message in the same
+    order."""
 
     def test_every_catalog_family_matches_the_per_degree_route(self):
         for name, params in (*iter_specs(), *iter_specs(monic=True)):
-            compiled, twin = catalog(name, params), catalog(name, params)
-            for n in range(1, 61):
-                got = _theorem1_outcomes(lambda kind: formula_triple(compiled, kind, n))
-                assert got == _theorem1_outcomes(lambda kind: theorem1_coeffs(twin, n)[kind]), (
-                    name, params, n)
-            assert compiled._memo[structure._compiled_theorem1], name  # built by the reads
+            served = _routes_agree(lambda: catalog(name, params), range(1, 61), (name, params))
+            assert served, (name, params)
 
     def test_removable_zeros_and_degenerate_points_match(self):
-        # the alpha + beta = -1 line (Chebyshev T, Bessel alpha = -1, Jacobi
-        # and Hahn at alpha = -1/3) and Gegenbauer alpha = -3/2, where
-        # lambda_m = lambda_n: each kind read alone, degree after degree on one
-        # spec, as tabulate reads it, and all three at once
-        points = [("jacobi", {"alpha": F(-1, 2), "beta": F(-1, 2)}),
-                  ("bessel", {"alpha": F(-1)}),
-                  ("jacobi", {"alpha": F(-1, 3), "beta": F(-2, 3)}),
-                  ("hahn", {"alpha": F(-1, 3), "beta": F(-2, 3), "N": F(80)}),
-                  ("gegenbauer", {"alpha": F(-3, 2)})]
-        for name, params in points:
-            for kinds in (("starred",), ("primed",), ("hatted",), structure.THEOREM1_KINDS):
-                compiled, twin = catalog(name, params), catalog(name, params)
-                for n in range(1, 9):
-                    got = _theorem1_outcomes(lambda kind: formula_triple(compiled, kind, n), kinds)
-                    assert got == _theorem1_outcomes(
-                        lambda kind: theorem1_coeffs(twin, n)[kind], kinds), (
-                        name, params, kinds, n)
-        # formula_triple builds the compile past the failing degree, on its
-        # first read at n = 2
-        spec = catalog("jacobi", alpha=F(-1, 2), beta=F(-1, 2))
-        with pytest.raises(AdmissibilityError, match="gamma_1 denominator vanishes"):
-            formula_triple(spec, "hatted", 1)
-        assert structure._compiled_theorem1 not in spec._memo
-        formula_triple(spec, "hatted", 2)
-        assert spec._memo[structure._compiled_theorem1]
+        for name, params in DEGENERATE_POINTS:
+            for variant in (name, name + "-monic"):
+                _routes_agree(lambda: catalog(variant, params), range(1, 61), (variant, params))
+        for kind in ("continuous", "discrete"):
+            for data in RAW_POINTS:
+                served = _routes_agree(lambda: FamilySpec(kind, *data, MONIC, "raw"),
+                                       range(1, 61), (kind, data))
+                assert served, (kind, data)
+        # a rule whose closed form fails at n = 0 alone, with a ratio defined
+        # there: k_0 ends the prefix, so every degree raises k_0's message
+        rule = LeadingRule(lambda n: F(2) ** n * n / n, "2^n n/n", lambda n: ((2,), ()))
+        assert _routes_agree(lambda: FamilySpec("continuous", 0, 0, 1, -2, 0, rule),
+                             range(1, 5), "k_0") == 0
 
-    def test_only_formula_triple_builds_the_compile(self):
-        # verify_structure and formula_triples read few degrees and compute
-        # at the degree; formula_triple, tabulate's reader, builds the compile
+    def test_tabulate_builds_no_compile(self):
+        # tabulate's reads keep only the entries, their brackets, the ratio
+        # prefix and the per-degree values of n = 0 (the recurrence and xpn
+        # rows there) in the spec's memo: no compile, and no per-degree
+        # triple from n = 1 on
         spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
-        assert verify_structure(spec, 8).ok
-        formula_triples(spec, 8)
-        assert structure._compiled_theorem1 not in spec._memo
-        formula_triple(spec, "starred", 2)
-        assert spec._memo[structure._compiled_theorem1]
+        for key, relation in structure.RELATIONS.items():
+            for n in range(relation.start, 31):
+                formula_triple(spec, key, n)
+        assert all(_served(spec, n) for n in range(1, 31))
+        per_degree = {(key[0].__name__, key[1]) for key, value in spec._memo.items()
+                      if type(key) is tuple and not isinstance(value, (_Quotient, Polynomial))}
+        assert per_degree == {("recurrence_coeffs", 0), ("xpn_coeffs", 0), ("_k_ratio", 0),
+                              ("_term_ratio", 0), ("_leading_coefficient", 0),
+                              ("_leading_coefficient", 1)}
+        assert [key for key in spec._memo if type(key) is not tuple] == [structure._ratio_prefix]
+        assert not hasattr(structure, "_compiled_theorem1")
+
+    def test_tabulate_reads_k_once_per_spec(self, monkeypatch, capsys):
+        # the ratio prefix replaces the k_{n-1}, k_n and k_{n+1} reads of each
+        # degree: k_0 of the catalog lookup and of the prefix, and the k_1, k_0
+        # of the n = 0 recurrence row
+        calls = Counter()
+        read = FamilySpec.k
+
+        def counted(spec, n):
+            calls[n] += 1
+            return read(spec, n)
+
+        monkeypatch.setattr(FamilySpec, "k", counted)
+        for what, count in (("recurrence", 4), ("hatted", 2)):
+            calls.clear()
+            assert cli.run(["tabulate", "--family", "jacobi:alpha=7/3,beta=5/4",
+                            "--what", what, "--n-max", "60"]) == 0
+            capsys.readouterr()
+            assert sum(calls.values()) == count, (what, calls)
 
 
 class TestPerDegreeMemo:
@@ -380,7 +424,7 @@ class TestPerDegreeMemo:
         assert all(built(twin)[key] is not value for key, value in first.items())
 
     def test_each_entry_body_runs_once_per_spec(self):
-        # the compile composes the spec's own entries: each body runs once,
+        # the integer path reads the spec's own entries: each body runs once,
         # however many degrees and routes read its entry
         bodies = {body.__wrapped__.__code__: body.__name__ for body in (
             structure._lower_entry, structure._b_quotient, structure._beta, _rule_ratio)}
@@ -401,7 +445,7 @@ class TestPerDegreeMemo:
                     formula_triple(spec, kind, n)
         finally:
             sys.setprofile(previous)
-        assert spec._memo[structure._compiled_theorem1]
+        assert spec._memo[structure._ratio_prefix]
         assert calls == {"_lower_entry": 3, "_b_quotient": 2, "_beta": 1, "_rule_ratio": 1}
 
     def test_equal_specs_keep_their_own_values(self):
@@ -532,16 +576,15 @@ class TestVerifyStructure:
         report = verify_structure(catalog(name, params), 6)
         assert report.ok and report.checks
         assert all(isinstance(c, Dual) for c in report.polys[3].coeffs)
-        original = structure.formula_triples
+        original = structure._per_degree_triple
 
-        def broken(spec, n):  # the starred mid at n = 3, wrong in its d/dalpha part only
-            out = original(spec, n)
-            if n == 3:
-                hi, mid, lo = out["starred"]
-                out = {**out, "starred": structure.CoefficientTriple(hi, mid + Dual(0, 1), lo)}
+        def broken(spec, key, n):  # the starred mid at n = 3, wrong in its d/dalpha part only
+            out = original(spec, key, n)
+            if (key, n) == ("starred", 3):
+                out = structure.CoefficientTriple(out.hi, out.mid + Dual(0, 1), out.lo)
             return out
 
-        monkeypatch.setattr(structure, "formula_triples", broken)
+        monkeypatch.setattr(structure, "_per_degree_triple", broken)
         bad = verify_structure(catalog(name, params), 6).failures()
         assert [(c.relation, c.n) for c in bad] == [("starred", 3)]
         assert "Dual(0, " in bad[0].residual

@@ -67,8 +67,9 @@ def test_tracer_wraps_the_traced_names_and_restores_every_original(monkeypatch, 
 
 
 def test_tracer_counts_the_formulas_tabulate_dispatches_to(monkeypatch, capsys):
-    # formula_triple calls the formulas through module globals, which the tracer
-    # wraps; and the benchmark's table kinds are the relation table's keys
+    # the CLI reads each printed triple through structure.formula_triple, a
+    # module global the tracer wraps; and the benchmark's table kinds are the
+    # relation table's keys
     monkeypatch.syspath_prepend(str(BENCH))
     tracing = importlib.import_module("tracing")
     assert importlib.import_module("workloads").TABLE_KINDS == tuple(structure.RELATIONS)
@@ -76,13 +77,12 @@ def test_tracer_counts_the_formulas_tabulate_dispatches_to(monkeypatch, capsys):
     tracer.install()
     counts = {}
     try:
-        for what, traced in (("recurrence", "structure.recurrence_coeffs"),
-                             ("hatted", "structure.derivative_rule_coeffs")):
-            before = tracer.calls[traced]
+        for what in ("recurrence", "hatted"):
+            before = tracer.calls["structure.formula_triple"]
             assert cli.run(["tabulate", "--family", "hermite", "--what", what,
                             "--n-max", "4"]) == 0
-            counts[what] = tracer.calls[traced] - before
+            counts[what] = tracer.calls["structure.formula_triple"] - before
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    assert counts["recurrence"] > 0 and counts["hatted"] > 0
+    assert counts == {"recurrence": 5, "hatted": 4}  # one call per printed row
