@@ -28,9 +28,8 @@ pseudo-remainder-sequence gcd, in integers, keeps it in lowest terms.
 
 Each entry of a structure relation is an unreduced quotient of bare int
 polynomials in n (``_Quotient`` of ``_IntPoly``), evaluated by one Horner
-pass on each side (``_Quotient.at``); other data put field elements in the
-same lists.  ``_IntPoly`` and ``Polynomial`` share one product loop and one
-Taylor shift.
+pass on each side (``_Quotient.values``); other data put field elements in
+the same lists.  ``_IntPoly`` and ``Polynomial`` share one product loop.
 """
 
 from __future__ import annotations
@@ -505,7 +504,7 @@ class _IntPoly:
     indeterminate n the bodies of ``families.polynomial_in_n`` and
     ``families.quotient_in_n`` run on, and ``_Quotient``s are quotients of
     it; non-rational data put field elements in the same list.  Supports
-    +, -, * and ** with scalars and with itself, and the shift n -> n + h."""
+    +, -, * and ** with scalars and with itself."""
 
     __slots__ = ("c",)
 
@@ -545,19 +544,15 @@ class _IntPoly:
             out = out * self
         return out
 
-    def shift(self, h: int) -> "_IntPoly":
-        """p(n + h)."""
-        return _IntPoly(_taylor_shift(list(self.c), h))
 
-
-def _expand(factors: Counter) -> _IntPoly:
-    """The product of a multiset of factors (coefficient tuples), from the
-    first factor on, one product loop per further factor."""
+def _expand(factors: Counter) -> list:
+    """The coefficients of the product of a multiset of factors (coefficient
+    tuples), from the first factor on, one product loop per further factor."""
     out = None
     for key, power in factors.items():
         for _ in range(power):
             out = list(key) if out is None else _convolve(out, key)
-    return _IntPoly([1] if out is None else out)
+    return [1] if out is None else out
 
 
 class _Quotient:
@@ -565,13 +560,12 @@ class _Quotient:
     num and int polynomial factors in n (coefficient tuples), kept
     unreduced; non-rational data put their field elements in the same
     lists.  Each entry of a structure relation is one, built once per spec
-    (``families.quotient_in_n``), and ``generate``, ``formula_triple`` and
-    the connection rows read their Horner integers (``values``).
-
-    A product adds the multisets, and a sum puts both terms over the
-    union (the larger power of each factor), so no gcd is ever taken and
-    the denominator vanishes exactly where one of its factors does.  A
-    quotient divides by the divisor's numerator as one new factor.
+    (``families.quotient_in_n``).  It has no arithmetic: the one
+    composition of the relations (``structure._composed``), ``generate``
+    and the connection rows combine its Horner values (``values``) at each
+    n, ints for rational data at an int n, field elements for other data
+    or at a formal n.  The denominator stays a multiset of factors and is
+    never reduced, so it vanishes exactly where one of its factors does.
     Equality compares the unreduced forms.
     """
 
@@ -607,52 +601,17 @@ class _Quotient:
             den[(scale,)] += 1
         return _Quotient(_IntPoly(num), den)
 
-    @staticmethod
-    def of(value) -> "_Quotient":
-        """A quotient from a quotient or from one factor of ``of_factors``."""
-        return value if type(value) is _Quotient else _Quotient.of_factors((value,), ())
-
     def __eq__(self, other) -> bool:
         if type(other) is not _Quotient:
             return NotImplemented
         return self.num.c == other.num.c and self.den == other.den
-
-    def __add__(self, other):
-        other = _Quotient.of(other)
-        den = self.den | other.den
-        return _Quotient(self.num * _expand(den - self.den)
-                         + other.num * _expand(den - other.den), den)
-
-    def __neg__(self):
-        return _Quotient(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + -_Quotient.of(other)
-
-    def __mul__(self, other):
-        other = _Quotient.of(other)
-        return _Quotient(self.num * other.num, self.den + other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _Quotient.of(other)
-        return self * _Quotient(_expand(other.den), Counter({tuple(other.num.c): 1}))
-
-    def __rtruediv__(self, other):
-        return _Quotient.of(other) / self
-
-    def shift(self, h: int) -> "_Quotient":
-        """The quotient at n + h."""
-        return _Quotient(self.num.shift(h), Counter(
-            {tuple(_taylor_shift(list(key), h)): power for key, power in self.den.items()}))
 
     def values(self, n: FieldElement) -> tuple:
         """(num(n), den(n)) unreduced, ints at an int n for rational data:
         one Horner pass on the numerator and one on the expanded denominator."""
         horner = self._horner
         if horner is None:
-            horner = self._horner = (self.num.c[::-1], _expand(self.den).c[::-1])
+            horner = self._horner = (self.num.c[::-1], _expand(self.den)[::-1])
         top, bottom = horner
         num = den = 0
         for c in top:

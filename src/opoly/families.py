@@ -48,23 +48,22 @@ class AdmissibilityError(ValueError):
 
 
 def per_degree(fn: Callable) -> Callable:
-    """Keep the value of ``fn(spec, n, ...)`` in ``spec``'s memo, under (fn, n).
+    """Keep the value of ``fn(spec, n)`` in ``spec``'s memo, under (fn, n).
 
     Each per-degree value is then computed once per spec instance, however
-    many formulas read it: k_n, the term ratio k_{n+1}/k_n and the base
-    triples.  A call that raises stores nothing and raises again on
-    the next call, with the message of that caller.  Arguments after n are
-    not part of the key: they may only shape the error raised.  The
-    brackets and entries those values are built from are polynomials and
-    quotients in n, kept once per spec by ``polynomial_in_n`` and
-    ``quotient_in_n``.
+    many formulas read it: k_n, the term ratio k_{n+1}/k_n and the
+    equation's operator columns.  A call that raises stores nothing and
+    raises again on the next call.  The structure triples are kept by
+    ``structure._read``, and the brackets and entries they are built from
+    are polynomials and quotients in n, kept once per spec by
+    ``polynomial_in_n`` and ``quotient_in_n``.
     """
     @functools.wraps(fn)
-    def memoized(spec: "FamilySpec", n: int, *rest):
+    def memoized(spec: "FamilySpec", n: int):
         key = (fn, n)
         value = spec._memo.get(key)
         if value is None:
-            value = spec._memo[key] = fn(spec, n, *rest)
+            value = spec._memo[key] = fn(spec, n)
         return value
 
     return memoized
@@ -119,11 +118,12 @@ def quotient_in_n(fn: Callable) -> Callable:
     data), kept in ``spec``'s memo under fn and the arguments after n; a
     call evaluates it at n (``_Quotient.at``: one Horner pass on each side,
     and one Fraction at an integer n for rational data), and at an
-    ``_IntPoly`` n returns the quotient itself, whose Horner ints
-    (``_Quotient.values``) ``structure.generate`` steps on and
-    ``structure.formula_triple`` combines.  Returns None
-    where the denominator vanishes, so that each caller raises its own
-    message.
+    ``_IntPoly`` n returns the quotient itself, whose Horner values
+    (``_Quotient.values``: ints at an int n for rational data, field
+    elements for other data or at a formal n) the one composition of the
+    structure relations (``structure._composed``) combines and
+    ``structure.generate`` steps on.  The evaluation returns None where
+    the denominator vanishes, so that each caller raises its own message.
     """
     @functools.wraps(fn)
     def evaluated(spec: "FamilySpec", n: int, *rest):

@@ -23,29 +23,23 @@ per spec (``families.polynomial_in_n``, on the integer data of a rational
 spec), and each entry is one unreduced ``algebra._Quotient`` of integer
 polynomials in n (of field elements for other data), built once per spec
 and evaluated at each degree by one Horner pass on each side
-(``families.quotient_in_n``).  rho_n and the recurrence, xpn,
-derivative-rule, starred and Theorem-1 triples are kept in the spec's memo
-(``families.per_degree``), so each is computed once per spec and degree
-however many formulas or callers read it.
+(``families.quotient_in_n``).
 
-Each triple has two routes, one per reader.  The per-degree formulas
-(``recurrence_coeffs`` ... ``theorem1_coeffs``, the primed and hatted
-triples from the starred and derivative-rule ones by ``_eliminated``)
-serve verify and the oracle comparison (``formula_triples``),
-``admissibility``, the antiderivative and the connection rows, which read
-few degrees of a spec.  ``formula_triple``, tabulate's reader, reads one
-relation at many degrees: for rational data whose rule has a ratio it
-combines the Horner integers of the spec's entry quotients at n (rho_n and
-rho_{n-1}, b_n, b*_{n-1}, beta_n and the lower entries) into one Fraction
-per printed value (``_integer_triple``), wherever the per-degree checks
-would pass, and reads the per-degree formula elsewhere, so that every
-failure raises the same message in the same order.  Its k reads are
-answered once per spec by the prefix of degrees where every rho_j has a
-nonzero numerator and denominator (``_ratio_prefix``).  ``RELATIONS``
-names the relations once for tabulate, verify and the oracle comparison.
-A formula raises AdmissibilityError where one of its denominators
-vanishes (that is never memoized), and ``admissibility`` evaluates the
-formulas to report those degrees.
+The seven relations are composed once, in ``_composed``, from the (num,
+den) Horner values of those entries: ints for rational data, combined in
+integers into one Fraction per printed value, and field elements for dual
+data or at a formal n.  rho_n and rho_{n-1} come from the prefix of degrees
+where every rho_j has a nonzero numerator and denominator, kept once per
+spec (``_ratio_prefix``), with no k read; elsewhere from the per-degree k
+reads.  Where a denominator vanishes the composition raises the formula's
+own AdmissibilityError, in the order of its checks (that is never
+memoized), and ``admissibility`` evaluates the formulas to report those
+degrees.  ``formula_triple``, tabulate's reader, composes each triple
+afresh; the public readers ``recurrence_coeffs`` ... ``theorem1_coeffs``
+and ``formula_triples``, which serve verify, ``admissibility``, the
+antiderivative and the connection rows, keep each one in the spec's memo
+(``_read``).  ``RELATIONS`` names the relations once for tabulate, verify
+and the oracle comparison.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -80,7 +74,6 @@ from .families import (
     AdmissibilityError,
     FamilySpec,
     _rule_ratio,
-    _term_ratio,
     catalog,
     lambda_n,
     per_degree,
@@ -135,15 +128,6 @@ def _linear_factor(spec: FamilySpec, n: int, shift: int) -> FieldElement:
     return spec.a * n + spec.d - shift * spec.a
 
 
-@per_degree
-def _k_ratio(spec: FamilySpec, n: int) -> FieldElement:
-    """rho_n = k_{n+1} / k_n: the one way the formulas read the standardization.
-    A failing k_{n+1} or k_n is reported first; then the rule's term ratio."""
-    k_next, k_n = spec.k(n + 1), spec.k(n)
-    rho = _term_ratio(spec, n)
-    return k_next / k_n if rho is None else rho
-
-
 @quotient_in_n
 def _lower_entry(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...]):
     """The product of the factors an + d - shift a, times sign n S(n) / D(n),
@@ -156,16 +140,6 @@ def _lower_entry(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...]):
     """
     linear = tuple(_linear_factor(spec, n, shift) for shift in shifts)
     return (*linear, sign * n, _sum_factor(spec, n)), (_cn_denominator(spec, n),)
-
-
-def _lower(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...],
-           failure: str) -> FieldElement:
-    """``_lower_entry`` times rho_{n-1}; AdmissibilityError(failure), formatted
-    with n and the spec's name, where D(n) vanishes (before rho_{n-1} is read)."""
-    entry = _lower_entry(spec, n, sign, shifts)
-    if entry is None:
-        raise AdmissibilityError(failure.format(n=n, name=spec.name or spec.abcde()))
-    return entry * _k_ratio(spec, n - 1)
 
 
 def _tau_data(spec: FamilySpec, starred: bool) -> tuple[FieldElement, FieldElement]:
@@ -197,34 +171,13 @@ def _b_quotient(spec: FamilySpec, n: int, starred: bool):
     return (_b_numerator(spec, n, starred),), (_b_denominator(spec, n, starred),)
 
 
-def _b_ratio(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
-    """B_n / A_n of the recurrence for the data (a, b) and ``_tau_data``.
-
-    At n = 0 it is the reduced value e/d (the general bracket carries a
-    removable common factor d - 2a there).
-    """
-    if n == 0:
-        d, e = _tau_data(spec, starred)
-        return e / d
-    value = _b_quotient(spec, n, starred)
-    if value is None:
-        raise AdmissibilityError(f"B_{n} denominator vanishes for {spec.name or spec.abcde()}")
-    return value
-
-
-@per_degree
 def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(A_n, B_n, C_n) with p_{n+1} = (A_n x + B_n) p_n - C_n p_{n-1}.
 
     A_n is rho_n.  C_0 is reported as 0 (it multiplies p_{-1} = 0), and B_0
     as the reduced value (e/d) A_0.
     """
-    A = _k_ratio(spec, n)
-    B = _b_ratio(spec, n, False) * A
-    if n == 0:
-        return CoefficientTriple(A, B, Fraction(0))
-    C = _lower(spec, n, -1, (2,), "C_{n} denominator vanishes for {name}") * A
-    return CoefficientTriple(A, B, C)
+    return _read(spec, "recurrence", n)
 
 
 def _flip(t: CoefficientTriple) -> CoefficientTriple:
@@ -232,10 +185,9 @@ def _flip(t: CoefficientTriple) -> CoefficientTriple:
     return CoefficientTriple(1 / t.hi, -t.mid / t.hi, t.lo / t.hi)
 
 
-@per_degree
 def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(a_n, b_n, c_n) with x p_n = a_n p_{n+1} + b_n p_n + c_n p_{n-1}."""
-    return _flip(recurrence_coeffs(spec, n))
+    return _read(spec, "xpn", n)
 
 
 @polynomial_in_n(3)
@@ -253,37 +205,24 @@ def _beta(spec: FamilySpec, n: int):
     return (_beta_numerator(spec, n),), (_b_denominator(spec, n, False),)
 
 
-@per_degree
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(alpha_n, beta_n, gamma_n) of the derivative rule
 
     continuous: sigma p_n' = alpha p_{n+1} + beta p_n + gamma p_{n-1}
     discrete:   sigma nabla p_n = alpha p_{n+1} + beta p_n + gamma p_{n-1}
     """
-    if n < 1:
-        raise ValueError("derivative rule needs n >= 1")
-    spec.k(n)  # alpha_n = a n k_n / k_{n+1}: a failing k_n is reported first
-    alpha = spec.a * n / _k_ratio(spec, n)
-    beta = _beta(spec, n)
-    if beta is None:
-        raise AdmissibilityError(f"beta_{n} denominator vanishes")
-    return CoefficientTriple(alpha, beta,
-                             _lower(spec, n, 1, (1, 2), "gamma_{n} denominator vanishes"))
+    return _read(spec, "derivative", n)
 
 
 def delta_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(S_n, T_n, R_n) with (sigma + tau) Delta p_n = S p_{n+1} + T p_n + R p_{n-1}."""
-    if spec.kind != DISCRETE:
-        raise ValueError("delta rule applies to discrete families")
-    rule = derivative_rule_coeffs(spec, n)
-    return CoefficientTriple(rule.hi, rule.mid - lambda_n(spec, n), rule.lo)
+    return _read(spec, "delta", n)
 
 
 # ---------------------------------------------------------------------------
 # Theorem-1 triples (starred / primed / hatted)
 # ---------------------------------------------------------------------------
 
-@per_degree
 def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     """(hi, mid, lo) with x D p_n = hi D p_{n+1} + mid D p_n + lo D p_{n-1}, n >= 1.
 
@@ -296,23 +235,16 @@ def starred_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     the factor n - 1 cancels, so lo stays defined at n = 1 (where it
     multiplies D p_0 = 0).  Raises AdmissibilityError where d + 2a = 0 (the
     derivatives' tau is constant).  Its two brackets have the denominators
-    of B_n and C_n of ``recurrence_coeffs`` at the same n.
+    of B_n and C_n of ``recurrence_coeffs`` at the same n.  It is checked
+    alone: unlike the starred triple of ``theorem1_coeffs``, it does not
+    need the derivative rule or lambda_n.
     """
-    if n < 1:
-        raise ValueError("starred triple needs n >= 1")
-    if spec.d + 2 * spec.a == 0:
-        raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
-    spec.k(n)  # hi = n k_n / ((n + 1) k_{n+1}): a failing k_n is reported first
-    hi = n / ((n + 1) * _k_ratio(spec, n))
-    mid = -_b_ratio(spec, n - 1, True)
-    lo = _lower(spec, n, -1, (1,), "gamma_{n} denominator vanishes")
-    return CoefficientTriple(hi, mid, lo)
+    return _read(spec, "starred", n, True)
 
 
 THEOREM1_KINDS = ("starred", "primed", "hatted")
 
 
-@per_degree
 def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
     """The starred, primed and hatted triples for degree n >= 1.
 
@@ -322,37 +254,14 @@ def theorem1_coeffs(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 
     where D is d/dx (continuous) or the forward difference (discrete), and
     D' p_n means p_n'' resp. Delta nabla p_n.  The starred triple is
-    ``starred_coeffs``; the primed and hatted ones follow from it and the
-    derivative rule by exact elimination (``_eliminated``), at this degree.
+    ``starred_coeffs``'s; the primed and hatted ones follow from it and the
+    derivative rule by exact elimination, at this degree (``_composed``).
     At n = 1 the lo components multiply D p_0 = 0; the values reported there
     are the closed forms in n (the ones the antiderivative tables print),
-    not the arbitrary convention 0.  The dict is kept in the spec's memo;
-    callers only read it.
+    not the arbitrary convention 0.  Each triple is kept in the spec's
+    memo; callers only read them.
     """
-    if n < 1:
-        raise ValueError("theorem1 triples need n >= 1")
-    rule = derivative_rule_coeffs(spec, n)
-    starred = starred_coeffs(spec, n)
-    lam = lambda_n(spec, n)
-    if lam == 0:
-        raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
-    return dict(zip(THEOREM1_KINDS, (starred, *_eliminated(spec, rule, starred, lam))))
-
-
-def _eliminated(spec: FamilySpec, rule: CoefficientTriple, starred: CoefficientTriple, lam
-                ) -> tuple[CoefficientTriple, CoefficientTriple]:
-    """The primed and hatted triples, eliminated from the derivative rule,
-    the starred triple and lambda_n at one degree (``_integer_triple``
-    expands the same algebra in the entries' Horner integers)."""
-    a, b, c, d, e = spec.abcde()
-    sig_delta = b if spec.kind == CONTINUOUS else a + b
-    primed = CoefficientTriple(rule.hi - 2 * a * starred.hi,
-                               rule.mid - 2 * a * starred.mid - sig_delta,
-                               rule.lo - 2 * a * starred.lo)
-    scale = -1 / lam
-    return primed, CoefficientTriple((primed.hi + d * starred.hi) * scale,
-                                     (primed.mid + d * starred.mid + e) * scale,
-                                     (primed.lo + d * starred.lo) * scale)
+    return {kind: _read(spec, kind, n) for kind in THEOREM1_KINDS}
 
 
 def antiderivative(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -392,37 +301,45 @@ RELATION_NAMES = ("equation", *(r.check for r in RELATIONS.values() if r.check))
 
 def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
     """``formula_triples(spec, n)[key]``, in value and in every exception of
-    its formula: tabulate's reader.  At a degree n >= 1 of rational data
-    whose rule has a ratio, inside the spec's ratio prefix
-    (``_ratio_prefix``), the triple is read off the entries' Horner
-    integers (``_integer_triple``); at n = 0, past the prefix, where a read
-    denominator vanishes, and for other data, it is the per-degree
-    formula's, which raises its own message in its own order."""
-    if (type(n) is int and n >= 1 and spec._ints is not None
-            and spec.leading.ratio is not None and spec.kind in RELATIONS[key].kinds):
-        ratios = _ratio_prefix(spec, n)
-        triple = ratios and _integer_triple(spec, key, n, ratios[n], ratios[n - 1])
-        if triple:
-            return triple
-    return _per_degree_triple(spec, key, n)
+    its formula: tabulate's reader.  It composes the triple afresh
+    (``_composed``) and keeps no triple in the memo: tabulate reads each
+    (relation, n) once."""
+    return _composed(spec, key, n)
 
 
-def _per_degree_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
-    """The relation's triple from its per-degree formula."""
-    if RELATIONS[key].theorem1:
-        return theorem1_coeffs(spec, n)[key]
-    return {"recurrence": recurrence_coeffs, "xpn": xpn_coeffs,
-            "derivative": derivative_rule_coeffs, "delta": delta_rule_coeffs}[key](spec, n)
+def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
+    """Every explicit triple for degree n, under the keys of ``oracle_triples``.
+
+    Each triple is kept in the spec's memo (``_read``), so a second call
+    for the same spec and n computes nothing again.
+    """
+    return {key: _read(spec, key, n) for key, relation in RELATIONS.items()
+            if n >= relation.start and spec.kind in relation.kinds}
 
 
-def _ratio_prefix(spec: FamilySpec, n: int) -> list | None:
+def _read(spec: FamilySpec, key: str, n: int, alone: bool = False) -> CoefficientTriple:
+    """``_composed(spec, key, n, alone)``, kept in the spec's memo under
+    (key, n, alone): verify reads each triple twice, in its residual check
+    and in its oracle comparison.  A failure is not kept; it raises again on
+    the next call."""
+    memo_key = (key, n, alone)
+    triple = spec._memo.get(memo_key)
+    if triple is None:
+        triple = spec._memo[memo_key] = _composed(spec, key, n, alone)
+    return triple
+
+
+def _ratio_prefix(spec: FamilySpec, n) -> list | None:
     """The Horner integers (r_j, s_j) of rho_j = r_j / s_j from
     ``_rule_ratio``, for j = 0, 1, ..., kept in the spec's memo and grown one
-    degree at a time; None unless k_0 passes and r_j s_j != 0 for every
-    j <= n.  Where it is a list, every k_j with j <= n + 1 is finite and
-    nonzero, by the closed form (on a fresh spec) as by the step k_{j+1} =
-    k_j rho_j, so each per-degree k read passes and every k_{j+1} / k_j a
-    formula reads is rho_j."""
+    degree at a time; None unless n is an int, the data are rational, the
+    rule has a ratio, k_0 passes and r_j s_j != 0 for every j <= n.  Where
+    it is a list, every k_j with j <= n + 1 is finite and nonzero, by the
+    closed form (on a fresh spec) as by the step k_{j+1} = k_j rho_j, so
+    each per-degree k read would pass and every k_{j+1} / k_j a formula
+    reads is rho_j."""
+    if type(n) is not int or spec._ints is None or spec.leading.ratio is None:
+        return None
     prefix = spec._memo.get(_ratio_prefix)
     if prefix is None:
         try:
@@ -437,14 +354,45 @@ def _ratio_prefix(spec: FamilySpec, n: int) -> list | None:
     return prefix if len(prefix) > n and prefix[n] else None
 
 
-def _integer_triple(spec: FamilySpec, key: str, n: int, rho: tuple, rho_prev: tuple
-                    ) -> CoefficientTriple | None:
-    """The relation's triple at n >= 1 from the Horner integers of the
-    spec's entries, one Fraction per value; None where a denominator the
-    per-degree formula checks vanishes (or d + 2a = 0, or lambda_n = 0, for
-    a Theorem-1 key).  rho = (r, s) and rho_prev = (r1, s1) are rho_n and
-    rho_{n-1}.  With the integer data a, b, d, e over the scale L, and
-    Lambda = L lambda_n:
+def _rho(spec: FamilySpec, n) -> tuple:
+    """rho_n = k_{n+1} / k_n as a pair (num, den) outside the ratio prefix:
+    after the per-degree reads of k_{n+1} and k_n, which raise their own
+    messages, the Horner values of the rule's ratio for rational data where
+    neither vanishes, else (k_{n+1}, k_n)."""
+    k_next, k_n = spec.k(n + 1), spec.k(n)
+    if spec._ints is not None and spec.leading.ratio is not None:
+        r, s = _rule_ratio(spec, _IntPoly([0, 1])).values(n)
+        if r and s:
+            return r, s
+    return k_next, k_n
+
+
+def _checked(spec: FamilySpec, entry, n, failure: str) -> tuple:
+    """The entry's Horner values (num, den) at n; AdmissibilityError(failure),
+    formatted with n and the spec's name, where den vanishes."""
+    num, den = entry.values(n)
+    if not den:
+        raise AdmissibilityError(failure.format(n=n, name=spec.name or spec.abcde()))
+    return num, den
+
+
+def _pairs(hi: tuple, mid: tuple, lo: tuple) -> CoefficientTriple:
+    """The triple of three (num, den) pairs: one Fraction each from ints (or
+    from the Fractions of a k read), else num / den of field elements."""
+    try:
+        return CoefficientTriple(Fraction(*hi), Fraction(*mid), Fraction(*lo))
+    except TypeError:  # dual data, or a formal n
+        return CoefficientTriple(*(Fraction(num, den) if type(num) is int and type(den) is int
+                                   else num / den for num, den in (hi, mid, lo)))
+
+
+def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> CoefficientTriple:
+    """The relation's triple at n, from the (num, den) Horner values of the
+    spec's entries (``_Quotient.values``): ints for rational data, where
+    each value is one Fraction, and field elements for other data and at a
+    formal n (``recurrence_coeffs`` and ``xpn_coeffs`` only).  With the data
+    a, b, d, e over the scale L (the integer data of a rational spec, else
+    the data over L = 1), Lambda = L lambda_n and rho_n = k_{n+1} / k_n:
 
         recurrence  (rho_n, b_n rho_n, L_n rho_{n-1} rho_n); xpn its flip
         derivative  (a n / rho_n, beta_n, G_n rho_{n-1}); delta the same
@@ -457,67 +405,88 @@ def _integer_triple(spec: FamilySpec, key: str, n: int, rho: tuple, rho_prev: tu
                      -(beta_n + (2a - d) b*_{n-1} + e - sigma_delta) L / Lambda,
                      -(G_n + (d - 2a) H_n) rho_{n-1} L / Lambda)
 
-    with b_n = B_n/A_n and b*_{n-1} from ``_b_quotient``,
-    L_n, G_n and H_n the ``_lower_entry``s with shifts (2,), (1, 2) and
-    (1,), and sigma_delta = b, or a + b for a discrete family; primed and
-    hatted are ``_eliminated`` expanded."""
-    x, (r, s), (r1, s1) = _IntPoly([0, 1]), rho, rho_prev
+    with b_n = B_n/A_n and b*_{n-1} from ``_b_quotient`` (b_0 = e/d
+    reduced, and L_0 = 0), L_n, G_n and H_n the ``_lower_entry``s with
+    shifts (2,), (1, 2) and (1,), and sigma_delta = b, or a + b for a
+    discrete family.  Primed is the derivative rule minus 2a times the
+    starred relation, and hatted eliminates sigma D' p_n from primed with
+    the equation.  rho_n and rho_{n-1} are pairs from ``_ratio_prefix``
+    where it covers n, with no k read, and from ``_rho`` elsewhere.
+
+    Each relation raises the message of its first failing check, in this
+    order (``alone``: the starred triple by itself, ``starred_coeffs``):
+
+        recurrence, xpn   k_{n+1}, k_n, B_n, C_n, k_{n-1}
+        derivative        n >= 1, k_n, k_{n+1}, beta_n, gamma_n, k_{n-1}
+        delta             the kind, then as derivative
+        Theorem-1 keys    n >= 1, as derivative, d + 2a != 0, B*_{n-1},
+                          gamma_n, lambda_n != 0
+        starred alone     n >= 1, d + 2a != 0, k_n, k_{n+1}, B*_{n-1},
+                          gamma_n, k_{n-1}
+
+    where the k reads are made only outside the prefix, B*_{n-1} is the
+    starred b's denominator at n - 1, and the starred gamma_n is H_n's,
+    which is G_n's.
+    """
+    x, prefix = _IntPoly([0, 1]), _ratio_prefix(spec, n)
     if key in ("recurrence", "xpn"):
-        (bn, bd), (ln, ld) = _b_quotient(spec, x, False).values(n), \
-            _lower_entry(spec, x, -1, (2,)).values(n)
-        if not (bd and ld):
-            return None
-        if key == "recurrence":
-            return _fractions((r, s), (bn * r, bd * s), (ln * r1 * r, ld * s1 * s))
-        return _fractions((s, r), (-bn, bd), (ln * r1, ld * s1))
-    ints = spec._ints
-    a, b, _, d, e = ints.abcde()
-    scale = ints.scale
-    (tn, td), (gn, gd) = _beta(spec, x).values(n), _lower_entry(spec, x, 1, (1, 2)).values(n)
-    if not (td and gd):
-        return None
-    lam = -(a * n * (n - 1) + d * n)  # L lambda_n
-    if key == "derivative":
-        return _fractions((a * n * s, scale * r), (tn, td), (gn * r1, gd * s1))
-    if key == "delta":
-        return _fractions((a * n * s, scale * r), (tn * scale - td * lam, td * scale),
+        r, s = prefix[n] if prefix else _rho(spec, n)
+        if n == 0:  # b_0 = e/d reduced; C_0 multiplies p_{-1} = 0
+            data = spec.scaled()
+            (bn, bd), (ln, ld), (r1, s1) = (data.e, data.d), (0, 1), (1, 1)
+        else:
+            bn, bd = _checked(spec, _b_quotient(spec, x, False), n,
+                              "B_{n} denominator vanishes for {name}")
+            ln, ld = _checked(spec, _lower_entry(spec, x, -1, (2,)), n,
+                              "C_{n} denominator vanishes for {name}")
+            r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
+        if key == "xpn":
+            return _pairs((s, r), (-bn, bd), (ln * r1, ld * s1))
+        return _pairs((r, s), (bn * r, bd * s), (ln * r1 * r, ld * s1 * s) if n else (0, 1))
+    if key == "delta" and spec.kind != DISCRETE:
+        raise ValueError("delta rule applies to discrete families")
+    if n < 1:
+        raise ValueError("starred triple needs n >= 1" if alone else
+                         "theorem1 triples need n >= 1" if RELATIONS[key].theorem1 else
+                         "derivative rule needs n >= 1")
+    a, b, _, d, e = spec.scaled().abcde()
+    if alone and d + 2 * a == 0:
+        raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
+    if not prefix:
+        spec.k(n)  # alpha_n = a n k_n / k_{n+1}: a failing k_n is reported first
+    r, s = prefix[n] if prefix else _rho(spec, n)
+    scale = spec._ints.scale if spec._ints else 1
+    if not alone:
+        tn, td = _checked(spec, _beta(spec, x), n, "beta_{n} denominator vanishes")
+        gn, gd = _checked(spec, _lower_entry(spec, x, 1, (1, 2)), n,
+                          "gamma_{n} denominator vanishes")
+        r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
+        if key == "derivative":
+            return _pairs((a * n * s, scale * r), (tn, td), (gn * r1, gd * s1))
+        lam = -(a * n * (n - 1) + d * n)  # L lambda_n
+        if key == "delta":
+            return _pairs((a * n * s, scale * r), (tn * scale - td * lam, td * scale),
                           (gn * r1, gd * s1))
-    if d + 2 * a == 0 or lam == 0:
-        return None
-    # cd and hd vanish with td and gd (``starred_coeffs``); at n = 1, cn/cd
-    # is e' d / (d' d), the reduced e'/d' of ``_b_ratio`` since d != 0
-    (cn, cd), (hn, hd) = _b_quotient(spec, x, True).values(n - 1), \
-        _lower_entry(spec, x, -1, (1,)).values(n)
+        if d + 2 * a == 0:
+            raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
+    cn, cd = _checked(spec, _b_quotient(spec, x, True), n - 1,
+                      "B_{n} denominator vanishes for {name}")
+    hn, hd = _checked(spec, _lower_entry(spec, x, -1, (1,)), n, "gamma_{n} denominator vanishes")
+    if alone:
+        r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
+    elif lam == 0:
+        raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
     if key == "starred":
-        return _fractions((n * s, (n + 1) * r), (-cn, cd), (hn * r1, hd * s1))
+        return _pairs((n * s, (n + 1) * r), (-cn, cd), (hn * r1, hd * s1))
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     if key == "primed":
-        return _fractions((a * n * (n - 1) * s, scale * (n + 1) * r),
-                          (tn * scale * cd + 2 * a * cn * td - sig_delta * td * cd,
-                           td * scale * cd),
-                          ((gn * scale * hd - 2 * a * hn * gd) * r1, gd * scale * hd * s1))
-    return _fractions((s, (n + 1) * r),
-                      (-(tn * scale * cd + (2 * a - d) * cn * td + (e - sig_delta) * td * cd),
-                       td * cd * lam),
-                      (-(gn * scale * hd + (d - 2 * a) * hn * gd) * r1, gd * hd * s1 * lam))
-
-
-def _fractions(hi: tuple[int, int], mid: tuple[int, int], lo: tuple[int, int]
-               ) -> CoefficientTriple:
-    return CoefficientTriple(Fraction(*hi), Fraction(*mid), Fraction(*lo))
-
-
-def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
-    """Every explicit triple for degree n, under the keys of ``oracle_triples``.
-
-    The triples the others are read off come from the spec's memo, so a
-    second call for the same spec and n computes no bracket again.
-    """
-    out = {}
-    for key, relation in RELATIONS.items():
-        if n >= relation.start and spec.kind in relation.kinds:
-            out[key] = _per_degree_triple(spec, key, n)
-    return out
+        return _pairs((a * n * (n - 1) * s, scale * (n + 1) * r),
+                      (tn * scale * cd + 2 * a * cn * td - sig_delta * td * cd, td * scale * cd),
+                      ((gn * scale * hd - 2 * a * hn * gd) * r1, gd * scale * hd * s1))
+    return _pairs((s, (n + 1) * r),
+                  (-(tn * scale * cd + (2 * a - d) * cn * td + (e - sig_delta) * td * cd),
+                   td * cd * lam),
+                  (-(gn * scale * hd + (d - 2 * a) * hn * gd) * r1, gd * hd * s1 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -779,8 +748,9 @@ def verify_structure(spec: FamilySpec, n_max: int,
 
     The equation and recurrence residuals are checked from n = 0.  A zero
     residual polynomial means the relation holds identically.  Only the
-    requested relations' triples are computed, by the per-degree formulas
-    (``_per_degree_triple``).  Each D p_m is computed once, and for
+    requested relations' triples are computed, by the one composition
+    (``_read``, which keeps each in the spec's memo for the oracle
+    comparison to read again).  Each D p_m is computed once, and for
     1 <= n <= n_max - 1 the equation residual is built from the relation
     sides (``_equation_residual``).  The report
     keeps the generated p_0 .. p_{n_max+1} the residuals were computed from,
@@ -814,7 +784,7 @@ def verify_structure(spec: FamilySpec, n_max: int,
             if relation.check not in relations or key not in sides:
                 continue
             lhs, parts = sides[key]
-            triple = _per_degree_triple(spec, key, n)
+            triple = _read(spec, key, n)
             views = [p._int_view() for p in (lhs, *parts)]
             if all(views) and all(type(t) is Fraction for t in triple):
                 # lhs - sum t * part, in one integer combination

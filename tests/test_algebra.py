@@ -13,7 +13,6 @@ from opoly.algebra import (
     Dual,
     Polynomial,
     RationalFunction,
-    _IntPoly,
     _pseudo_divmod,
     _Quotient,
     binomial,
@@ -427,18 +426,6 @@ class TestQuotient:
             assert got == want and (got is None or type(got) is Dual), n
         assert [n for n in range(41) if n != 5 and q.at(n) is None] == [7]
         assert q.at(3) == Dual(0, q.at(3).d) != 0
-
-    def test_shift(self):
-        q = _Quotient.of_factors(self.TOP, self.BOTTOM)
-        for h in (-7, -1, 0, 2, 5):
-            shifted = q.shift(h)
-            for n in range(41):
-                assert shifted.at(n) == q.at(n + h), (h, n)
-
-    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
-    @given(c=st.lists(st.integers(-30, 30), max_size=7), h=st.integers(-3, 3))
-    def test_int_poly_shift_matches_polynomial_shift(self, c, h):
-        assert Polynomial(_IntPoly(c).shift(h).c) == Polynomial(c).shift(h)
 
 
 class TestScalarOperations:

@@ -23,15 +23,16 @@ def run_cli(capsys, *argv):
 
 
 def _break_derivative_rule_at_3(monkeypatch):
-    original = structure.derivative_rule_coeffs
+    # the one composition every triple is read from
+    original = structure._composed
 
-    def broken(spec, n):
-        t = original(spec, n)
-        if n == 3:
+    def broken(spec, key, n, alone=False):
+        t = original(spec, key, n, alone)
+        if (key, n) == ("derivative", 3):
             return CoefficientTriple(t.hi, t.mid + 1, t.lo)
         return t
 
-    monkeypatch.setattr(structure, "derivative_rule_coeffs", broken)
+    monkeypatch.setattr(structure, "_composed", broken)
 
 
 TABLE_SCHEMA = {
@@ -401,14 +402,15 @@ class TestVerifyReads:
 
     def test_the_equation_alone_reads_no_triple(self, capsys, monkeypatch):
         calls = []
-        for name in ("theorem1_coeffs", "derivative_rule_coeffs"):
-            def counted(spec, n, original=getattr(structure, name), name=name):
-                calls.append(name)
-                return original(spec, n)
+        original = structure._composed
 
-            monkeypatch.setattr(structure, name, counted)
+        def counted(spec, key, n, alone=False):
+            calls.append(key)
+            return original(spec, key, n, alone)
+
+        monkeypatch.setattr(structure, "_composed", counted)
         for relations, wanted in (("equation", []),
-                                  ("equation,derivative_rule", ["derivative_rule_coeffs"] * 7)):
+                                  ("equation,derivative_rule", ["derivative"] * 7)):
             del calls[:]
             code, _, _ = run_cli(capsys, "verify", "--family", "jacobi:alpha=1/2,beta=-1/3",
                                  "--n-max", "8", "--relations", relations, "--skip-crosschecks")

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from collections import Counter
 from fractions import Fraction as F
@@ -198,43 +199,6 @@ class TestTheorem1:
             assert lhs == rhs
 
 
-def _outcome(read):
-    """``read()`` as a tuple, or the exception's type and message."""
-    try:
-        return tuple(read())
-    except (AdmissibilityError, ValueError) as exc:
-        return type(exc), str(exc)
-
-
-# the per-degree triples a spec's memo keeps, by their undecorated functions
-PER_DEGREE_TRIPLES = {fn.__wrapped__ for fn in (recurrence_coeffs, structure.xpn_coeffs,
-                                                derivative_rule_coeffs, starred_coeffs,
-                                                theorem1_coeffs)}
-
-
-def _served(spec, n):
-    """True where no per-degree triple at n is in the spec's memo."""
-    return not any(key[0] in PER_DEGREE_TRIPLES and key[1] == n
-                   for key in spec._memo if type(key) is tuple)
-
-
-def _routes_agree(fresh, degrees, label):
-    """For every relation, ``formula_triple`` on one fresh spec, read degree
-    after degree as tabulate reads it, against the per-degree route on a
-    fresh twin: the same value, or the same exception and message.  Returns
-    how many values (relation, n) the integer path served."""
-    served = 0
-    for key in structure.RELATIONS:
-        spec, twin = fresh(), fresh()
-        for n in degrees:
-            got = _outcome(lambda: formula_triple(spec, key, n))
-            assert got == _outcome(lambda: structure._per_degree_triple(twin, key, n)), (
-                label, key, n)
-            raised = isinstance(got[0], type)  # (exception type, message)
-            served += not raised and _served(spec, n)
-    return served
-
-
 # raw data (a, b, c, d, e) with a = 1: d + 2a = 0, lambda_4 = 0, d on a
 # root of the B_n denominator (d + 2an)(d - 2a + 2an) at n = 2, 3 and 5, 6,
 # and on a root of D(n) at n = 3, 4 and 4, 5
@@ -242,54 +206,84 @@ RAW_POINTS = [(1, 0, 1, -2, 1), (1, 0, 1, -3, 0), (1, F(1, 2), 2, -4, F(1, 3)),
               (1, -1, 3, -10, 2), (1, 2, -1, -5, F(1, 2)), (1, 0, 1, -7, -1)]
 
 
+def _frozen(read):
+    """``read()`` as a tuple, or the exception's type name and message."""
+    try:
+        return tuple(read())
+    except (AdmissibilityError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _frozen_outcomes():
+    """Every outcome the frozen table pins, in a fixed order: ``formula_triple``
+    for every relation at n = 1..60, read degree after degree on one fresh
+    spec per relation as tabulate reads it, then ``starred_coeffs`` and
+    ``theorem1_coeffs`` at n = 0..12, on every catalog family and its monic
+    variant, on ``DEGENERATE_POINTS`` and their monic variants, on
+    ``RAW_POINTS`` of both kinds and on a rule failing at k_0 alone; then
+    ``recurrence_coeffs`` at n = 0..12 with the first parameter of every
+    parametrized catalog point a ``Dual``."""
+    points = [lambda name=name, params=params: catalog(name, params)
+              for name, params in (*iter_specs(), *iter_specs(monic=True))]
+    points += [lambda name=name, params=params: catalog(name, params)
+               for base, params in DEGENERATE_POINTS for name in (base, base + "-monic")]
+    points += [lambda kind=kind, data=data: FamilySpec(kind, *data, MONIC, "raw")
+               for kind in ("continuous", "discrete") for data in RAW_POINTS]
+    # a rule whose closed form fails at n = 0 alone, with a ratio defined there
+    rule = LeadingRule(lambda n: F(2) ** n * n / n, "2^n n/n", lambda n: ((2,), ()))
+    points.append(lambda: FamilySpec("continuous", 0, 0, 1, -2, 0, rule))
+    out = []
+    for fresh in points:
+        for key in structure.RELATIONS:
+            spec = fresh()
+            out += [_frozen(lambda: formula_triple(spec, key, n)) for n in range(1, 61)]
+        spec = fresh()
+        out += [_frozen(lambda: starred_coeffs(spec, n)) for n in range(13)]
+        spec = fresh()
+        out += [_frozen(lambda: (tuple(t) for t in theorem1_coeffs(spec, n).values()))
+                for n in range(13)]
+    for name, params in FAMILY_POINTS.items():
+        for point in params:
+            if point:
+                first = next(iter(point))
+                spec = catalog(name, {**point, first: Dual(point[first], 1)})
+                out += [_frozen(lambda: recurrence_coeffs(spec, n)) for n in range(13)]
+    return out
+
+
 class TestCompiledTheorem1:
-    """``formula_triple``, tabulate's reader, serves every relation from the
-    entries' Horner integers, with no compile: the same value as the
-    per-degree route at every degree, or the same message in the same
-    order."""
+    """``formula_triple``, tabulate's reader, and the public readers compose
+    every relation once, from the entries' Horner values, with no compile
+    and no second route."""
 
-    def test_every_catalog_family_matches_the_per_degree_route(self):
-        for name, params in (*iter_specs(), *iter_specs(monic=True)):
-            served = _routes_agree(lambda: catalog(name, params), range(1, 61), (name, params))
-            assert served, (name, params)
-
-    def test_removable_zeros_and_degenerate_points_match(self):
-        for name, params in DEGENERATE_POINTS:
-            for variant in (name, name + "-monic"):
-                _routes_agree(lambda: catalog(variant, params), range(1, 61), (variant, params))
-        for kind in ("continuous", "discrete"):
-            for data in RAW_POINTS:
-                served = _routes_agree(lambda: FamilySpec(kind, *data, MONIC, "raw"),
-                                       range(1, 61), (kind, data))
-                assert served, (kind, data)
-        # a rule whose closed form fails at n = 0 alone, with a ratio defined
-        # there: k_0 ends the prefix, so every degree raises k_0's message
-        rule = LeadingRule(lambda n: F(2) ** n * n / n, "2^n n/n", lambda n: ((2,), ()))
-        assert _routes_agree(lambda: FamilySpec("continuous", 0, 0, 1, -2, 0, rule),
-                             range(1, 5), "k_0") == 0
+    def test_frozen_outcomes_at_every_point(self):
+        # the sha256 of every value and message, recorded on the route that
+        # composed each relation twice (per-degree Fraction chains beside the
+        # Horner integers, each checked against the other at n = 1..60)
+        outcomes = _frozen_outcomes()
+        assert len(outcomes) == 45475
+        assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == \
+            "a927e6f4e1c98cf017b9363ffd0acfd6c2169bee90c752a92a753d1fe4720564"
 
     def test_tabulate_builds_no_compile(self):
         # tabulate's reads keep only the entries, their brackets, the ratio
-        # prefix and the per-degree values of n = 0 (the recurrence and xpn
-        # rows there) in the spec's memo: no compile, and no per-degree
-        # triple from n = 1 on
+        # prefix and k_0 in the spec's memo: no compile, and no triple at
+        # any degree (the n = 0 rows read the prefix too)
         spec = catalog("hahn", alpha=F(1, 2), beta=F(1, 3), N=F(14))
         for key, relation in structure.RELATIONS.items():
             for n in range(relation.start, 31):
                 formula_triple(spec, key, n)
-        assert all(_served(spec, n) for n in range(1, 31))
-        per_degree = {(key[0].__name__, key[1]) for key, value in spec._memo.items()
+        per_degree = {(getattr(key[0], "__name__", key[0]), key[1])
+                      for key, value in spec._memo.items()
                       if type(key) is tuple and not isinstance(value, (_Quotient, Polynomial))}
-        assert per_degree == {("recurrence_coeffs", 0), ("xpn_coeffs", 0), ("_k_ratio", 0),
-                              ("_term_ratio", 0), ("_leading_coefficient", 0),
-                              ("_leading_coefficient", 1)}
+        assert per_degree == {("_leading_coefficient", 0)}
         assert [key for key in spec._memo if type(key) is not tuple] == [structure._ratio_prefix]
         assert not hasattr(structure, "_compiled_theorem1")
 
     def test_tabulate_reads_k_once_per_spec(self, monkeypatch, capsys):
         # the ratio prefix replaces the k_{n-1}, k_n and k_{n+1} reads of each
-        # degree: k_0 of the catalog lookup and of the prefix, and the k_1, k_0
-        # of the n = 0 recurrence row
+        # degree, the n = 0 recurrence row's too: k_0 of the catalog lookup
+        # and of the prefix
         calls = Counter()
         read = FamilySpec.k
 
@@ -298,7 +292,7 @@ class TestCompiledTheorem1:
             return read(spec, n)
 
         monkeypatch.setattr(FamilySpec, "k", counted)
-        for what, count in (("recurrence", 4), ("hatted", 2)):
+        for what, count in (("recurrence", 2), ("hatted", 2)):
             calls.clear()
             assert cli.run(["tabulate", "--family", "jacobi:alpha=7/3,beta=5/4",
                             "--what", what, "--n-max", "60"]) == 0
@@ -404,9 +398,9 @@ class TestPerDegreeMemo:
         for n in (1, 2):
             formula_triples(spec, n)
         first = built(spec)
-        # nine brackets and lambda_n; B_n/A_n plain and starred, beta_n, the
-        # three lower entries and the rule's term ratio
-        assert sum(isinstance(v, Polynomial) for v in first.values()) == 10
+        # nine brackets (lambda_n is composed from the data); B_n/A_n plain
+        # and starred, beta_n, the three lower entries and the rule's term ratio
+        assert sum(isinstance(v, Polynomial) for v in first.values()) == 9
         assert sum(isinstance(v, _Quotient) for v in first.values()) == 7
         for n in range(3, 12):
             formula_triples(spec, n)
@@ -576,15 +570,15 @@ class TestVerifyStructure:
         report = verify_structure(catalog(name, params), 6)
         assert report.ok and report.checks
         assert all(isinstance(c, Dual) for c in report.polys[3].coeffs)
-        original = structure._per_degree_triple
+        original = structure._read
 
-        def broken(spec, key, n):  # the starred mid at n = 3, wrong in its d/dalpha part only
-            out = original(spec, key, n)
+        def broken(spec, key, n, alone=False):  # the starred mid at n = 3, wrong in d/dalpha only
+            out = original(spec, key, n, alone)
             if (key, n) == ("starred", 3):
                 out = structure.CoefficientTriple(out.hi, out.mid + Dual(0, 1), out.lo)
             return out
 
-        monkeypatch.setattr(structure, "_per_degree_triple", broken)
+        monkeypatch.setattr(structure, "_read", broken)
         bad = verify_structure(catalog(name, params), 6).failures()
         assert [(c.relation, c.n) for c in bad] == [("starred", 3)]
         assert "Dual(0, " in bad[0].residual

@@ -1,7 +1,7 @@
 """Literal and operator mutants of named functions, run against the tests.
 
     python3 tools/mutants.py --file src/opoly/structure.py \\
-        --function _integer_triple --function _ratio_prefix \\
+        --function _composed --function _ratio_prefix \\
         --tests tests/test_structure.py::TestCompiledTheorem1 --workdir ../mutants
 
 Copies this checkout (without ``.git``) to ``--workdir`` and, for every
@@ -16,7 +16,9 @@ survives the subset is run again on the whole suite.  The sites are:
 * a unary ``-`` or ``not`` dropped.
 
 Each mutant changes one site and nothing else in the file.  A run that
-fails, or takes longer than ``--timeout`` seconds, kills the mutant.
+fails, takes longer than ``--timeout`` seconds or needs more than
+``MEMORY_LIMIT`` bytes of address space kills the mutant (a mutated loop
+condition can grow a memo without bound).
 Prints one line per mutant and then the killed and survived counts with
 the survivors; a survivor is either a gap in the tests or an equivalent
 mutant, which only a reader can tell apart.  The checkout itself is never
@@ -28,12 +30,14 @@ from __future__ import annotations
 import argparse
 import ast
 import os
+import resource
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+MEMORY_LIMIT = 2 << 30  # bytes of address space for each test run
 SWAPS = {ast.Add: "-", ast.Sub: "+", ast.Mult: "/", ast.Div: "*",
          ast.Eq: "!=", ast.NotEq: "==", ast.Lt: "<=", ast.LtE: "<", ast.Gt: ">=", ast.GtE: ">"}
 SYMBOLS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Eq: "==",
@@ -88,13 +92,17 @@ def sites(source: str, functions: set[str]) -> list[tuple[int, int, str, int]]:
     return sorted(set(out))
 
 
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def run_tests(workdir: Path, tests: list[str], timeout: float) -> bool:
     """True where the tests pass in ``workdir``."""
     env = {**os.environ, "PYTHONPATH": str(workdir / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     try:
         done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
                                "no:cacheprovider", *tests], cwd=workdir, env=env,
-                              capture_output=True, timeout=timeout)
+                              capture_output=True, timeout=timeout, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return False
     return done.returncode == 0
