@@ -560,12 +560,12 @@ class _Quotient:
     num and int polynomial factors in n (coefficient tuples), kept
     unreduced; non-rational data put their field elements in the same
     lists.  Each entry of a structure relation is one, built once per spec
-    (``families.quotient_in_n``).  It has no arithmetic: the one
-    composition of the relations (``structure._composed``), ``generate``
-    and the connection rows combine its Horner values (``values``) at each
-    n, ints for rational data at an int n, field elements for other data
-    or at a formal n.  The denominator stays a multiset of factors and is
-    never reduced, so it vanishes exactly where one of its factors does.
+    (``families.quotient_in_n``).  It has no arithmetic and no value of its
+    own: its one reader, the composition of the relations
+    (``structure._composed``), combines its Horner values (``values``) at
+    each n, ints for rational data at an int n, field elements for other
+    data or at a formal n.  The denominator stays a multiset of factors and
+    is never reduced, so it vanishes exactly where one of its factors does.
     Equality compares the unreduced forms.
     """
 
@@ -619,16 +619,6 @@ class _Quotient:
         for c in bottom:
             den = den * n + c
         return num, den
-
-    def at(self, n: FieldElement) -> FieldElement | None:
-        """The value at n from ``values``: one Fraction where both are ints,
-        else num(n)/den(n), the same for dual data at an int n as at a formal
-        n such as ``RationalFunction.parameter()``; None where the
-        denominator vanishes (a dual one of value 0 raises ZeroDivisionError)."""
-        num, den = self.values(n)
-        if not den:
-            return None
-        return Fraction(num, den) if type(num) is int and type(den) is int else num / den
 
 
 class Polynomial:

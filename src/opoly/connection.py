@@ -10,8 +10,8 @@ Three independent routes produce the row C_m(n) with P_n = sum_m C_m(n) Q_m:
 * ``closed_form_connection``: the catalog of printed hypergeometric-term
   formulas for the classical shift pairs.
 
-``connect_recurrence`` reads the Q side off Q's entry quotients
-(``_weighted_entries``), and the per-degree rules where those cannot serve.
+``connect_recurrence`` weighs the Q side by the unreduced (num, den) pairs
+of Q's relations, read from the one composition (``structure._composed``).
 
 Parameter derivatives expand d p_n / d theta over the same family.  A
 printed row is checked by a certificate on the dual equation
@@ -34,7 +34,6 @@ from .algebra import (
     FieldElement,
     Polynomial,
     _int_combination,
-    _IntPoly,
     as_field,
     binomial,
     expand_over,
@@ -44,7 +43,6 @@ from .algebra import (
 )
 from .families import (
     DISCRETE,
-    MONIC,
     AdmissibilityError,
     FamilySpec,
     catalog,
@@ -53,9 +51,9 @@ from .families import (
 )
 from .series import descend
 from .structure import (
-    _b_quotient,
-    _beta,
-    _lower_entry,
+    CoefficientTriple,
+    _composed,
+    _pairs,
     delta_rule_coeffs,
     derivative_rule_coeffs,
     generate,
@@ -152,79 +150,38 @@ def connect_recurrence(p: FamilySpec, q: FamilySpec, n: int) -> ConnectionRow:
     if all(v == 0 for v in mu):
         raise UnsupportedConnection("cross rules are degenerate for this pair")
     y_total = mu[0] * y1 + mu[1] * y2 + mu[2] * y3
-    from_entries = _weighted_entries(q, mode, mu)
+    # Q's three relations, as the one composition keys them; mu cleared to
+    # ints over one scale for rational data
+    q_keys = (("xpn", False), ("starred", True),
+              ("derivative" if mode == SAME_SIGMA else "delta", False))
+    scale, weights = 1, mu
+    if all(type(v) is Fraction for v in mu):
+        scale = mu[0].denominator * mu[1].denominator * mu[2].denominator
+        weights = tuple(v.numerator * (scale // v.denominator) for v in mu)
 
     @cache
-    def weighted(j: int) -> list[FieldElement]:
-        """sum_i mu_i g_i(q, j), componentwise: from q's entry quotients at
-        j >= 2 where none of their denominators vanishes, else through the
-        per-degree rules, which raise their own messages."""
-        if from_entries and j >= 2:
-            total = from_entries(j)
-            if total:
-                return total
-        total = [Fraction(0)] * 3
-        for mu_i, rule in zip(mu, rules if j >= 1 else rules[:1]):
-            total = [s + mu_i * t for s, t in zip(total, rule(q, j))]
-        return total
+    def weighted(j: int) -> CoefficientTriple:
+        """sum_i mu_i g_i(q, j), componentwise (g_0 alone at j = 0, where
+        the starred and D-rule terms vanish), summed over the relations'
+        (num, den) pairs in one fraction per component: each relation
+        raises its own messages, in the order of q_keys."""
+        hi, mid, lo = (0, 1), (0, 1), (0, 1)
+        for w, (key, alone) in zip(weights, q_keys if j else q_keys[:1]):
+            (hn, hd), (mn, md), (ln, ld) = _composed(q, key, j, alone)
+            hi = hi[0] * hd + w * hn * hi[1], hi[1] * hd
+            mid = mid[0] * md + w * mn * mid[1], mid[1] * md
+            lo = lo[0] * ld + w * ln * lo[1], lo[1] * ld
+        return _pairs(*((num, den * scale) for num, den in (hi, mid, lo)))
 
     # The eliminated relation at index m+1 links C_m, C_{m+1}, C_{m+2}; solve
     # it downward from C_n(n) = 1.  Each Q index is weighted once, in the
     # order the multipliers read them: n - 1, n, n + 1, then downward, so the
     # first triple that raises is the first read.
     coeffs = descend(n, Fraction(1), "vanishing leading multiplier at m={m}",
-                     lambda m: weighted(m)[0],
-                     lambda m: weighted(m + 1)[1] - y_total,
-                     lambda m: weighted(m + 2)[2])
+                     lambda m: weighted(m).hi,
+                     lambda m: weighted(m + 1).mid - y_total,
+                     lambda m: weighted(m + 2).lo)
     return ConnectionRow(n, tuple(coeffs))
-
-
-def _weighted_entries(q: FamilySpec, mode: str, mu) -> Callable | None:
-    """j -> sum_i mu_i g_i(q, j) for j >= 2, fraction-free, or None there
-    where a denominator vanishes; None for a q whose rule is not ``MONIC``
-    or whose data are not rational, for d + 2a = 0 and for a weight that is
-    not a Fraction.
-
-    On a monic q every rho and k is 1, so each component is a sum of q's
-    entry quotients at j: -B_j, -B*_{j-1} and beta_j (minus lambda_j for the
-    Delta rule) in the mid, C_j, lo*_j and gamma_j in the lo, and 1, j/(j+1)
-    and a j in the hi.  With mu cleared to ints over one scale, each
-    quotient's numerator and denominator are Horner ints and each component
-    is one Fraction.  These are the quotients the per-degree rules evaluate
-    at j, so where none vanishes they give the same values.
-    """
-    if q.leading is not MONIC or q._ints is None or q.d + 2 * q.a == 0 \
-            or not all(type(v) is Fraction for v in mu):
-        return None
-    scale = mu[0].denominator * mu[1].denominator * mu[2].denominator
-    w_xpn, w_star, w_rule = (v.numerator * (scale // v.denominator) for v in mu)
-    x = _IntPoly([0, 1])
-    b, c, b_star, lo_star = (_b_quotient(q, x, False), _lower_entry(q, x, -1, (2,)),
-                             _b_quotient(q, x, True), _lower_entry(q, x, -1, (1,)))
-    beta, gamma = _beta(q, x), _lower_entry(q, x, 1, (1, 2))
-    delta = mode == SAME_SIGMA_PLUS_TAU
-
-    def total(*terms: tuple[int, int, int]) -> Fraction:
-        top, bottom = 0, 1
-        for w, num, den in terms:
-            top, bottom = top * den + w * num * bottom, bottom * den
-        return Fraction(top, bottom * scale)
-
-    def at(j: int) -> list[Fraction] | None:
-        (nb, db), (nc, dc), (nbs, dbs), (nls, dls), (nbeta, dbeta), (ng, dg) = (
-            b.values(j), c.values(j), b_star.values(j - 1), lo_star.values(j),
-            beta.values(j), gamma.values(j))
-        if not (db and dc and dbs and dls and dbeta and dg):
-            return None
-        if delta:
-            lam = lambda_n(q, j)
-            nbeta, dbeta = nbeta * lam.denominator - lam.numerator * dbeta, dbeta * lam.denominator
-        return [total((w_xpn, 1, 1), (w_star, j, j + 1),
-                      (w_rule, q.a.numerator * j, q.a.denominator)),
-                total((w_xpn, -nb, db), (w_star, -nbs, dbs), (w_rule, nbeta, dbeta)),
-                total((w_xpn, nc, dc), (w_star, nls, dls), (w_rule, ng, dg))]
-
-    return at
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,17 @@ A family is the data (a, b, c, d, e) of the second-order equation
     discrete:    (a x^2 + b x + c) DeltaNabla y + (d x + e) Delta y + lambda_n y = 0
 
 together with a standardization rule k_n (the leading coefficient of the
-degree-n member) and the kind flag.  The catalog carries the named classical
-families; raw specs cover everything else.  Parameters may be exact
-rationals or dual numbers (a ``Dual`` carrying the derivative in one
-parameter), which is how parameter derivatives are verified.  A spec with
-rational data also keeps them cleared of denominators (``IntegerData``):
-every formula is homogeneous in the data, so the brackets and the series
-recurrences run on those integers; other data run the same kernels on
-their own field elements.
+degree-n member, read as the rule's closed form) and the kind flag.  The
+catalog carries the named classical families; raw specs cover everything
+else.  Parameters may be exact rationals or dual numbers (a ``Dual``
+carrying the derivative in one parameter), which is how parameter
+derivatives are verified.  A spec with rational data also keeps them
+cleared of denominators (``IntegerData``): every formula is homogeneous in
+the data, so the brackets and the series recurrences run on those
+integers; other data run the same kernels on their own field elements.
+The brackets and entries of the structure formulas are kept once per spec
+as polynomials and quotients in n (``polynomial_in_n``,
+``quotient_in_n``); the entries' one reader is ``structure._composed``.
 """
 
 from __future__ import annotations
@@ -51,12 +54,11 @@ def per_degree(fn: Callable) -> Callable:
     """Keep the value of ``fn(spec, n)`` in ``spec``'s memo, under (fn, n).
 
     Each per-degree value is then computed once per spec instance, however
-    many formulas read it: k_n, the term ratio k_{n+1}/k_n and the
-    equation's operator columns.  A call that raises stores nothing and
-    raises again on the next call.  The structure triples are kept by
-    ``structure._read``, and the brackets and entries they are built from
-    are polynomials and quotients in n, kept once per spec by
-    ``polynomial_in_n`` and ``quotient_in_n``.
+    many formulas read it: k_n and the equation's operator columns.  A call
+    that raises stores nothing and raises again on the next call.  The
+    structure triples are kept by ``structure._read``, and the brackets and
+    entries they are built from are polynomials and quotients in n, kept
+    once per spec by ``polynomial_in_n`` and ``quotient_in_n``.
     """
     @functools.wraps(fn)
     def memoized(spec: "FamilySpec", n: int):
@@ -69,17 +71,21 @@ def per_degree(fn: Callable) -> Callable:
     return memoized
 
 
+# the indeterminate n every bracket and entry body runs on
+_N = _IntPoly([0, 1])
+
+
 def polynomial_in_n(degree: int) -> Callable:
     """Evaluate ``fn(spec, n, ...)`` as a polynomial in n, expanded once per spec.
 
-    The first call runs the body with an indeterminate in place of n and
-    keeps the polynomial in ``spec``'s memo, under fn and the arguments
-    after n; each call returns its value at n, in integer arithmetic when
-    the spec's data are rational.  At the indeterminate itself (an
-    ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) it returns the
-    kept polynomial.  So the body may
-    combine n only by ``+``, ``-``, ``*`` and ``**``, and may branch only
-    on ``spec.kind`` and the arguments after n, never on n.
+    The first call runs the body with the indeterminate ``_N`` in place of
+    n and keeps the polynomial in ``spec``'s memo, under fn and the
+    arguments after n; each call returns its value at n, in integer
+    arithmetic when the spec's data are rational.  At the indeterminate
+    itself (an ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) it
+    returns the kept polynomial.  So the body may combine n only by ``+``,
+    ``-``, ``*`` and ``**``, and may branch only on ``spec.kind`` and the
+    arguments after n, never on n.
 
     The indeterminate is a bare coefficient list (``algebra._IntPoly``),
     and the body reads ``spec.scaled()``.  ``degree`` is the body's
@@ -95,7 +101,7 @@ def polynomial_in_n(degree: int) -> Callable:
             key = (fn, *rest)
             poly = spec._memo.get(key)
             if poly is None:
-                c = fn(spec.scaled(), _IntPoly([0, 1]), *rest).c
+                c = fn(spec.scaled(), _N, *rest).c
                 poly = spec._memo[key] = (Polynomial(c) if spec._ints is None
                                           else _from_ints(c, spec._ints.scale ** degree, MONOMIAL))
             return poly if type(n) is _IntPoly else poly(n)
@@ -106,34 +112,31 @@ def polynomial_in_n(degree: int) -> Callable:
 
 
 def quotient_in_n(fn: Callable) -> Callable:
-    """Evaluate ``fn(spec, n, ...)`` as one quotient of polynomials in n.
+    """Keep ``fn(spec, n, ...)`` as one quotient of polynomials in n, built
+    once per spec: the entry is called as ``entry(spec, ...)``, without n,
+    and returns that ``algebra._Quotient``.
 
-    The body runs once per spec with the bare indeterminate ``_IntPoly([0,
-    1])`` in place of n and returns (numerator factors, denominator
-    factors): brackets (the polynomials ``polynomial_in_n`` keeps), linear
-    factors of n such as ``sign * n`` or a rule ratio's ``alpha + n + 1``
-    (``_IntPoly``s, on bare int or Fraction lists for rational data), and
-    constants.  The factors make one ``algebra._Quotient`` from their
-    integer views (integer polynomials over one denominator, for rational
-    data), kept in ``spec``'s memo under fn and the arguments after n; a
-    call evaluates it at n (``_Quotient.at``: one Horner pass on each side,
-    and one Fraction at an integer n for rational data), and at an
-    ``_IntPoly`` n returns the quotient itself, whose Horner values
-    (``_Quotient.values``: ints at an int n for rational data, field
-    elements for other data or at a formal n) the one composition of the
-    structure relations (``structure._composed``) combines and
-    ``structure.generate`` steps on.  The evaluation returns None where
-    the denominator vanishes, so that each caller raises its own message.
+    The body runs once per spec with the indeterminate ``_N`` in place of n
+    and returns (numerator factors, denominator factors): brackets (the
+    polynomials ``polynomial_in_n`` keeps), linear factors of n such as
+    ``sign * n`` or a rule ratio's ``alpha + n + 1`` (``_IntPoly``s, on
+    bare int or Fraction lists for rational data), and constants.  The
+    factors make one ``_Quotient`` from their integer views (integer
+    polynomials over one denominator, for rational data), kept in
+    ``spec``'s memo under fn and the arguments after n.  Its only reader is
+    the one composition of the structure relations (``structure._composed``),
+    which combines its Horner values at each degree (``_Quotient.values``)
+    and raises each formula's own message where a denominator vanishes.
     """
     @functools.wraps(fn)
-    def evaluated(spec: "FamilySpec", n: int, *rest):
-        key = (fn, *rest)
-        entry = spec._memo.get(key)
-        if entry is None:
-            entry = spec._memo[key] = _Quotient.of_factors(*fn(spec, _IntPoly([0, 1]), *rest))
-        return entry if type(n) is _IntPoly else entry.at(n)
+    def kept(spec: "FamilySpec", *rest):
+        try:
+            return spec._memo[(fn, *rest)]
+        except KeyError:
+            entry = spec._memo[(fn, *rest)] = _Quotient.of_factors(*fn(spec, _N, *rest))
+            return entry
 
-    return evaluated
+    return kept
 
 
 @dataclass(frozen=True)
@@ -163,28 +166,9 @@ def _rule_ratio(spec: "FamilySpec", n: int):
     return spec.leading.ratio(n)
 
 
-@per_degree
-def _term_ratio(spec: "FamilySpec", n: int) -> FieldElement | None:
-    """rho_n = k_{n+1}/k_n from the rule's ratio; None (asked again) where the
-    rule has none, the data are not rational or a factor of rho_n vanishes."""
-    # rational data only: a dual rho may carry a factor 0 + eps that k_n lacks
-    if spec.leading.ratio is None or spec._ints is None:
-        return None
-    return _rule_ratio(spec, n) or None
-
-
 def _leading_coefficient(spec: "FamilySpec", n: int) -> FieldElement:
-    """k_n, once per degree on this spec: k_{n-1} rho_{n-1} when k_{n-1} is
-    in the memo and no factor of rho_{n-1} vanishes, else the closed form;
-    a failed k_j is not kept, so the next value is a closed form too (jacobi
-    alpha = -3/2, beta = -5/2 has k_2 = k_3 = 0 but k_4 = 1/16).  A zero value
-    or a vanishing denominator of the rule is inadmissible."""
-    if n:
-        previous = spec._memo.get((_leading_coefficient, n - 1))
-        if previous is not None:
-            rho = _term_ratio(spec, n - 1)
-            if rho is not None:
-                return previous * rho
+    """k_n, the rule's closed form, once per degree on this spec.  A zero
+    value or a vanishing denominator of the rule is inadmissible."""
     try:
         value = spec.leading(n)
     except ZeroDivisionError:

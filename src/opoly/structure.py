@@ -22,24 +22,25 @@ whose coefficients depend on the spec alone; each bracket is expanded once
 per spec (``families.polynomial_in_n``, on the integer data of a rational
 spec), and each entry is one unreduced ``algebra._Quotient`` of integer
 polynomials in n (of field elements for other data), built once per spec
-and evaluated at each degree by one Horner pass on each side
 (``families.quotient_in_n``).
 
-The seven relations are composed once, in ``_composed``, from the (num,
-den) Horner values of those entries: ints for rational data, combined in
-integers into one Fraction per printed value, and field elements for dual
-data or at a formal n.  rho_n and rho_{n-1} come from the prefix of degrees
-where every rho_j has a nonzero numerator and denominator, kept once per
-spec (``_ratio_prefix``), with no k read; elsewhere from the per-degree k
-reads.  Where a denominator vanishes the composition raises the formula's
-own AdmissibilityError, in the order of its checks (that is never
-memoized), and ``admissibility`` evaluates the formulas to report those
-degrees.  ``formula_triple``, tabulate's reader, composes each triple
-afresh; the public readers ``recurrence_coeffs`` ... ``theorem1_coeffs``
-and ``formula_triples``, which serve verify, ``admissibility``, the
-antiderivative and the connection rows, keep each one in the spec's memo
-(``_read``).  ``RELATIONS`` names the relations once for tabulate, verify
-and the oracle comparison.
+The seven relations are composed once, in ``_composed``, the one reader of
+those entries: from their (num, den) Horner values at n it makes each of a
+triple's three values as an unreduced (num, den) pair, ints for rational
+data and field elements for dual data or at a formal n.  rho_n and
+rho_{n-1} come from the prefix of degrees where every rho_j has a nonzero
+numerator and denominator, kept once per spec (``_ratio_prefix``), with no
+k read; elsewhere from the per-degree k reads.  Where a denominator
+vanishes the composition raises the formula's own AdmissibilityError, in
+the order of its checks (that is never memoized), and ``admissibility``
+evaluates the formulas to report those degrees.  Its callers read the same
+pairs: ``formula_triple``, tabulate's reader, makes one Fraction of each
+(``_pairs``) afresh; the public readers ``recurrence_coeffs`` ...
+``theorem1_coeffs`` and ``formula_triples``, which serve verify,
+``admissibility`` and the antiderivative, keep each triple in the spec's
+memo (``_read``); ``generate`` steps on the xpn pairs, and
+``connection.connect_recurrence`` weighs Q's.  ``RELATIONS`` names the
+relations once for tabulate, verify and the oracle comparison.
 
 Two independent routes exist throughout: the explicit formulas, and a
 brute-force oracle that solves the defining second-order equation
@@ -62,7 +63,6 @@ from .algebra import (
     Polynomial,
     _from_ints,
     _int_combination,
-    _IntPoly,
     as_field,
     expand_over,
     factorial,
@@ -304,7 +304,7 @@ def formula_triple(spec: FamilySpec, key: str, n: int) -> CoefficientTriple:
     its formula: tabulate's reader.  It composes the triple afresh
     (``_composed``) and keeps no triple in the memo: tabulate reads each
     (relation, n) once."""
-    return _composed(spec, key, n)
+    return _pairs(*_composed(spec, key, n))
 
 
 def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
@@ -318,29 +318,31 @@ def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
 
 
 def _read(spec: FamilySpec, key: str, n: int, alone: bool = False) -> CoefficientTriple:
-    """``_composed(spec, key, n, alone)``, kept in the spec's memo under
-    (key, n, alone): verify reads each triple twice, in its residual check
-    and in its oracle comparison.  A failure is not kept; it raises again on
-    the next call."""
+    """``_composed(spec, key, n, alone)`` as a triple, kept in the spec's
+    memo under (key, n, alone): verify reads each triple twice, in its
+    residual check and in its oracle comparison.  A failure is not kept; it
+    raises again on the next call."""
     memo_key = (key, n, alone)
     triple = spec._memo.get(memo_key)
     if triple is None:
-        triple = spec._memo[memo_key] = _composed(spec, key, n, alone)
+        triple = spec._memo[memo_key] = _pairs(*_composed(spec, key, n, alone))
     return triple
 
 
 def _ratio_prefix(spec: FamilySpec, n) -> list | None:
     """The Horner integers (r_j, s_j) of rho_j = r_j / s_j from
-    ``_rule_ratio``, for j = 0, 1, ..., kept in the spec's memo and grown one
-    degree at a time; None unless n is an int, the data are rational, the
-    rule has a ratio, k_0 passes and r_j s_j != 0 for every j <= n.  Where
-    it is a list, every k_j with j <= n + 1 is finite and nonzero, by the
-    closed form (on a fresh spec) as by the step k_{j+1} = k_j rho_j, so
-    each per-degree k read would pass and every k_{j+1} / k_j a formula
-    reads is rho_j."""
+    ``_rule_ratio``, for j = 0, 1, ..., kept in the spec's memo and grown to
+    n when first read there; None unless n is an int, the data are
+    rational, the rule has a ratio, k_0 passes and r_j s_j != 0 for every
+    j <= n.  Where it is a list, every k_j with j <= n + 1 is finite and
+    nonzero (k_{j+1} = k_j rho_j, and each catalog rule's closed form is
+    defined wherever the factors of its rho are), so each per-degree k read
+    would pass and every k_{j+1} / k_j a formula reads is rho_j."""
+    prefix = spec._memo.get(_ratio_prefix)
+    if prefix is not None and type(n) is int and len(prefix) > n:
+        return prefix if prefix[n] else None
     if type(n) is not int or spec._ints is None or spec.leading.ratio is None:
         return None
-    prefix = spec._memo.get(_ratio_prefix)
     if prefix is None:
         try:
             spec.k(0)
@@ -348,9 +350,11 @@ def _ratio_prefix(spec: FamilySpec, n) -> list | None:
         except AdmissibilityError:
             prefix = [None]
         spec._memo[_ratio_prefix] = prefix
-    while len(prefix) <= n and (not prefix or prefix[-1]):
-        r, s = _rule_ratio(spec, _IntPoly([0, 1])).values(len(prefix))
-        prefix.append((r, s) if r and s else None)
+    if not prefix or prefix[-1]:
+        rho = _rule_ratio(spec)
+        while len(prefix) <= n and (not prefix or prefix[-1]):
+            r, s = rho.values(len(prefix))
+            prefix.append((r, s) if r and s else None)
     return prefix if len(prefix) > n and prefix[n] else None
 
 
@@ -361,7 +365,7 @@ def _rho(spec: FamilySpec, n) -> tuple:
     neither vanishes, else (k_{n+1}, k_n)."""
     k_next, k_n = spec.k(n + 1), spec.k(n)
     if spec._ints is not None and spec.leading.ratio is not None:
-        r, s = _rule_ratio(spec, _IntPoly([0, 1])).values(n)
+        r, s = _rule_ratio(spec).values(n)
         if r and s:
             return r, s
     return k_next, k_n
@@ -386,13 +390,15 @@ def _pairs(hi: tuple, mid: tuple, lo: tuple) -> CoefficientTriple:
                                    else num / den for num, den in (hi, mid, lo)))
 
 
-def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> CoefficientTriple:
-    """The relation's triple at n, from the (num, den) Horner values of the
-    spec's entries (``_Quotient.values``): ints for rational data, where
-    each value is one Fraction, and field elements for other data and at a
-    formal n (``recurrence_coeffs`` and ``xpn_coeffs`` only).  With the data
-    a, b, d, e over the scale L (the integer data of a rational spec, else
-    the data over L = 1), Lambda = L lambda_n and rho_n = k_{n+1} / k_n:
+def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> tuple:
+    """The relation's (hi, mid, lo) at n as three unreduced (num, den)
+    pairs, from the Horner values of the spec's entries
+    (``_Quotient.values``): ints for rational data, and field elements for
+    other data and at a formal n (``recurrence_coeffs`` and ``xpn_coeffs``
+    only).  ``_pairs`` makes the triple of them; ``generate`` and the
+    connection rows combine the pairs themselves.  With the data a, b, d, e
+    over the scale L (the integer data of a rational spec, else the data
+    over L = 1), Lambda = L lambda_n and rho_n = k_{n+1} / k_n:
 
         recurrence  (rho_n, b_n rho_n, L_n rho_{n-1} rho_n); xpn its flip
         derivative  (a n / rho_n, beta_n, G_n rho_{n-1}); delta the same
@@ -405,8 +411,8 @@ def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> Coefficient
                      -(beta_n + (2a - d) b*_{n-1} + e - sigma_delta) L / Lambda,
                      -(G_n + (d - 2a) H_n) rho_{n-1} L / Lambda)
 
-    with b_n = B_n/A_n and b*_{n-1} from ``_b_quotient`` (b_0 = e/d
-    reduced, and L_0 = 0), L_n, G_n and H_n the ``_lower_entry``s with
+    with b_n = B_n/A_n and b*_{n-1} from ``_b_quotient`` (b_0 = e/d, and
+    L_0 = 0), L_n, G_n and H_n the ``_lower_entry``s with
     shifts (2,), (1, 2) and (1,), and sigma_delta = b, or a + b for a
     discrete family.  Primed is the derivative rule minus 2a times the
     starred relation, and hatted eliminates sigma D' p_n from primed with
@@ -428,21 +434,21 @@ def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> Coefficient
     starred b's denominator at n - 1, and the starred gamma_n is H_n's,
     which is G_n's.
     """
-    x, prefix = _IntPoly([0, 1]), _ratio_prefix(spec, n)
+    prefix = _ratio_prefix(spec, n)
     if key in ("recurrence", "xpn"):
         r, s = prefix[n] if prefix else _rho(spec, n)
-        if n == 0:  # b_0 = e/d reduced; C_0 multiplies p_{-1} = 0
+        if n == 0:  # b_0 = e/d; C_0 multiplies p_{-1} = 0
             data = spec.scaled()
             (bn, bd), (ln, ld), (r1, s1) = (data.e, data.d), (0, 1), (1, 1)
         else:
-            bn, bd = _checked(spec, _b_quotient(spec, x, False), n,
+            bn, bd = _checked(spec, _b_quotient(spec, False), n,
                               "B_{n} denominator vanishes for {name}")
-            ln, ld = _checked(spec, _lower_entry(spec, x, -1, (2,)), n,
+            ln, ld = _checked(spec, _lower_entry(spec, -1, (2,)), n,
                               "C_{n} denominator vanishes for {name}")
             r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
         if key == "xpn":
-            return _pairs((s, r), (-bn, bd), (ln * r1, ld * s1))
-        return _pairs((r, s), (bn * r, bd * s), (ln * r1 * r, ld * s1 * s) if n else (0, 1))
+            return (s, r), (-bn, bd), (ln * r1, ld * s1)
+        return (r, s), (bn * r, bd * s), (ln * r1 * r, ld * s1 * s) if n else (0, 1)
     if key == "delta" and spec.kind != DISCRETE:
         raise ValueError("delta rule applies to discrete families")
     if n < 1:
@@ -457,36 +463,35 @@ def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> Coefficient
     r, s = prefix[n] if prefix else _rho(spec, n)
     scale = spec._ints.scale if spec._ints else 1
     if not alone:
-        tn, td = _checked(spec, _beta(spec, x), n, "beta_{n} denominator vanishes")
-        gn, gd = _checked(spec, _lower_entry(spec, x, 1, (1, 2)), n,
+        tn, td = _checked(spec, _beta(spec), n, "beta_{n} denominator vanishes")
+        gn, gd = _checked(spec, _lower_entry(spec, 1, (1, 2)), n,
                           "gamma_{n} denominator vanishes")
         r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
         if key == "derivative":
-            return _pairs((a * n * s, scale * r), (tn, td), (gn * r1, gd * s1))
+            return (a * n * s, scale * r), (tn, td), (gn * r1, gd * s1)
         lam = -(a * n * (n - 1) + d * n)  # L lambda_n
         if key == "delta":
-            return _pairs((a * n * s, scale * r), (tn * scale - td * lam, td * scale),
-                          (gn * r1, gd * s1))
+            return (a * n * s, scale * r), (tn * scale - td * lam, td * scale), (gn * r1, gd * s1)
         if d + 2 * a == 0:
             raise AdmissibilityError("tau must have degree exactly 1 (d != 0)")
-    cn, cd = _checked(spec, _b_quotient(spec, x, True), n - 1,
+    cn, cd = _checked(spec, _b_quotient(spec, True), n - 1,
                       "B_{n} denominator vanishes for {name}")
-    hn, hd = _checked(spec, _lower_entry(spec, x, -1, (1,)), n, "gamma_{n} denominator vanishes")
+    hn, hd = _checked(spec, _lower_entry(spec, -1, (1,)), n, "gamma_{n} denominator vanishes")
     if alone:
         r1, s1 = prefix[n - 1] if prefix else _rho(spec, n - 1)
     elif lam == 0:
         raise AdmissibilityError(f"lambda_{n} = 0; hatted triple undefined")
     if key == "starred":
-        return _pairs((n * s, (n + 1) * r), (-cn, cd), (hn * r1, hd * s1))
+        return (n * s, (n + 1) * r), (-cn, cd), (hn * r1, hd * s1)
     sig_delta = b if spec.kind == CONTINUOUS else a + b
     if key == "primed":
-        return _pairs((a * n * (n - 1) * s, scale * (n + 1) * r),
-                      (tn * scale * cd + 2 * a * cn * td - sig_delta * td * cd, td * scale * cd),
-                      ((gn * scale * hd - 2 * a * hn * gd) * r1, gd * scale * hd * s1))
-    return _pairs((s, (n + 1) * r),
-                  (-(tn * scale * cd + (2 * a - d) * cn * td + (e - sig_delta) * td * cd),
-                   td * cd * lam),
-                  (-(gn * scale * hd + (d - 2 * a) * hn * gd) * r1, gd * hd * s1 * lam))
+        return ((a * n * (n - 1) * s, scale * (n + 1) * r),
+                (tn * scale * cd + 2 * a * cn * td - sig_delta * td * cd, td * scale * cd),
+                ((gn * scale * hd - 2 * a * hn * gd) * r1, gd * scale * hd * s1))
+    return ((s, (n + 1) * r),
+            (-(tn * scale * cd + (2 * a - d) * cn * td + (e - sig_delta) * td * cd),
+             td * cd * lam),
+            (-(gn * scale * hd + (d - 2 * a) * hn * gd) * r1, gd * hd * s1 * lam))
 
 
 # ---------------------------------------------------------------------------
@@ -545,53 +550,33 @@ def admissibility(spec: FamilySpec, n_max: int,
 def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
     """p_0 .. p_{n_max} via the three-term recurrence, monomial basis.
 
-    Each step multiplies the leading coefficient k_n by A_n = k_{n+1}/k_n,
-    and ``spec.k`` raises on a zero k_n, so p_n has degree n and leading
-    coefficient k_n exactly.  Raises the AdmissibilityError of k_0 or of the
-    first ``recurrence_coeffs`` step that fails; those steps are the ones
-    ``admissibility(spec, n_max - 1, ("recurrence",))`` evaluates.
+    Each step reads the xpn pairs (a, b, c) of the one composition
+    (``_composed``), so it raises what ``recurrence_coeffs`` raises, in its
+    order; those steps are the ones ``admissibility(spec, n_max - 1,
+    ("recurrence",))`` evaluates.  The leading coefficient is multiplied by
+    1/a_n = k_{n+1}/k_n, so p_n has degree n and leading coefficient k_n.
+    Where all six numbers are ints, the step
 
-    For rational data whose rule has a ratio, the basis is stepped on the
-    Horner ints of the entries (``_Quotient.values``): with rho_n = r/s from
-    ``_rule_ratio``, B_n/A_n = b from ``_b_quotient`` (e/d at n = 0) and
-    C_n/(rho_{n-1} rho_n) = L from ``_lower_entry`` (0 at n = 0), the step
+        p_{n+1} = ad [bd cd x p_n - bn cd p_n - cn bd p_{n-1}] / (an bd cd)
 
-        p_{n+1} = rho_n (x + b) p_n - rho_n rho_{n-1} L p_{n-1}
-
-    is one integer combination of the integer views of p_n and p_{n-1}
-    over one denominator, and makes no Fraction.  These are the values
-    ``recurrence_coeffs`` reads wherever every factor of rho_n and rho_{n-1},
-    and the denominators of b and L, are nonzero; there its k reads pass
-    too (k_{n+1} = k_n rho_n, and each catalog rule's closed form is
-    defined and nonzero wherever the factors of its rho are).  At any other
-    degree, and for every degree of other data, the step is the per-degree
-    route: ``recurrence_coeffs`` (the k reads first, then B_n, then C_n,
-    each raising its own message) and the field expression
-    (A x + B) p_n - C p_{n-1}.
+    is one integer combination of the integer views of p_n and p_{n-1} over
+    one denominator, and makes no Fraction; elsewhere it is the field step
+    (A x + B) p_n - C p_{n-1} on ``recurrence_coeffs``.
     """
-    polys = [Polynomial.const(spec.k(0))]
-    ints = spec._ints if spec.leading.ratio is not None else None
-    if ints is not None:
-        x = _IntPoly([0, 1])
-        rho, b, low = _rule_ratio(spec, x), _b_quotient(spec, x, False), \
-            _lower_entry(spec, x, -1, (2,))
-    prev, r1, s1 = Polynomial.zero(), 1, 1  # p_{n-1}, and rho_{n-1} = r1/s1
+    polys, prev = [Polynomial.const(spec.k(0))], Polynomial.zero()
+    _ratio_prefix(spec, n_max)  # grown once, past the last degree a step reads
     for n in range(n_max):
         pn = polys[-1]
-        if ints is not None:
-            r, s = rho.values(n)
-            (bn, bd), (ln, ld) = (b.values(n), low.values(n)) if n else ((ints.e, ints.d), (0, 1))
-        if ints is not None and r and s and r1 and s1 and bd and ld:
-            # p_n = u/du and p_{n-1} = v/dv over m = lcm(du, dv): p_{n+1} is
-            # r [s1 ld (m/du) (bd x + bn) u - r1 ln bd (m/dv) v] / (s s1 ld bd m),
-            # in one pass over u (as three _int_combination terms, ~3% slower on connect)
+        (an, ad), (bn, bd), (cn, cd) = _composed(spec, "xpn", n)
+        if type(an) is type(ad) is type(bn) is type(bd) is type(cn) is type(cd) is int:
+            # p_n = u/du and p_{n-1} = v/dv over m = lcm(du, dv), in one pass over u
             (u, du), (v, dv) = pn._int_view(), prev._int_view()
             m = lcm(du, dv)
-            f, g = r * s1 * ld * (m // du), r * r1 * ln * bd * (m // dv)
-            den = s * s1 * ld * bd * m
+            f, g = ad * cd * (m // du), ad * cn * bd * (m // dv)
+            den = an * bd * cd * m
             if den < 0:
                 f, g, den = -f, -g, -den
-            fb, fd = f * bn, f * bd
+            fb, fd = -f * bn, f * bd
             out = [0] * (len(u) + 1)
             for i, c in enumerate(u):
                 out[i] += fb * c
@@ -602,8 +587,6 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
         else:
             A, B, C = recurrence_coeffs(spec, n)
             nxt = (Polynomial.x().scale(A) + B) * pn - prev.scale(C)
-        if ints is not None:
-            r1, s1 = r, s
         prev = pn
         polys.append(nxt)
     return polys

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from opoly import connection
-from opoly.algebra import Polynomial, RationalFunction, expand_over
+from opoly.algebra import Dual, Polynomial, RationalFunction, expand_over
 from opoly.cli import run
 from opoly.families import AdmissibilityError, catalog
 from opoly.structure import generate, theorem1_coeffs, xpn_coeffs
@@ -103,6 +103,17 @@ class TestRecurrenceRoute:
                 want = connect_oracle(p, q, n)
                 assert got.coeffs == want.coeffs, (pname, qname, n)
 
+    def test_dual_pairs_match_the_oracle(self):
+        # dual-number data on either side: the composition's pairs are field
+        # elements, and the cross-product weights are not cleared to ints
+        pairs = [(catalog("laguerre-monic", alpha=Dual(F(1, 2), 1)),
+                  catalog("laguerre-monic", alpha=F(3))),
+                 (catalog("jacobi-monic", alpha=Dual(F(1, 2), 1), beta=F(1, 3)),
+                  catalog("jacobi-monic", alpha=F(2), beta=Dual(F(1, 3), 2)))]
+        for p, q in pairs:
+            for n in range(6):
+                assert connect_recurrence(p, q, n) == connect_oracle(p, q, n), n
+
     def test_general_pairs_rejected(self):
         p, q = catalog("hermite-monic"), catalog("gegenbauer-monic", alpha=F(2))
         assert compat(p, q) == GENERAL
@@ -114,6 +125,10 @@ class TestRecurrenceRoute:
         q = catalog("laguerre", alpha=F(0))
         with pytest.raises(UnsupportedConnection):
             connect_recurrence(p, q, 3)
+        # one monic side is not enough
+        for pair in ((p.monic(), q), (p, q.monic())):
+            with pytest.raises(UnsupportedConnection):
+                connect_recurrence(*pair, 3)
 
     def test_charlier_matches_closed_form(self):
         mu, nu = F(2), F(3)
@@ -133,7 +148,8 @@ def _cli(*argv):
 
 
 class TestRowFromEntries:
-    """The Q side read off the entry quotients raises the per-degree messages."""
+    """The Q side, weighed from the one composition's pairs, raises each
+    relation's own message."""
 
     @pytest.mark.parametrize("src, dst, n, message", [
         ("raw:kind=continuous,a=1,b=0,c=0,d=-1,e=1,k=monic",
