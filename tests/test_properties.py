@@ -2,6 +2,7 @@
 random command lines against the CLI contract."""
 
 import contextlib
+import functools
 import hashlib
 import importlib
 import io
@@ -614,12 +615,80 @@ def test_raw_pair_recurrence_rows_match_the_oracle(pair, n):
     assert diagnostics._m_recurrence_mismatches(*printed, p, q, want) == []
 
 
-def _row_or_error(p, q, n):
-    """``connect_recurrence``'s row or what it raises."""
-    try:
+def _per_degree_row(p, q, n):
+    """``connect_recurrence``'s row built in Fraction arithmetic from the
+    per-degree rules: mu from P's triples, and each Q index weighed as
+    sum_i mu_i g_i(q, j) of the rules' triples (g_0 alone at j = 0), in the
+    order the multipliers read them.  Pairs that fail a guard before any
+    triple is read go to ``connect_recurrence`` for its message."""
+    mode = compat(p, q)
+    if n == 0 or not (p.is_monic() and q.is_monic()) or mode == connection.GENERAL:
         return connect_recurrence(p, q, n)
+    rules = (structure.xpn_coeffs, structure.starred_coeffs,
+             structure.derivative_rule_coeffs if mode == connection.SAME_SIGMA
+             else structure.delta_rule_coeffs)
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (rule(p, n) for rule in rules)
+    mu = (x2 * z3 - x3 * z2, x3 * z1 - x1 * z3, x1 * z2 - x2 * z1)
+    if not any(mu):
+        return connect_recurrence(p, q, n)
+    y_total = mu[0] * y1 + mu[1] * y2 + mu[2] * y3
+
+    @functools.cache
+    def weighted(j):
+        total = [F(0)] * 3
+        for mu_i, rule in zip(mu, rules if j else rules[:1]):
+            total = [s + mu_i * t for s, t in zip(total, rule(q, j))]
+        return total
+
+    return ConnectionRow(n, tuple(series.descend(
+        n, F(1), "vanishing leading multiplier at m={m}",
+        lambda m: weighted(m)[0], lambda m: weighted(m + 1)[1] - y_total,
+        lambda m: weighted(m + 2)[2])))
+
+
+def _row_or_error(p, q, n, per_degree=False):
+    """``connect_recurrence``'s row or what it raises; ``per_degree``, the
+    row of ``_per_degree_row`` instead."""
+    try:
+        return (_per_degree_row if per_degree else connect_recurrence)(p, q, n)
     except (AdmissibilityError, UnsupportedConnection) as exc:
         return type(exc), str(exc)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(pair=raw_pairs(), n=st.integers(1, 7))
+def test_raw_pair_rows_from_the_entries_match_the_per_degree_rules(pair, n):
+    p, q = pair
+    assert _row_or_error(p, q, n) == _row_or_error(p, q, n, per_degree=True)
+
+
+def test_workload_rows_from_the_entries_match_the_per_degree_rules(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    argvs = [op.argv() for op in importlib.import_module("workloads").build("connect", 5, 30.0).ops
+             if op.verb == "connect" and op.what == "auto"]
+    assert len(argvs) > 100
+    for argv in argvs:  # fresh specs for each route
+        rows = [_row_or_error(parse_family(argv[2]), parse_family(argv[4]), int(argv[6]), flag)
+                for flag in (False, True)]
+        assert rows[0] == rows[1], argv
+
+
+@st.composite
+def pairs_with_a_q_root(draw):
+    """A monic raw pair with a shared sigma (a != 0) whose Q has a
+    denominator of B_j, B*_{j-1} or C_j vanish at some 2 <= j <= n + 1:
+    d = -2aj, -2a(j - 1), a(3 - 2j) or a(1 - 2j)."""
+    p, n = draw(raw_specs().filter(lambda spec: spec.a != 0)), draw(st.integers(1, 7))
+    j = draw(st.integers(2, n + 1))
+    d = p.a * draw(st.sampled_from((-2 * j, -2 * (j - 1), 3 - 2 * j, 1 - 2 * j)))
+    return p, FamilySpec(p.kind, p.a, p.b, p.c, d, draw(small_rationals), MONIC, "raw"), n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=pairs_with_a_q_root())
+def test_a_vanishing_q_denominator_raises_the_per_degree_message(case):
+    p, q, n = case
+    assert _row_or_error(p, q, n) == _row_or_error(p, q, n, per_degree=True)
 
 
 def _small(rng, nonzero=False):
