@@ -500,11 +500,12 @@ def _taylor_shift(cs: list, h) -> list:
 
 class _IntPoly:
     """A polynomial with int coefficients ``c``, lowest degree first, and
-    nothing else: no basis, no denominator, no content reduction.  It is the
-    indeterminate n the bodies of ``families.polynomial_in_n`` and
-    ``families.quotient_in_n`` run on, and ``_Quotient``s are quotients of
-    it; non-rational data put field elements in the same list.  Supports
-    +, -, * and ** with scalars and with itself."""
+    nothing else: no basis, no denominator, no content reduction.  Each
+    bracket of the structure formulas is one, built once per spec on the
+    indeterminate n (``families._N``) from the spec's integer data, and
+    ``_Quotient``s are quotients of them; non-rational data put field
+    elements in the same list.  Supports +, -, * and ** with scalars and
+    with itself."""
 
     __slots__ = ("c",)
 
@@ -560,13 +561,13 @@ class _Quotient:
     num and int polynomial factors in n (coefficient tuples), kept
     unreduced; non-rational data put their field elements in the same
     lists.  Each entry of a structure relation is one, built once per spec
-    (``families.quotient_in_n``).  It has no arithmetic and no value of its
-    own: its one reader, the composition of the relations
-    (``structure._composed``), combines its Horner values (``values``) at
-    each n, ints for rational data at an int n, field elements for other
-    data or at a formal n.  The denominator stays a multiset of factors and
-    is never reduced, so it vanishes exactly where one of its factors does.
-    Equality compares the unreduced forms.
+    by its body in ``structure`` (kept by ``families.per_spec``).  It has
+    no arithmetic and no value of its own: its one reader, the composition
+    of the relations (``structure._composed``), combines its Horner values
+    (``values``) at each n, ints for rational data at an int n, field
+    elements for other data or at a formal n.  The denominator stays a
+    multiset of factors and is never reduced, so it vanishes exactly where
+    one of its factors does.  Equality compares the unreduced forms.
     """
 
     __slots__ = ("num", "den", "_horner")
@@ -578,16 +579,18 @@ class _Quotient:
     @staticmethod
     def of_factors(top: Iterable, bottom: Iterable) -> "_Quotient":
         """The product of ``top`` over the product of ``bottom``, each factor
-        a field element, an ``_IntPoly`` in n (int, Fraction or field
-        coefficients) or a bracket ``Polynomial`` of ``polynomial_in_n``,
-        built from their integer views: each bottom factor stays a factor of
-        its own, and the denominators of the top factors make one constant
-        factor.  A factor with no integer view contributes its own
-        coefficients over 1."""
+        a field element or an ``_IntPoly`` in n (a bracket, or int, Fraction
+        or field coefficients), trimmed of zero top coefficients so that it
+        keeps its true degree: each bottom factor stays a factor of its own,
+        and the denominators of the top factors make one constant factor.
+        An all-int factor is taken as it is, a rational one by its integer
+        view, and any other contributes its own coefficients over 1."""
         def view(f) -> tuple:
-            if isinstance(f, Polynomial):
-                return f._int_view() or (list(f.coeffs), 1)
-            cs = f.c if type(f) is _IntPoly else [f]
+            cs = list(f.c) if type(f) is _IntPoly else [f]
+            while cs and cs[-1] == 0:
+                cs.pop()
+            if all(type(c) is int for c in cs):
+                return cs, 1
             return _integer_view(cs) or (cs, 1)
 
         top, bottom = ([view(f) for f in side] for side in (top, bottom))

@@ -14,9 +14,10 @@ derivatives are verified.  A spec with rational data also keeps them
 cleared of denominators (``IntegerData``): every formula is homogeneous in
 the data, so the brackets and the series recurrences run on those
 integers; other data run the same kernels on their own field elements.
-The brackets and entries of the structure formulas are kept once per spec
-as polynomials and quotients in n (``polynomial_in_n``,
-``quotient_in_n``); the entries' one reader is ``structure._composed``.
+One memo, ``per_spec``, keeps every value a spec computes once: k_n,
+lambda_n, and the brackets and entries of the structure formulas, which are
+built once per spec as bare integer polynomials and quotients in n on the
+indeterminate ``_N``; the entries' one reader is ``structure._composed``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .algebra import (
     MONOMIAL,
     FieldElement,
     Polynomial,
-    _from_ints,
     _IntPoly,
     _Quotient,
     as_field,
@@ -50,22 +50,22 @@ class AdmissibilityError(ValueError):
     """A formula denominator (or k_n) vanishes for a requested n."""
 
 
-def per_degree(fn: Callable) -> Callable:
-    """Keep the value of ``fn(spec, n)`` in ``spec``'s memo, under (fn, n).
+def per_spec(fn: Callable) -> Callable:
+    """Keep the value of ``fn(spec, *args)`` in ``spec``'s memo, under (fn, *args).
 
-    Each per-degree value is then computed once per spec instance, however
-    many formulas read it: k_n and the equation's operator columns.  A call
-    that raises stores nothing and raises again on the next call.  The
-    structure triples are kept by ``structure._read``, and the brackets and
-    entries they are built from are polynomials and quotients in n, kept
-    once per spec by ``polynomial_in_n`` and ``quotient_in_n``.
+    Each value is then computed once per spec instance, however many
+    formulas read it: k_n, lambda_n and the equation's operator columns at
+    each degree, the structure triples (``structure._read``), and the
+    brackets and entries of the structure formulas, polynomials and
+    quotients in n built once per spec.  A call that raises stores nothing
+    and raises again on the next call.
     """
     @functools.wraps(fn)
-    def memoized(spec: "FamilySpec", n: int):
-        key = (fn, n)
+    def memoized(spec: "FamilySpec", *args):
+        key = (fn, *args)
         value = spec._memo.get(key)
         if value is None:
-            value = spec._memo[key] = fn(spec, n)
+            value = spec._memo[key] = fn(spec, *args)
         return value
 
     return memoized
@@ -75,70 +75,6 @@ def per_degree(fn: Callable) -> Callable:
 _N = _IntPoly([0, 1])
 
 
-def polynomial_in_n(degree: int) -> Callable:
-    """Evaluate ``fn(spec, n, ...)`` as a polynomial in n, expanded once per spec.
-
-    The first call runs the body with the indeterminate ``_N`` in place of
-    n and keeps the polynomial in ``spec``'s memo, under fn and the
-    arguments after n; each call returns its value at n, in integer
-    arithmetic when the spec's data are rational.  At the indeterminate
-    itself (an ``_IntPoly`` n, as ``quotient_in_n`` bodies pass it) it
-    returns the kept polynomial.  So the body may combine n only by ``+``,
-    ``-``, ``*`` and ``**``, and may branch only on ``spec.kind`` and the
-    arguments after n, never on n.
-
-    The indeterminate is a bare coefficient list (``algebra._IntPoly``),
-    and the body reads ``spec.scaled()``.  ``degree`` is the body's
-    homogeneous degree w in the data (a, ..., e): scaling every datum by t
-    scales the value by t^w.  For rational data the body runs on the
-    spec's integer data ``L (a, ..., e)``, and the result is its int
-    coefficients over L^w, reduced once; no Fraction is made while it
-    runs.  Other data put their field elements in the same list.
-    """
-    def decorate(fn: Callable) -> Callable:
-        @functools.wraps(fn)
-        def evaluated(spec: "FamilySpec", n: int, *rest):
-            key = (fn, *rest)
-            poly = spec._memo.get(key)
-            if poly is None:
-                c = fn(spec.scaled(), _N, *rest).c
-                poly = spec._memo[key] = (Polynomial(c) if spec._ints is None
-                                          else _from_ints(c, spec._ints.scale ** degree, MONOMIAL))
-            return poly if type(n) is _IntPoly else poly(n)
-
-        return evaluated
-
-    return decorate
-
-
-def quotient_in_n(fn: Callable) -> Callable:
-    """Keep ``fn(spec, n, ...)`` as one quotient of polynomials in n, built
-    once per spec: the entry is called as ``entry(spec, ...)``, without n,
-    and returns that ``algebra._Quotient``.
-
-    The body runs once per spec with the indeterminate ``_N`` in place of n
-    and returns (numerator factors, denominator factors): brackets (the
-    polynomials ``polynomial_in_n`` keeps), linear factors of n such as
-    ``sign * n`` or a rule ratio's ``alpha + n + 1`` (``_IntPoly``s, on
-    bare int or Fraction lists for rational data), and constants.  The
-    factors make one ``_Quotient`` from their integer views (integer
-    polynomials over one denominator, for rational data), kept in
-    ``spec``'s memo under fn and the arguments after n.  Its only reader is
-    the one composition of the structure relations (``structure._composed``),
-    which combines its Horner values at each degree (``_Quotient.values``)
-    and raises each formula's own message where a denominator vanishes.
-    """
-    @functools.wraps(fn)
-    def kept(spec: "FamilySpec", *rest):
-        try:
-            return spec._memo[(fn, *rest)]
-        except KeyError:
-            entry = spec._memo[(fn, *rest)] = _Quotient.of_factors(*fn(spec, _N, *rest))
-            return entry
-
-    return kept
-
-
 @dataclass(frozen=True)
 class LeadingRule:
     """Closed-form standardization n -> k_n, with a display label.
@@ -146,8 +82,9 @@ class LeadingRule:
     The rule evaluates its closed form on every call; ``FamilySpec.k`` keeps
     the values.  The label is required: equal labels make equal specs, so
     two rules with different k_n must not share one.  The optional ratio
-    gives k_{n+1}/k_n as a ``quotient_in_n`` body in n alone, each factor
-    linear in n.
+    gives k_{n+1}/k_n at n as (numerator factors, denominator factors), each
+    factor linear in n; ``_rule_ratio`` reads it once per spec, at the
+    indeterminate n.
     """
 
     fn: Callable[[int], FieldElement] = field(compare=False)
@@ -161,9 +98,9 @@ class LeadingRule:
 MONIC = LeadingRule(lambda n: Fraction(1), "monic", lambda n: ((), ()))
 
 
-@quotient_in_n
-def _rule_ratio(spec: "FamilySpec", n: int):
-    return spec.leading.ratio(n)
+@per_spec
+def _rule_ratio(spec: "FamilySpec") -> _Quotient:
+    return _Quotient.of_factors(*spec.leading.ratio(_N))
 
 
 def _leading_coefficient(spec: "FamilySpec", n: int) -> FieldElement:
@@ -214,8 +151,8 @@ class FamilySpec:
     leading: LeadingRule = MONIC
     name: str = ""
     params: tuple[tuple[str, FieldElement], ...] = ()
-    # per-degree values of this instance (see ``per_degree``); equal specs
-    # do not share it
+    # the values kept for this instance (see ``per_spec``); equal specs do
+    # not share it
     _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     # the data cleared of denominators; set exactly when every datum and
     # parameter is a Fraction
@@ -242,7 +179,7 @@ class FamilySpec:
     def tau(self) -> Polynomial:
         return Polynomial([self.e, self.d])
 
-    k = per_degree(_leading_coefficient)
+    k = per_spec(_leading_coefficient)
 
     def abcde(self) -> tuple[FieldElement, ...]:
         return (self.a, self.b, self.c, self.d, self.e)
@@ -290,10 +227,13 @@ class FamilySpec:
         return sig * second + tau * first + p.scale(lam)
 
 
-@polynomial_in_n(1)
+@per_spec
 def lambda_n(spec: FamilySpec, n: int) -> FieldElement:
-    """Eigenvalue -(a n (n-1) + d n) of the degree-n member."""
-    return -(spec.a * n * (n - 1) + spec.d * n)
+    """Eigenvalue -(a n (n-1) + d n) of the degree-n member: one Fraction
+    from the integer data of a rational spec."""
+    data = spec.scaled()
+    value = -(data.a * n * (n - 1) + data.d * n)
+    return Fraction(value, spec._ints.scale) if spec._ints else value
 
 
 def affine_transform(spec: FamilySpec, scale: FieldElement, offset: FieldElement) -> FamilySpec:

@@ -17,12 +17,13 @@ term ratio rho_n = k_{n+1}/k_n of the standardization, the only way the
 formulas read k.  Each entry of the base triples is one quotient in n: B_n/A_n
 (also the starred mid, on the derivatives' data (a, b, d + 2a, e') at degree
 n - 1), beta_n, and the lower entries C_n, gamma_n and the starred lo over the
-rho they carry.  Its numerator and denominator are products of brackets
-whose coefficients depend on the spec alone; each bracket is expanded once
-per spec (``families.polynomial_in_n``, on the integer data of a rational
-spec), and each entry is one unreduced ``algebra._Quotient`` of integer
-polynomials in n (of field elements for other data), built once per spec
-(``families.quotient_in_n``).
+rho they carry.  Its numerator and denominator are products of brackets,
+polynomials in n whose coefficients depend on the spec alone: each bracket
+is a bare ``algebra._IntPoly``, expanded once per spec on the integer data
+L (a, ..., e) of a rational spec (the data themselves for other data), and
+each entry is one unreduced ``algebra._Quotient`` of them, built once per
+spec by its body; both are kept by ``families.per_spec``.  The entries of
+degree 1 in the data, beta_n and gamma_n's, carry L as a bottom factor.
 
 The seven relations are composed once, in ``_composed``, the one reader of
 those entries: from their (num, den) Horner values at n it makes each of a
@@ -63,6 +64,8 @@ from .algebra import (
     Polynomial,
     _from_ints,
     _int_combination,
+    _IntPoly,
+    _Quotient,
     as_field,
     expand_over,
     factorial,
@@ -73,12 +76,11 @@ from .families import (
     DISCRETE,
     AdmissibilityError,
     FamilySpec,
+    _N,
     _rule_ratio,
     catalog,
     lambda_n,
-    per_degree,
-    polynomial_in_n,
-    quotient_in_n,
+    per_spec,
 )
 from .series import series_polynomial
 
@@ -99,10 +101,16 @@ class CoefficientTriple:
 # Recurrence coefficients (continuous and discrete explicit formulas)
 # ---------------------------------------------------------------------------
 
-@polynomial_in_n(3)
-def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
+def _scale(spec: FamilySpec) -> int:
+    """L, the scale of the spec's integer data (1 for other data): the
+    brackets read the data L (a, ..., e)."""
+    return spec._ints.scale if spec._ints else 1
+
+
+@per_spec
+def _sum_factor(spec: FamilySpec) -> _IntPoly:
     """The shared bracket of the C_n / gamma_n numerators."""
-    a, b, c, d, e = spec.abcde()
+    (a, b, c, d, e), n = spec.scaled().abcde(), _N
     if spec.kind == CONTINUOUS:
         return ((n - 1) * (a * n + d - a) * (4 * c * a - b * b)
                 + a * e * e + d * d * c - b * e * d)
@@ -112,63 +120,68 @@ def _sum_factor(spec: FamilySpec, n: int) -> FieldElement:
             - d * b * e + d * d * c + a * e * e)
 
 
-@polynomial_in_n(4)
-def _cn_denominator(spec: FamilySpec, n: int) -> FieldElement:
-    a, d = spec.a, spec.d
-    if spec.kind == CONTINUOUS:
-        return ((d - 2 * a + 2 * a * n) ** 2 * (2 * a * n - 3 * a + d)
-                * (2 * a * n - a + d))
-    return ((d - a + 2 * a * n) * (d + 2 * a * n - 3 * a)
-            * (2 * a * n - 2 * a + d) ** 2)
+@per_spec
+def _cn_denominator(spec: FamilySpec) -> _IntPoly:
+    """The shared bracket of the C_n / gamma_n denominators, of both kinds."""
+    data, n = spec.scaled(), _N
+    a, d = data.a, data.d
+    return (d - 2 * a + 2 * a * n) ** 2 * (2 * a * n - 3 * a + d) * (2 * a * n - a + d)
 
 
-@polynomial_in_n(1)
-def _linear_factor(spec: FamilySpec, n: int, shift: int) -> FieldElement:
+@per_spec
+def _linear_factor(spec: FamilySpec, shift: int) -> _IntPoly:
     """an + d - shift a: the factors an + d - a and an + d - 2a of the lower entries."""
-    return spec.a * n + spec.d - shift * spec.a
+    data = spec.scaled()
+    return data.a * _N + data.d - shift * data.a
 
 
-@quotient_in_n
-def _lower_entry(spec: FamilySpec, n: int, sign: int, shifts: tuple[int, ...]):
+@per_spec
+def _lower_entry(spec: FamilySpec, sign: int, shifts: tuple[int, ...]) -> _Quotient:
     """The product of the factors an + d - shift a, times sign n S(n) / D(n),
     with S = ``_sum_factor`` and D = ``_cn_denominator``: the lower entries
-    over the rho they carry.  With Q_n = n S(n) / D(n) rho_{n-1},
+    over the rho they carry.  An entry has degree len(shifts) - 1 in the
+    data, so the (1, 2) one is divided by L once.  With
+    Q_n = n S(n) / D(n) rho_{n-1},
 
         C_n / (rho_{n-1} rho_n) = -(an + d - 2a) n S(n) / D(n)     (C_n = -(an + d - 2a) Q_n A_n)
         gamma_n / rho_{n-1} = (an + d - a)(an + d - 2a) n S(n) / D(n)
         lo*_n / rho_{n-1}   = -(an + d - a) n S(n) / D(n)          (lo*_n = -(an + d - a) Q_n).
     """
-    linear = tuple(_linear_factor(spec, n, shift) for shift in shifts)
-    return (*linear, sign * n, _sum_factor(spec, n)), (_cn_denominator(spec, n),)
+    linear = tuple(_linear_factor(spec, shift) for shift in shifts)
+    return _Quotient.of_factors((*linear, sign * _N, _sum_factor(spec)),
+                                (_cn_denominator(spec), _scale(spec))[:len(shifts)])
 
 
-def _tau_data(spec: FamilySpec, starred: bool) -> tuple[FieldElement, FieldElement]:
-    """(d, e) of tau, or (d + 2a, e') of the derivatives' tau when starred."""
-    a, b, d, e = spec.a, spec.b, spec.d, spec.e
+def _tau_data(data, starred: bool) -> tuple[FieldElement, FieldElement]:
+    """(d, e) of tau, or (d + 2a, e') of the derivatives' tau when starred,
+    on the data a bracket reads (``spec.scaled()``)."""
+    a, b, d, e = data.a, data.b, data.d, data.e
     if not starred:
         return d, e
-    return d + 2 * a, e + b if spec.kind == CONTINUOUS else d + e + a + b
+    return d + 2 * a, e + b if data.kind == CONTINUOUS else d + e + a + b
 
 
-@polynomial_in_n(2)
-def _b_numerator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
-    a, b = spec.a, spec.b
-    d, e = _tau_data(spec, starred)
+@per_spec
+def _b_numerator(spec: FamilySpec, starred: bool) -> _IntPoly:
+    data, n = spec.scaled(), _N
+    a, b = data.a, data.b
+    d, e = _tau_data(data, starred)
     if spec.kind == CONTINUOUS:
         return 2 * b * n * (a * n + d - a) - e * (-d + 2 * a)
     return n * (d + 2 * b) * (d + a * n - a) + e * (d - 2 * a)
 
 
-@polynomial_in_n(2)
-def _b_denominator(spec: FamilySpec, n: int, starred: bool) -> FieldElement:
+@per_spec
+def _b_denominator(spec: FamilySpec, starred: bool) -> _IntPoly:
     """(d + 2an)(d - 2a + 2an), of both kinds; unstarred, also beta_n's."""
-    a, d = spec.a, _tau_data(spec, starred)[0]
+    data, n = spec.scaled(), _N
+    a, d = data.a, _tau_data(data, starred)[0]
     return (d + 2 * a * n) * (d - 2 * a + 2 * a * n)
 
 
-@quotient_in_n
-def _b_quotient(spec: FamilySpec, n: int, starred: bool):
-    return (_b_numerator(spec, n, starred),), (_b_denominator(spec, n, starred),)
+@per_spec
+def _b_quotient(spec: FamilySpec, starred: bool) -> _Quotient:
+    return _Quotient.of_factors((_b_numerator(spec, starred),), (_b_denominator(spec, starred),))
 
 
 def recurrence_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -190,9 +203,9 @@ def xpn_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
     return _read(spec, "xpn", n)
 
 
-@polynomial_in_n(3)
-def _beta_numerator(spec: FamilySpec, n: int) -> FieldElement:
-    a, b, c, d, e = spec.abcde()
+@per_spec
+def _beta_numerator(spec: FamilySpec) -> _IntPoly:
+    (a, b, c, d, e), n = spec.scaled().abcde(), _N
     if spec.kind == CONTINUOUS:
         return -(n * (a * n + d - a) * (2 * e * a - d * b))
     return -(n * (d + a * n - a)
@@ -200,9 +213,11 @@ def _beta_numerator(spec: FamilySpec, n: int) -> FieldElement:
                 - 2 * a * a * n + 2 * a * a * n * n))
 
 
-@quotient_in_n
-def _beta(spec: FamilySpec, n: int):
-    return (_beta_numerator(spec, n),), (_b_denominator(spec, n, False),)
+@per_spec
+def _beta(spec: FamilySpec) -> _Quotient:
+    """beta_n, of degree 1 in the data: divided by L once."""
+    return _Quotient.of_factors((_beta_numerator(spec),),
+                                (_b_denominator(spec, False), _scale(spec)))
 
 
 def derivative_rule_coeffs(spec: FamilySpec, n: int) -> CoefficientTriple:
@@ -317,16 +332,13 @@ def formula_triples(spec: FamilySpec, n: int) -> dict[str, CoefficientTriple]:
             if n >= relation.start and spec.kind in relation.kinds}
 
 
+@per_spec
 def _read(spec: FamilySpec, key: str, n: int, alone: bool = False) -> CoefficientTriple:
     """``_composed(spec, key, n, alone)`` as a triple, kept in the spec's
-    memo under (key, n, alone): verify reads each triple twice, in its
-    residual check and in its oracle comparison.  A failure is not kept; it
-    raises again on the next call."""
-    memo_key = (key, n, alone)
-    triple = spec._memo.get(memo_key)
-    if triple is None:
-        triple = spec._memo[memo_key] = _pairs(*_composed(spec, key, n, alone))
-    return triple
+    memo: verify reads each triple twice, in its residual check and in its
+    oracle comparison.  A failure is not kept; it raises again on the next
+    call."""
+    return _pairs(*_composed(spec, key, n, alone))
 
 
 def _ratio_prefix(spec: FamilySpec, n) -> list | None:
@@ -461,7 +473,7 @@ def _composed(spec: FamilySpec, key: str, n, alone: bool = False) -> tuple:
     if not prefix:
         spec.k(n)  # alpha_n = a n k_n / k_{n+1}: a failing k_n is reported first
     r, s = prefix[n] if prefix else _rho(spec, n)
-    scale = spec._ints.scale if spec._ints else 1
+    scale = _scale(spec)
     if not alone:
         tn, td = _checked(spec, _beta(spec), n, "beta_{n} denominator vanishes")
         gn, gd = _checked(spec, _lower_entry(spec, 1, (1, 2)), n,
@@ -561,7 +573,8 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
 
     is one integer combination of the integer views of p_n and p_{n-1} over
     one denominator, and makes no Fraction; elsewhere it is the field step
-    (A x + B) p_n - C p_{n-1} on ``recurrence_coeffs``.
+    A ((x - b) p_n - c p_{n-1}) on the same pairs, with A = 1/a, made by
+    ``_pairs``.
     """
     polys, prev = [Polynomial.const(spec.k(0))], Polynomial.zero()
     _ratio_prefix(spec, n_max)  # grown once, past the last degree a step reads
@@ -585,14 +598,14 @@ def generate(spec: FamilySpec, n_max: int) -> list[Polynomial]:
                 out[i] -= g * c
             nxt = _from_ints(out, den, MONOMIAL)
         else:
-            A, B, C = recurrence_coeffs(spec, n)
-            nxt = (Polynomial.x().scale(A) + B) * pn - prev.scale(C)
+            A, b, c = _pairs((ad, an), (bn, bd), (cn, cd))
+            nxt = ((Polynomial.x() - b) * pn - prev.scale(c)).scale(A)
         prev = pn
         polys.append(nxt)
     return polys
 
 
-@per_degree
+@per_spec
 def _operator_column(spec: FamilySpec, j: int) -> Polynomial:
     """L_0 x^j: the operator of the equation at lambda = 0 applied to x^j."""
     return spec.apply_operator(Polynomial.monomial(j), 0)

@@ -13,6 +13,7 @@ from opoly.algebra import (
     Dual,
     Polynomial,
     RationalFunction,
+    _IntPoly,
     _pseudo_divmod,
     _Quotient,
     binomial,
@@ -394,13 +395,14 @@ def _quotient_value(q, n):
 class TestQuotient:
     # (n - 3)(2n + 1/2)(-2/3) over (n - 7)^2 (3/5)(n^2/4 - 25/4): the top
     # vanishes at n = 3, the bottom at n = 5 and n = 7 (and at n = -5)
-    TOP = (Polynomial([-3, 1]), Polynomial([F(1, 2), 2]), F(-2, 3))
-    BOTTOM = (Polynomial([-7, 1]), F(3, 5), Polynomial([F(-25, 4), 0, F(1, 4)]),
-              Polynomial([-7, 1]))
+    TOP = (_IntPoly([-3, 1]), _IntPoly([F(1, 2), 2]), F(-2, 3))
+    BOTTOM = (_IntPoly([-7, 1]), F(3, 5), _IntPoly([F(-25, 4), 0, F(1, 4)]),
+              _IntPoly([-7, 1]))
 
     @staticmethod
     def product(factors, n):
-        return prod((f(n) if isinstance(f, Polynomial) else f for f in factors), start=F(1))
+        return prod((Polynomial(f.c)(n) if type(f) is _IntPoly else f for f in factors),
+                    start=F(1))
 
     def test_of_factors_is_the_quotient_of_the_factor_values(self):
         q = _Quotient.of_factors(self.TOP, self.BOTTOM)
@@ -418,8 +420,8 @@ class TestQuotient:
 
     # the same with dual coefficients, and one factor without: the bottom is
     # 0 + 2.4 eps at n = 5 and exactly 0 at n = 7, the top 0 + eps at n = 3
-    DUAL_TOP = (Polynomial([Dual(-3, 1), 1]), Polynomial([F(1, 2), 2]), Dual(F(-2, 3), 4))
-    DUAL_BOTTOM = (Polynomial([Dual(-5, 2), 1]), Dual(F(3, 5), -1), Polynomial([-7, 1]))
+    DUAL_TOP = (_IntPoly([Dual(-3, 1), 1]), _IntPoly([F(1, 2), 2]), Dual(F(-2, 3), 4))
+    DUAL_BOTTOM = (_IntPoly([Dual(-5, 2), 1]), Dual(F(3, 5), -1), _IntPoly([-7, 1]))
 
     def test_of_dual_factors_is_the_quotient_of_the_factor_values(self):
         q = _Quotient.of_factors(self.DUAL_TOP, self.DUAL_BOTTOM)

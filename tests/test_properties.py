@@ -7,13 +7,23 @@ import hashlib
 import importlib
 import io
 from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from opoly import connection, diagnostics, series, structure
-from opoly.algebra import Dual, Polynomial, RationalFunction, _IntPoly, expand_over, format_rational
+from opoly.algebra import (
+    Dual,
+    Polynomial,
+    RationalFunction,
+    _IntPoly,
+    _Quotient,
+    expand_over,
+    format_rational,
+)
 from opoly.cli import parse_family, run
 from opoly.connection import (
     PARAMETER_DERIVATIVE_PAIRS,
@@ -30,7 +40,6 @@ from opoly.families import (
     AdmissibilityError,
     FamilySpec,
     LeadingRule,
-    _N,
     _rule_ratio,
     affine_transform,
     catalog,
@@ -345,14 +354,7 @@ def test_generate_is_the_per_degree_route_where_a_factor_vanishes(spec):
     _same_generated(spec, 10)
 
 
-# each bracket that is a polynomial in n, with its arguments after n
-BRACKETS = ((structure._sum_factor, ()), (structure._cn_denominator, ()),
-            (structure._linear_factor, (1,)), (structure._linear_factor, (2,)),
-            (structure._b_numerator, (False,)), (structure._b_numerator, (True,)),
-            (structure._b_denominator, (False,)), (structure._b_denominator, (True,)),
-            (structure._beta_numerator, ()), (lambda_n, ()))
-
-# each entry that is a quotient in n, with its arguments after n
+# each entry that is a quotient in n, with its arguments after the spec
 QUOTIENTS = ((structure._b_quotient, (False,)), (structure._b_quotient, (True,)),
              (structure._beta, ()), (structure._lower_entry, (-1, (2,))),
              (structure._lower_entry, (1, (1, 2))), (structure._lower_entry, (-1, (1,))))
@@ -363,9 +365,7 @@ def _quotient_at(num, den, n):
     is 0; a dual denominator of value 0 raises ZeroDivisionError, as in the
     formulas."""
     def value(factor):
-        if type(factor) is _IntPoly:
-            factor = Polynomial(factor.c)
-        return factor(n) if isinstance(factor, Polynomial) else factor
+        return Polynomial(factor.c)(n) if type(factor) is _IntPoly else factor
 
     top = bottom = F(1)
     for factor in num:
@@ -392,6 +392,12 @@ def _entry_at(entry, n):
     return F(num, den) if type(num) is int and type(den) is int else num / den
 
 
+def _factors(entry, spec, rest):
+    """The (top, bottom) factors the entry's body builds its quotient from."""
+    with mock.patch.object(_Quotient, "of_factors", lambda top, bottom: (top, bottom)):
+        return entry.__wrapped__(spec, *rest)
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(spec=raw_specs(), datum=st.integers(0, 4), slope=nonzero_rationals)
 def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
@@ -403,21 +409,18 @@ def test_bracket_polynomials_match_their_bodies(spec, datum, slope):
     formal[datum] = formal[datum] + RationalFunction.parameter()
     for s, n_max in ((spec, 80), (FamilySpec(spec.kind, *data, MONIC, "raw"), 80),
                      (FamilySpec(spec.kind, *formal, MONIC, "raw"), 12)):
-        for bracket, rest in BRACKETS:
-            for n in range(n_max + 1):
-                assert bracket(s, n, *rest) == bracket.__wrapped__(s, n, *rest), (bracket, n)
         # an entry is the quotient of its factors' values, or None where the
         # denominator vanishes
         for quotient, rest in QUOTIENTS:
-            num, den = quotient.__wrapped__(s, _N, *rest)
+            num, den = _factors(quotient, s, rest)
             for n in range(n_max + 1):
                 assert _outcome(lambda: _entry_at(quotient(s, *rest), n)) == \
                     _outcome(lambda: _quotient_at(num, den, n)), (quotient, rest, n)
 
 
 def _on_fractions(spec):
-    """The same spec without its integer data: every bracket and series
-    route then runs on the Fractions."""
+    """The same spec without its integer data: every bracket, entry and
+    series route then runs on the Fractions."""
     copy = FamilySpec(spec.kind, *spec.abcde(), spec.leading, spec.name, spec.params)
     object.__setattr__(copy, "_ints", None)
     return copy
@@ -433,17 +436,22 @@ SERIES_ROUTES = {"continuous": (series.power_coeffs, series._power_in_monic_two_
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(spec=raw_specs(), shrink=st.sampled_from((1, 6, 35)))
+# the data share the factor 2 with shrink = 6, which moves the scale to 3
+@example(spec=FamilySpec("continuous", 2, 0, 0, -8, 0, MONIC, "raw"), shrink=6)
 def test_integer_data_routes_match_fraction_arithmetic(spec, shrink):
     # dividing every datum by the same integer leaves each formula's value
-    # unchanged but moves the lcm of the denominators: each bracket's declared
-    # degree w must undo it
+    # unchanged but moves the lcm of the denominators, the scale L: the
+    # entries of degree 1 in the data, and lambda_n, must divide by it
     spec = FamilySpec(spec.kind, *(v / shrink for v in spec.abcde()), MONIC, "raw")
-    assert spec._ints is not None and spec._ints.scale % shrink == 0
+    ints = spec._ints
+    assert gcd(ints.scale, *ints.abcde()) == 1
+    assert [F(v, ints.scale) for v in ints.abcde()] == list(spec.abcde())
     fractions = _on_fractions(spec)
-    for bracket, rest in BRACKETS:
-        x = _IntPoly([0, 1])
-        assert bracket(spec, x, *rest) == Polynomial(bracket.__wrapped__(fractions, x, *rest).c), \
-            bracket
+    for n in range(21):
+        assert lambda_n(spec, n) == lambda_n(fractions, n), n
+        for entry, rest in QUOTIENTS:
+            assert _entry_at(entry(spec, *rest), n) == _entry_at(entry(fractions, *rest), n), \
+                (entry, rest, n)
     for route in SERIES_ROUTES[spec.kind]:
         for n in range(7):
             def solved(s):
